@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -50,32 +50,13 @@ class ScenarioConfig:
         if not self.seeds:
             raise ConfigError("scenario needs a nonempty seed list")
         self.seeds = [int(s) for s in self.seeds]
+        dups = sorted(s for s, n in Counter(self.seeds).items() if n > 1)
+        if dups:
+            raise ConfigError(f"duplicate seeds {dups}: each names one run's files")
         if not (0.0 < self.epsilon <= 1.0):
             raise ConfigError("epsilon must lie in (0, 1]")
         if not isinstance(self.overrides, dict):
             raise ConfigError("overrides must be a mapping")
-
-
-def _thread_count() -> int:
-    env = os.environ.get("EVOSPACE_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError("EVOSPACE_THREADS must be an integer")
-        if n < 1:
-            raise ConfigError("EVOSPACE_THREADS must be >= 1")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
-def _map_seeds(fn: Callable, seeds: Sequence[int]) -> list:
-    """Run fn over seeds on the worker pool, results in seed order."""
-    workers = _thread_count()
-    if workers <= 1 or len(seeds) <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
 
 
 def _resolve(defaults: dict, overrides: dict, scenario: str) -> dict:
@@ -92,14 +73,60 @@ def _resolve(defaults: dict, overrides: dict, scenario: str) -> dict:
 # synthetic datasets
 
 
+def _hull(points: np.ndarray) -> np.ndarray:
+    """Convex hull vertices of 2-D points, counter-clockwise (Andrew's monotone chain).
+
+    Duplicate and collinear boundary points are dropped, so a collinear set
+    yields at most two vertices.
+    """
+    pts = sorted(set(map(tuple, points.tolist())))
+
+    def chain(seq):
+        out = []
+        for px, py in seq:
+            while len(out) >= 2 and \
+                    ((out[-1][0] - out[-2][0]) * (py - out[-2][1])
+                     - (out[-1][1] - out[-2][1]) * (px - out[-2][0])) <= 0.0:
+                out.pop()
+            out.append((px, py))
+        return out
+
+    return np.array(chain(pts)[:-1] + chain(reversed(pts))[:-1])
+
+
+def _hulls_overlap(X: np.ndarray, y: np.ndarray) -> bool:
+    """True when the convex hulls of the two label classes certainly overlap.
+
+    Separating-axis test over both hulls' edge normals, on which two convex
+    polygons' projections are disjoint iff the polygons are.  Overlap is
+    claimed only beyond 1e-9 times the data scale on every axis; False
+    (non-2-D input, a class of < 3 hull vertices, touching hulls) means "not
+    certified", not "separable".
+    """
+    if X.ndim != 2 or X.shape[1] != 2:
+        return False
+    hulls = [_hull(X[y > 0]), _hull(X[y < 0])]
+    if min(len(h) for h in hulls) < 3:
+        return False
+    edges = np.vstack([np.roll(h, -1, axis=0) - h for h in hulls])
+    axes = np.stack([edges[:, 1], -edges[:, 0]]) / np.linalg.norm(edges, axis=1)
+    pa, pb = hulls[0] @ axes, hulls[1] @ axes
+    overlap = np.minimum(pa.max(0), pb.max(0)) - np.maximum(pa.min(0), pb.min(0))
+    return bool(np.all(overlap > 1e-9 * float(np.abs(X).max())))
+
+
 def _perceptron_separable(X: np.ndarray, y: np.ndarray,
                           max_updates: int = 4000) -> bool:
     """Linear separability check (with bias) by perceptron updates.
 
     Finding a zero-error separator proves separability; exhausting the update
     budget is treated as non-separable, which is the conservative direction
-    for the scenarios that want hard datasets.
+    for the scenarios that want hard datasets.  Inputs whose class hulls
+    certainly overlap (``_hulls_overlap``) have no strict separator, so they
+    return False at once, as the perceptron would after its whole budget.
     """
+    if _hulls_overlap(X, y):
+        return False
     Xa = np.column_stack([X, np.ones(X.shape[0])])
     w = np.zeros(Xa.shape[1])
     for _ in range(max_updates):
@@ -120,7 +147,8 @@ def gen_gaussian_mixture(rng: np.random.Generator, n_clusters: int,
     the pooled points are rescaled to fit inside the unit disk.  Draws whose
     labels are all one sign, or that a perceptron proves linearly separable,
     are regenerated up to ``max_tries`` times; the last draw is returned
-    as-is, so non-separability is likely but not guaranteed.
+    as-is, so non-separability is likely but not guaranteed.  Most 2-D draws
+    are certified non-separable by their class hulls, without a perceptron.
     """
     if n_clusters < 2:
         raise ConfigError("mixture needs at least 2 clusters")
@@ -195,17 +223,25 @@ class MeanEstimationModel(QuadraticPerfModel):
         if nu < 0:
             raise ConfigError("drift magnitude must be nonnegative")
         self.mu0 = np.asarray(mu0, dtype=float).copy()
-        self.t_cur = self.mu0.copy()
         self.nu = float(nu)
         self.policy = policy
-        self._rng = rng_for((drift_seed, "drift"))
+        self._drift_seed = drift_seed
         self._eye = np.eye(self.mu0.shape[0])
+        self._restart()
+
+    def _restart(self) -> None:
+        self.t_cur = self.mu0.copy()
         self.drift_steps = 0
+        self._rng = rng_for((self._drift_seed, "drift"))
 
     def pre_step(self, step: int, coords: np.ndarray) -> None:
         # The target holds still for the first evaluation and moves between
-        # steps, so a run of T steps sees T-1 perturbations.
-        if self.nu == 0.0 or step == 0:
+        # steps, so a run of T steps sees T-1 perturbations.  Step 0 starts
+        # target and drift stream over, so an instance can be run again.
+        if step == 0:
+            self._restart()
+            return
+        if self.nu == 0.0:
             return
         if self.policy == "random":
             d = self._rng.standard_normal(self.mu0.shape[0])
@@ -222,7 +258,8 @@ class MeanEstimationModel(QuadraticPerfModel):
         return (self._eye, center, float(center @ center))
 
     def true_perf(self, coords, step: int) -> float:
-        t = self.t_cur
+        # step 0 is scored before pre_step(0) restarts the target
+        t = self.mu0 if step == 0 else self.t_cur
         stats = (self._eye, t, float(t @ t))
         return float(self._eval(stats, np.asarray(coords, float)[None, :])[0])
 
@@ -288,9 +325,10 @@ def run_unsupervised_mean(cfg: ScenarioConfig) -> dict:
     accept = _mean_window(lo, hi, opts["mean_balance"])
     out_dir = ensure_dir(cfg.out_dir) if cfg.out_dir else None
 
+    data = {seed: _mixture_for(seed, accept) for seed in cfg.seeds}
     # The identity panel makes the model constants dataset-independent and
     # the mean window pins the horizon, so one schedule serves every seed.
-    pts0, _, _ = _mixture_for(cfg.seeds[0], accept)
+    pts0 = data[cfg.seeds[0]][0]
     sampler0 = ConditionSampler.empirical(pts0, seed=cfg.seeds[0])
     schedule = _mean_constants_and_schedule(
         eps, knobs, sampler0, np.zeros(2), pts0.mean(axis=0), opts)
@@ -298,13 +336,12 @@ def run_unsupervised_mean(cfg: ScenarioConfig) -> dict:
     t_steps = int(opts["t_override"] or schedule.t_steps)
     margin = schedule.margin
 
-    def worker(seed: int) -> dict:
-        pts, _, tries = _mixture_for(seed, accept)
+    def worker(pos: int, seed: int) -> dict:
+        pts, _, tries = data[seed]
         mu = pts.mean(axis=0)
         sampler = ConditionSampler.empirical(pts, seed=seed)
         model = MeanEstimationModel(sampler, mu)
-        keep_trace = out_dir is not None and \
-            cfg.seeds.index(seed) < opts["trace_limit"]
+        keep_trace = out_dir is not None and pos < opts["trace_limit"]
         config = EvolutionConfig(
             mutations=MutationSet.orthonormal(2), alpha=schedule.alpha,
             tol=schedule.tol, m=m, t_steps=t_steps, seed=seed,
@@ -336,7 +373,7 @@ def run_unsupervised_mean(cfg: ScenarioConfig) -> dict:
             "mu_hat_variance_m5": float(np.trace(cov)) / 5.0,
         }
 
-    rows = _map_seeds(worker, cfg.seeds)
+    rows = [worker(pos, seed) for pos, seed in enumerate(cfg.seeds)]
     total_far = sum(r["far_bene_steps"] for r in rows)
     total_ok = sum(r["far_bene_margin_ok"] for r in rows)
     report = {
@@ -391,7 +428,7 @@ def run_agnostic(cfg: ScenarioConfig) -> dict:
     gen = BregmanGenerator.squared_euclidean()
     sigma = float(opts["sigma"])
 
-    def worker(seed: int) -> dict:
+    def worker(pos: int, seed: int) -> dict:
         geo = rng_for((seed, "geometry"))
         theta = float(geo.uniform(0.0, 2.0 * math.pi))
         u = np.array([math.cos(theta), math.sin(theta)])
@@ -423,8 +460,7 @@ def run_agnostic(cfg: ScenarioConfig) -> dict:
                                       "i,ij,ij->", sample.weights,
                                       sample.points, sample.points))),
             true_stats=true_stats)
-        keep_trace = out_dir is not None and \
-            cfg.seeds.index(seed) < opts["trace_limit"]
+        keep_trace = out_dir is not None and pos < opts["trace_limit"]
         config = EvolutionConfig(
             mutations=mutations, alpha=schedule.alpha, tol=schedule.tol,
             m=m, t_steps=t_steps, seed=seed, failure_policy="strict",
@@ -453,7 +489,7 @@ def run_agnostic(cfg: ScenarioConfig) -> dict:
             "failed": result.failed,
         }
 
-    rows = _map_seeds(worker, cfg.seeds)
+    rows = [worker(pos, seed) for pos, seed in enumerate(cfg.seeds)]
     # re-resolve the first seed's schedule for the report embed
     first = rows[0]
     report = {
@@ -547,7 +583,7 @@ def run_supervised_linear(cfg: ScenarioConfig) -> dict:
     accept = _supervised_accept(opts["min_gram_eig"], opts["max_w_star"],
                                 opts["pair_norm_min"])
 
-    def worker(seed: int) -> dict:
+    def worker(pos: int, seed: int) -> dict:
         pts, labels, tries = _mixture_for(seed, accept)
         n = pts.shape[0]
         data = np.column_stack([pts, labels])
@@ -570,8 +606,7 @@ def run_supervised_linear(cfg: ScenarioConfig) -> dict:
         model = QuadraticPerfModel(
             sampler, quadratic_stats_for(panel, gen, lambda P: P[:, 2:3]),
             true_stats=(A, c, float(c @ w_star)))
-        keep_trace = out_dir is not None and \
-            cfg.seeds.index(seed) < opts["trace_limit"]
+        keep_trace = out_dir is not None and pos < opts["trace_limit"]
         config = EvolutionConfig(
             mutations=first_basis, alpha=schedule.alpha, tol=schedule.tol,
             m=m, t_steps=t_steps, seed=seed, failure_policy="forced_uniform",
@@ -613,7 +648,7 @@ def run_supervised_linear(cfg: ScenarioConfig) -> dict:
                          "m": m, "t_steps": t_steps, "u": schedule.u},
         }
 
-    rows = _map_seeds(worker, cfg.seeds)
+    rows = [worker(pos, seed) for pos, seed in enumerate(cfg.seeds)]
     total_drops = sum(r["drops"] for r in rows)
     attributed = sum(r["drops_forced_or_neutral"] for r in rows)
     report = {
@@ -690,7 +725,8 @@ def run_stability(cfg: ScenarioConfig) -> dict:
 
     # identity-panel constants are dataset-independent; the start distance
     # pins the horizon, so U is known before choosing the dwell-aware triple
-    pts0, _, _ = _mixture_for(cfg.seeds[0])
+    data = {seed: _mixture_for(seed) for seed in cfg.seeds}
+    pts0 = data[cfg.seeds[0]][0]
     sampler0 = ConditionSampler.empirical(pts0, seed=cfg.seeds[0])
     panel = IdentityPanel(2)
     gen = BregmanGenerator.squared_euclidean()
@@ -704,8 +740,8 @@ def run_stability(cfg: ScenarioConfig) -> dict:
         h_min=constants.h_min, h_max=constants.h_max)
 
     def run_arm(knobs: KnobTriple, t_override: int, stable_dwell, tag: str):
-        def worker(seed: int) -> dict:
-            pts, _, tries = _mixture_for(seed)
+        def worker(pos: int, seed: int) -> dict:
+            pts, _, tries = data[seed]
             mu = pts.mean(axis=0)
             direction = rng_for((seed, "f0")).standard_normal(2)
             direction /= np.linalg.norm(direction)
@@ -715,8 +751,7 @@ def run_stability(cfg: ScenarioConfig) -> dict:
                 eps, knobs, constants, f0=f0, t_coords=mu, c_t=opts["c_t"],
                 c_m=opts["c_m"], m_cap=opts["m_cap"], stable_dwell=stable_dwell)
             model = MeanEstimationModel(sampler, mu)
-            keep_trace = out_dir is not None and \
-                cfg.seeds.index(seed) < opts["trace_limit"]
+            keep_trace = out_dir is not None and pos < opts["trace_limit"]
             config = EvolutionConfig(
                 mutations=MutationSet.orthonormal(2), alpha=schedule.alpha,
                 tol=schedule.tol, m=int(opts["m_override"] or schedule.m),
@@ -732,7 +767,7 @@ def run_stability(cfg: ScenarioConfig) -> dict:
                 _trace_outputs(out_dir, f"{tag}-{seed}", result)
             return row
 
-        rows = _map_seeds(worker, cfg.seeds)
+        rows = [worker(pos, seed) for pos, seed in enumerate(cfg.seeds)]
         hit_rows = [r for r in rows if r["hit_step"] is not None]
         return {
             "knobs": list(knobs.as_tuple()),
@@ -797,7 +832,8 @@ def run_drift(cfg: ScenarioConfig) -> dict:
     lo, hi = opts["mean_window"]
     accept = _mean_window(lo, hi, opts["mean_balance"])
 
-    pts0, _, _ = _mixture_for(cfg.seeds[0], accept)
+    data = {seed: _mixture_for(seed, accept) for seed in cfg.seeds}
+    pts0 = data[cfg.seeds[0]][0]
     sampler0 = ConditionSampler.empirical(pts0, seed=cfg.seeds[0])
     schedule = _mean_constants_and_schedule(
         eps, knobs, sampler0, np.zeros(2), pts0.mean(axis=0), opts)
@@ -809,14 +845,14 @@ def run_drift(cfg: ScenarioConfig) -> dict:
     def run_arm(multiplier: float, seeds: Sequence[int], tag: str) -> dict:
         nu = bound * multiplier
 
-        def worker(seed: int) -> dict:
-            pts, _, tries = _mixture_for(seed, accept)
+        def worker(pos: int, seed: int) -> dict:
+            pts, _, tries = data[seed]
             mu = pts.mean(axis=0)
             sampler = ConditionSampler.empirical(pts, seed=seed)
             model = MeanEstimationModel(sampler, mu, nu=nu,
                                         policy=opts["policy"], drift_seed=seed)
             keep_trace = out_dir is not None and multiplier in (0.0, 1.0) and \
-                cfg.seeds.index(seed) < opts["trace_limit"]
+                pos < opts["trace_limit"]
             config = EvolutionConfig(
                 mutations=MutationSet.orthonormal(2), alpha=schedule.alpha,
                 tol=schedule.tol, m=m, t_steps=t_steps, seed=seed,
@@ -834,7 +870,7 @@ def run_drift(cfg: ScenarioConfig) -> dict:
                 "drift_steps": model.drift_steps,
             }
 
-        rows = _map_seeds(worker, seeds)
+        rows = [worker(pos, seed) for pos, seed in enumerate(seeds)]
         return {
             "multiplier": multiplier, "nu": nu, "seeds": list(seeds),
             "rows": rows,

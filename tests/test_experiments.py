@@ -1,16 +1,22 @@
 """Scenario-level tests: datasets, drift mechanics, dwell stats, reports."""
 
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
+from evospace.engine import EvolutionConfig, run_evolution
 from evospace.errors import ConfigError, ModelError
 from evospace.experiments import (
+    _DRIFT_DEFAULTS,
     MeanEstimationModel,
     ScenarioConfig,
     _dwell_stats,
+    _hulls_overlap,
     _mean_window,
     _mixture_for,
     _perceptron_separable,
@@ -23,11 +29,40 @@ from evospace.experiments import (
     run_agnostic,
     run_unsupervised_mean,
 )
-from evospace.model import ConditionSampler, rng_for
+from evospace.model import ConditionSampler, MutationSet, rng_for
+
+SEED_TABLE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench", "seed_table.json")
 
 
 def dumps(report) -> str:
     return json.dumps(report, sort_keys=True)
+
+
+def raw_perceptron(X, y, max_updates=4000) -> bool:
+    """The perceptron loop of _perceptron_separable, without the hull certificate."""
+    Xa = np.column_stack([X, np.ones(X.shape[0])])
+    w = np.zeros(Xa.shape[1])
+    for _ in range(max_updates):
+        bad = np.nonzero((Xa @ w) * y <= 0)[0]
+        if bad.size == 0:
+            return True
+        w += y[bad[0]] * Xa[bad[0]]
+    return False
+
+
+def lp_strictly_separable(X, y) -> bool:
+    """Whether some (w, b) has y_i (w.x_i + b) >= 1 for every i, by linear programming."""
+    A = -y[:, None] * np.column_stack([X, np.ones(X.shape[0])])
+    res = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=-np.ones(X.shape[0]),
+                  bounds=[(None, None)] * A.shape[1], method="highs")
+    assert res.status in (0, 2), res.message   # feasible or infeasible
+    return res.status == 0
+
+
+XOR_CORNER = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
+XOR_X = np.vstack([XOR_CORNER + c for c in ([1, 1], [-1, -1], [1, -1], [-1, 1])])
+XOR_Y = np.repeat([1.0, 1.0, -1.0, -1.0], 3)
 
 
 class TestScenarioConfig:
@@ -43,6 +78,10 @@ class TestScenarioConfig:
         cfg = ScenarioConfig("drift", seeds=[np.int64(3), "4"])
         assert cfg.seeds == [3, 4]
         assert all(type(s) is int for s in cfg.seeds)
+
+    def test_duplicate_seeds_rejected(self):
+        with pytest.raises(ConfigError, match=r"duplicate seeds \[3, 5\]"):
+            ScenarioConfig("drift", seeds=[5, 3, "5", 1, 3])
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5])
     def test_epsilon_out_of_range(self, eps):
@@ -95,6 +134,62 @@ class TestMixtureData:
         X = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         assert not _perceptron_separable(X, y)
+
+    def test_certificate_claims_xor_clusters(self):
+        assert _hulls_overlap(XOR_X, XOR_Y)
+        assert not _perceptron_separable(XOR_X, XOR_Y)
+
+    @pytest.mark.parametrize("X, y", [
+        # the classes share one boundary point: no strict separator, but no
+        # overlap beyond the tolerance either
+        (np.array([[0.0, 0.0], [-1.0, 1.0], [-1.0, -1.0],
+                   [0.0, 0.0], [1.0, 1.0], [1.0, -1.0]]),
+         np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])),
+        # a collinear class crossing the other class's hull
+        (np.array([[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0],
+                   [-1.0, 1.0], [1.0, -1.0], [0.0, 0.5], [0.5, 0.0]]),
+         np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])),
+        # a class of two points
+        (np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [2.0, 0.0]]),
+         np.array([1.0, 1.0, -1.0, -1.0, -1.0])),
+        # one class only
+        (XOR_X, np.ones(XOR_X.shape[0])),
+        # 3-D input, non-separable and separable
+        (np.column_stack([XOR_X, np.zeros(XOR_X.shape[0])]), XOR_Y),
+        (np.column_stack([XOR_X, XOR_Y]), XOR_Y),
+    ], ids=["touching", "collinear", "two_points", "one_class", "3d_xor",
+            "3d_separable"])
+    def test_certificate_falls_through_to_perceptron(self, X, y):
+        assert not _hulls_overlap(X, y)
+        assert _perceptron_separable(X, y) == raw_perceptron(X, y)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 50),
+           gap=st.floats(-1.0, 0.3), decimals=st.sampled_from([0, 1, 2, None]))
+    def test_certificate_claims_only_non_separable(self, seed, n, gap, decimals):
+        # labels by a random line, then the classes are pulled apart (gap > 0)
+        # or pushed into each other (gap < 0) along its normal
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, (n, 2))
+        u = rng.standard_normal(2)
+        u /= np.linalg.norm(u)
+        y = np.where(X @ u >= 0.0, 1.0, -1.0)
+        X[y < 0] -= gap * u
+        if decimals is not None:
+            # coarse grids make duplicates, collinear runs and touching hulls
+            X = np.round(X, decimals)
+        if _hulls_overlap(X, y):
+            assert not lp_strictly_separable(X, y)
+            assert not raw_perceptron(X, y)
+
+    def test_drift_data_tries_match_seed_table(self):
+        # the certificate only skips perceptron runs whose answer it knows,
+        # so every seed still needs the draws the benchmark's table lists
+        with open(SEED_TABLE) as fh:
+            table = json.load(fh)["drift"]
+        accept = _mean_window(*_DRIFT_DEFAULTS["mean_window"],
+                              _DRIFT_DEFAULTS["mean_balance"])
+        assert [_mixture_for(s, accept)[2] for s in range(50)] == table[:50]
 
     def test_mixture_for_respects_accept_window(self):
         accept = _mean_window(0.4, 0.8, 0.25)
@@ -168,6 +263,22 @@ class TestMeanEstimationModel:
             runs.append(model.t_cur.copy())
         assert np.array_equal(runs[0], runs[1])
         assert model.drift_steps == 5
+
+    @pytest.mark.parametrize("policy", ["adversarial", "random"])
+    def test_reused_instance_repeats_its_run(self, policy):
+        model = self.make([0.5, 0.2], nu=0.01, policy=policy, drift_seed=4)
+        config = EvolutionConfig(
+            mutations=MutationSet.orthonormal(2), alpha=0.05, tol=0.01, m=3,
+            t_steps=40, seed=1, failure_policy="forced_uniform", epsilon=0.1)
+        first = run_evolution(model, config)
+        t_first = model.t_cur.copy()
+        second = run_evolution(model, config)
+        assert second.trace == first.trace
+        assert second.initial_true_perf == first.initial_true_perf
+        assert second.final_true_perf == first.final_true_perf
+        assert np.array_equal(second.organism.coords, first.organism.coords)
+        assert np.array_equal(model.t_cur, t_first)
+        assert model.drift_steps == 39
 
     def test_true_perf_is_negative_squared_distance(self):
         model = self.make([0.5, -0.2], nu=0.3)
@@ -258,38 +369,21 @@ class TestUnsupervisedScenario:
         assert row["initial_true_perf"] <= 0.0
         assert 0.4 <= np.linalg.norm(row["mu"]) <= 0.8
 
-    def test_thread_count_does_not_change_report(self, monkeypatch):
-        cfg = lambda: ScenarioConfig("unsupervised_mean", seeds=[0, 1, 2],
-                                     overrides=dict(SMALL_UNSUP))
-        monkeypatch.setenv("EVOSPACE_THREADS", "1")
-        serial = run_unsupervised_mean(cfg())
-        monkeypatch.setenv("EVOSPACE_THREADS", "3")
-        pooled = run_unsupervised_mean(cfg())
-        assert dumps(serial) == dumps(pooled)
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        cfg = ScenarioConfig("unsupervised_mean", seeds=[0, 1],
-                             overrides=dict(SMALL_UNSUP))
-        monkeypatch.setenv("EVOSPACE_THREADS", "two")
-        with pytest.raises(ConfigError, match="EVOSPACE_THREADS"):
-            run_unsupervised_mean(cfg)
-        monkeypatch.setenv("EVOSPACE_THREADS", "0")
-        with pytest.raises(ConfigError, match="EVOSPACE_THREADS"):
-            run_unsupervised_mean(cfg)
-
     def test_output_files(self, tmp_path):
-        out = tmp_path / "unsup"
-        cfg = ScenarioConfig("unsupervised_mean", seeds=[0, 1],
-                             overrides={**SMALL_UNSUP, "trace_limit": 1},
-                             out_dir=str(out))
-        report = run_unsupervised_mean(cfg)
-        assert (out / "report.json").exists()
-        assert (out / "trace-0.jsonl").exists()
-        assert (out / "perf-0.csv").exists()
-        assert (out / "path-0.csv").exists()   # kept seeds record the path
-        assert not (out / "trace-1.jsonl").exists()
-        on_disk = json.loads((out / "report.json").read_text())
-        assert dumps(on_disk) == dumps(json.loads(dumps(report)))
+        # trace_limit counts seeds by their position in the list
+        for kept, dropped in ((0, 1), (1, 0)):
+            out = tmp_path / f"unsup-{kept}"
+            cfg = ScenarioConfig("unsupervised_mean", seeds=[kept, dropped],
+                                 overrides={**SMALL_UNSUP, "trace_limit": 1},
+                                 out_dir=str(out))
+            report = run_unsupervised_mean(cfg)
+            assert (out / "report.json").exists()
+            assert (out / f"trace-{kept}.jsonl").exists()
+            assert (out / f"perf-{kept}.csv").exists()
+            assert (out / f"path-{kept}.csv").exists()   # kept seeds record the path
+            assert not (out / f"trace-{dropped}.jsonl").exists()
+            on_disk = json.loads((out / "report.json").read_text())
+            assert dumps(on_disk) == dumps(json.loads(dumps(report)))
 
 
 class TestDriftScenario:
