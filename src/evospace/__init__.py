@@ -13,9 +13,8 @@ from .model import (BregmanGenerator, CallablePanel, ConditionSampler,
                     empirical_performance, rng_for,
                     true_performance_quadratic)
 from .engine import (FAILURE_POLICIES, EvolutionConfig, EvolutionResult,
-                     GeneralPerfModel, Mutant, PerformanceModel,
-                     QuadraticPerfModel, classify_mutants, mutator_step,
-                     neighborhood, quadratic_stats_for, run_evolution)
+                     PerformanceModel, QuadraticPerfModel, classify_mutants,
+                     mutator_step, quadratic_stats_for, run_evolution)
 from .schedule import (DEFAULT_KNOBS, DriftPlan, KnobTriple, ModelConstants,
                        Schedule, compute_schedule, conditioning_scale,
                        drift_bound, estimate_model_constants,
@@ -39,18 +38,18 @@ __all__ = [
     "BStarSelection", "BasisQuality", "BregmanGenerator", "CallablePanel",
     "ConditionSampler", "ConfigError", "DEFAULT_KNOBS", "DataColumnPanel",
     "DriftPlan", "EvolutionConfig", "EvolutionResult", "ExenReport",
-    "FAILURE_POLICIES", "FrontierPoint", "FrontierProblem",
-    "GeneralPerfModel", "GenePanel", "IdentityPanel", "KnobTriple",
-    "MeanEstimationModel", "ModelConstants", "ModelError", "Mutant",
-    "MutationSet", "Organism", "PerformanceModel", "QuadraticPerfModel",
+    "FAILURE_POLICIES", "FrontierPoint", "FrontierProblem", "GenePanel",
+    "IdentityPanel", "KnobTriple", "MeanEstimationModel", "ModelConstants",
+    "ModelError", "MutationSet", "Organism", "PerformanceModel",
+    "QuadraticPerfModel",
     "SCENARIOS", "Sample", "Schedule", "ScenarioConfig", "TraceStep",
     "agnostic_projection_oracle", "basis_quality", "bregman_divergence",
     "classify_mutants", "compute_schedule", "conditioning_scale",
     "derangement_sign_det", "drift_bound", "efficient_frontier",
     "empirical_performance", "estimate_model_constants", "exen_ratio",
     "gen_gaussian_mixture", "kkt_oracle", "knob_region_check",
-    "make_drift_plan", "mutator_step", "neighborhood", "pdg_bruteforce",
-    "pdg_closed", "projection_from_moments", "quadratic_stats_for",
+    "make_drift_plan", "mutator_step", "pdg_bruteforce", "pdg_closed",
+    "projection_from_moments", "quadratic_stats_for",
     "return_and_premium", "rng_for", "run_agnostic", "run_drift",
     "run_evolution", "run_frontier_scaling", "run_scenario", "run_stability",
     "run_supervised_linear", "run_unsupervised_mean", "select_bstar",

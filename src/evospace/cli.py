@@ -171,11 +171,9 @@ class _RunSetup:
 
 def _cmd_evolve(args) -> int:
     cfg = load_config(args.config)
-    setup = _RunSetup(cfg)
     if args.seed is not None:
-        setup.seed = args.seed
-        setup.sampler = ConditionSampler.empirical(setup.data, seed=args.seed)
-        setup.run_cfg["seed"] = args.seed
+        cfg.setdefault("run", {})["seed"] = args.seed
+    setup = _RunSetup(cfg)
     model = setup.build_model()
     config = setup.build_run_config()
     result = run_evolution(model, config)

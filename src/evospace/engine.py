@@ -10,41 +10,16 @@ policy) or picks uniformly from the whole neighborhood (forced policy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from .errors import ConfigError, ModelError
 from .model import (BregmanGenerator, ConditionSampler, GenePanel, MutationSet,
-                    Organism, Sample, TraceStep, empirical_performance, rng_for)
+                    Organism, Sample, TraceStep, rng_for)
 
 FAILURE_POLICIES = ("strict", "forced_uniform")
-
-
-@dataclass
-class Mutant:
-    index: int       # mutation column
-    polarity: int    # +1 or -1
-    coords: np.ndarray
-
-
-def neighborhood(coords, mutations: MutationSet, alpha: float) -> List[Mutant]:
-    """All 2 dF single-step mutants of the given coordinates.
-
-    The organism itself is not a member.  Order is fixed: mutation 0 with
-    polarity +1, then -1, then mutation 1, and so on; selection code relies
-    on this layout.
-    """
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
-    c = np.asarray(coords, dtype=float)
-    out = []
-    for i in range(mutations.dF):
-        step = alpha * mutations.column(i)
-        out.append(Mutant(i, +1, c + step))
-        out.append(Mutant(i, -1, c - step))
-    return out
 
 
 def _signed_steps(mutations: MutationSet, alpha: float) -> np.ndarray:
@@ -55,6 +30,10 @@ def _signed_steps(mutations: MutationSet, alpha: float) -> np.ndarray:
     return steps
 
 
+def _classify(gains: np.ndarray, tol: float) -> tuple:
+    return (gains >= tol).nonzero()[0], (np.abs(gains) < tol).nonzero()[0]
+
+
 def classify_mutants(perf_current: float, mutant_perfs, tol: float) -> tuple:
     """Positional indices of the beneficial and neutral mutants.
 
@@ -63,18 +42,7 @@ def classify_mutants(perf_current: float, mutant_perfs, tol: float) -> tuple:
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
-    diffs = np.asarray(mutant_perfs, dtype=float) - perf_current
-    bene = np.nonzero(diffs >= tol)[0]
-    neut = np.nonzero(np.abs(diffs) < tol)[0]
-    return bene, neut
-
-
-def classify_sampled(coords, mutants: List[Mutant], sample: Sample, tol: float,
-                     perf: Callable) -> tuple:
-    """Spec-shaped wrapper: classify using a perf(coords, sample) closure."""
-    base = perf(np.asarray(coords, dtype=float), sample)
-    perfs = [perf(m.coords, sample) for m in mutants]
-    return classify_mutants(base, perfs, tol)
+    return _classify(np.asarray(mutant_perfs, dtype=float) - perf_current, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +51,9 @@ def classify_sampled(coords, mutants: List[Mutant], sample: Sample, tol: float,
 
 class PerformanceModel:
     """Per-step scoring interface consumed by the mutator loop."""
+
+    def pre_step(self, step: int, coords: np.ndarray) -> None:
+        """Called before each step's draw with the current coordinates."""
 
     def draw(self, step: int, m: int):
         raise NotImplementedError
@@ -93,6 +64,11 @@ class PerformanceModel:
     def perf_batch(self, stats, coords_matrix) -> np.ndarray:
         return np.array([self.perf(stats, c) for c in coords_matrix])
 
+    def score(self, stats, coords: np.ndarray, steps: np.ndarray) -> tuple:
+        """(perf of ``coords``, gain of each row of ``steps`` added to it)."""
+        perf_f = self.perf(stats, coords)
+        return perf_f, self.perf_batch(stats, coords[None, :] + steps) - perf_f
+
     def true_perf(self, coords, step: int) -> Optional[float]:
         return None
 
@@ -102,16 +78,19 @@ class QuadraticPerfModel(PerformanceModel):
 
     ``stats_fn(sample, step)`` maps a condition sample to a triple
     (quad, cross, const) with performance -(c^T quad c - 2 c . cross + const);
-    ``true_stats`` (or ``true_stats_fn(step)``) provides the distribution
-    counterpart for oracle scoring.
+    ``true_stats`` provides the distribution counterpart for oracle scoring.
+    ``score`` uses the gain identity: the step s from f gains
+    2 s . (cross - quad f) - s^T quad s, a return less a premium.  Premiums
+    are reused while ``quad`` and ``steps`` are the same objects, so a
+    stats_fn must return a new ``quad`` array rather than edit one in place.
     """
 
     def __init__(self, sampler: ConditionSampler, stats_fn: Callable,
-                 true_stats=None, true_stats_fn: Callable = None):
+                 true_stats=None):
         self.sampler = sampler
         self.stats_fn = stats_fn
         self.true_stats = true_stats
-        self.true_stats_fn = true_stats_fn
+        self._premium_key = (None, None)
 
     def draw(self, step: int, m: int):
         return self.stats_fn(self.sampler.draw(step, m), step)
@@ -128,8 +107,18 @@ class QuadraticPerfModel(PerformanceModel):
     def perf_batch(self, stats, coords_matrix) -> np.ndarray:
         return self._eval(stats, np.asarray(coords_matrix, dtype=float))
 
+    def score(self, stats, coords: np.ndarray, steps: np.ndarray) -> tuple:
+        quad, cross, const = stats
+        if self._premium_key[0] is not quad or self._premium_key[1] is not steps:
+            # the key holds both arrays, so neither id can be reused meanwhile
+            self._premium_key = (quad, steps)
+            self._premiums = np.einsum("ij,jk,ik->i", steps, quad, steps)
+        qf = quad @ coords
+        perf_f = -(coords @ qf - 2.0 * (coords @ cross) + const)
+        return float(perf_f), 2.0 * (steps @ (cross - qf)) - self._premiums
+
     def true_perf(self, coords, step: int) -> Optional[float]:
-        stats = self.true_stats_fn(step) if self.true_stats_fn else self.true_stats
+        stats = self.true_stats
         if stats is None:
             return None
         return float(self._eval(stats, np.asarray(coords, float)[None, :])[0])
@@ -158,32 +147,6 @@ def quadratic_stats_for(panel: GenePanel, gen: BregmanGenerator,
         return (quad, cross, const)
 
     return stats_fn
-
-
-class GeneralPerfModel(PerformanceModel):
-    """Fallback model scoring via the full per-condition divergence sum."""
-
-    def __init__(self, sampler: ConditionSampler, panel: GenePanel,
-                 gen: BregmanGenerator, target_fn: Callable,
-                 true_perf_fn: Callable = None):
-        self.sampler = sampler
-        self.panel = panel
-        self.gen = gen
-        self.target_fn = target_fn
-        self.true_perf_fn = true_perf_fn
-
-    def draw(self, step: int, m: int):
-        sample = self.sampler.draw(step, m)
-        return (sample, np.asarray(self.target_fn(sample.points), dtype=float))
-
-    def perf(self, stats, coords) -> float:
-        sample, targets = stats
-        return empirical_performance(coords, targets, self.panel, sample, self.gen)
-
-    def true_perf(self, coords, step: int) -> Optional[float]:
-        if self.true_perf_fn is None:
-            return None
-        return float(self.true_perf_fn(coords, step))
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +197,10 @@ def mutator_step(model: PerformanceModel, organism: Organism, config: EvolutionC
                  step: int, selection_rng: np.random.Generator,
                  steps_matrix: np.ndarray) -> TraceStep:
     """One selection round; mutates ``organism`` in place unless it fails."""
-    hook = getattr(model, "pre_step", None)
-    if hook is not None:
-        hook(step, organism.coords)
+    model.pre_step(step, organism.coords)
     stats = model.draw(step, config.m)
-    perf_f = model.perf(stats, organism.coords)
-    cand = organism.coords[None, :] + steps_matrix
-    perfs = model.perf_batch(stats, cand)
-    bene, neut = classify_mutants(perf_f, perfs, config.tol)
+    perf_f, gains = model.score(stats, organism.coords, steps_matrix)
+    bene, neut = _classify(gains, config.tol)
 
     forced = False
     if bene.size:
@@ -249,7 +208,7 @@ def mutator_step(model: PerformanceModel, organism: Organism, config: EvolutionC
     elif neut.size:
         j = int(neut[selection_rng.integers(0, neut.size)])
     elif config.failure_policy == "forced_uniform":
-        j = int(selection_rng.integers(0, cand.shape[0]))
+        j = int(selection_rng.integers(0, gains.shape[0]))
         forced = True
     else:
         return TraceStep(step=step, perf_before=perf_f, perf_after=perf_f,
@@ -257,7 +216,7 @@ def mutator_step(model: PerformanceModel, organism: Organism, config: EvolutionC
                          chosen_polarity=None, forced=False, failed=True)
 
     organism.apply(j // 2, +1 if j % 2 == 0 else -1)
-    rec = TraceStep(step=step, perf_before=perf_f, perf_after=float(perfs[j]),
+    rec = TraceStep(step=step, perf_before=perf_f, perf_after=float(perf_f + gains[j]),
                     bene_size=int(bene.size), neut_size=int(neut.size),
                     chosen_index=j // 2, chosen_polarity=+1 if j % 2 == 0 else -1,
                     forced=forced, failed=False)

@@ -227,10 +227,15 @@ class MeanEstimationModel(QuadraticPerfModel):
         self.policy = policy
         self._drift_seed = drift_seed
         self._eye = np.eye(self.mu0.shape[0])
+        self._oracle0 = self._oracle_stats(self.mu0)
         self._restart()
+
+    def _oracle_stats(self, t: np.ndarray) -> tuple:
+        return (self._eye, t, float(t @ t))
 
     def _restart(self) -> None:
         self.t_cur = self.mu0.copy()
+        self._oracle = self._oracle0
         self.drift_steps = 0
         self._rng = rng_for((self._drift_seed, "drift"))
 
@@ -250,6 +255,7 @@ class MeanEstimationModel(QuadraticPerfModel):
         nrm = float(np.linalg.norm(d))
         d = np.eye(self.mu0.shape[0])[0] if nrm < 1e-15 else d / nrm
         self.t_cur = self.t_cur + self.nu * d
+        self._oracle = self._oracle_stats(self.t_cur)
         self.drift_steps += 1
 
     def draw(self, step: int, m: int):
@@ -259,8 +265,7 @@ class MeanEstimationModel(QuadraticPerfModel):
 
     def true_perf(self, coords, step: int) -> float:
         # step 0 is scored before pre_step(0) restarts the target
-        t = self.mu0 if step == 0 else self.t_cur
-        stats = (self._eye, t, float(t @ t))
+        stats = self._oracle0 if step == 0 else self._oracle
         return float(self._eval(stats, np.asarray(coords, float)[None, :])[0])
 
 

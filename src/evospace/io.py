@@ -77,12 +77,17 @@ def load_dataset_csv(path: str, dim_x: Optional[int] = None) -> tuple:
     """
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader]
     except FileNotFoundError:
         raise ConfigError(f"dataset file not found: {path}")
     if len(rows) < 2:
         raise ConfigError("dataset needs a header row and at least one data row")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
+    for line, row in rows[1:]:
+        if len(row) != len(header):
+            raise ConfigError(f"dataset {path} line {line} has {len(row)} columns, "
+                              f"expected {len(header)}")
     if dim_x is None:
         x_cols = [i for i, h in enumerate(header) if h.lower().startswith("x")]
         y_cols = [i for i, h in enumerate(header) if h.lower().startswith("y")]
@@ -92,7 +97,7 @@ def load_dataset_csv(path: str, dim_x: Optional[int] = None) -> tuple:
         x_cols = list(range(dim_x))
         y_cols = list(range(dim_x, len(header)))
     try:
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
+        data = np.array([[float(v) for v in row] for _, row in rows[1:]])
     except ValueError as e:
         raise ConfigError(f"dataset has a non-numeric entry: {e}")
     if not np.all(np.isfinite(data)):

@@ -400,6 +400,14 @@ class ConditionSampler:
             raise ConfigError(f"unknown sampler kind {kind!r}")
         self.kind = kind
         self.seed = seed
+        self._uniform = np.empty(0)
+
+    def _uniform_weights(self, m: int) -> np.ndarray:
+        # one read-only array, shared by the draws of a run (m rarely changes)
+        if self._uniform.shape[0] != m:
+            self._uniform = np.full(m, 1.0 / m)
+            self._uniform.flags.writeable = False
+        return self._uniform
 
     @classmethod
     def empirical(cls, data, seed=0) -> "ConditionSampler":
@@ -416,13 +424,18 @@ class ConditionSampler:
         rng = rng_for(self.seed, index)
         if self.kind == "generator":
             pts = np.asarray(self.fn(rng, m), dtype=float)
-            return Sample(pts, np.full(m, 1.0 / m), m)
+            if pts.ndim != 2 or pts.shape[0] != m:
+                raise ModelError(f"sampler callback returned shape {pts.shape}, "
+                                 f"expected ({m}, k)")
+            if not np.all(np.isfinite(pts)):
+                raise ModelError("sampler callback returned non-finite entries")
+            return Sample(pts, self._uniform_weights(m), m)
         n = self.data.shape[0]
         if m > _WEIGHTED_DRAW_FACTOR * n:
             counts = rng.multinomial(m, np.full(n, 1.0 / n))
             return Sample(self.data, counts / float(m), m)
         idx = rng.integers(0, n, size=m)
-        return Sample(self.data[idx], np.full(m, 1.0 / m), m)
+        return Sample(self.data[idx], self._uniform_weights(m), m)
 
 
 # ---------------------------------------------------------------------------

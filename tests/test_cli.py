@@ -100,6 +100,31 @@ class TestEvolve:
             traces.append((out / "trace.jsonl").read_bytes())
         assert traces[0] != traces[1]
 
+    def test_seed_flag_equals_config_seed(self, tmp_path, capsys, labels_csv):
+        # data_pairs draws its first basis and the model constants from the
+        # run seed, so --seed must take effect before the run is set up
+        def config(seed):
+            return {"model": {"dataset": labels_csv, "target": "labels"},
+                    "mutations": {"source": "data_pairs"},
+                    "schedule": {"epsilon": 0.25},
+                    "run": {"seed": seed, "m_override": 40, "t_override": 60,
+                            "failure_policy": "forced_uniform",
+                            "renewal_period": 25, "record_path": True}}
+
+        runs = []
+        for tag, seed, argv in (("flag", 0, ["--seed", "7"]),
+                                ("config", 7, [])):
+            cfg = write_cfg(tmp_path, config(seed), name=f"{tag}.json")
+            out = tmp_path / tag
+            code, summary = run_cli(capsys, "evolve", "--config", cfg,
+                                    *argv, "--out", str(out))
+            assert code == 0
+            runs.append((summary, {p.name: p.read_bytes()
+                                   for p in sorted(out.iterdir())}))
+        assert sorted(runs[0][1]) == ["organism.json", "path.csv",
+                                      "schedule.json", "trace.jsonl"]
+        assert runs[0] == runs[1]
+
     def test_csv_format(self, tmp_path, capsys, mean_csv):
         cfg = write_cfg(tmp_path, mean_config(mean_csv))
         out = tmp_path / "out"

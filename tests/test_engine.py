@@ -1,14 +1,15 @@
-"""Mutator loop: neighborhoods, classification, selection, renewal."""
+"""Mutator loop: neighborhoods, scoring, classification, selection, renewal."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from evospace import (BregmanGenerator, ConditionSampler, EvolutionConfig,
                       IdentityPanel, MutationSet, QuadraticPerfModel,
-                      classify_mutants, neighborhood, quadratic_stats_for,
-                      rng_for, run_evolution)
-from evospace.engine import PerformanceModel, classify_sampled
+                      classify_mutants, quadratic_stats_for, rng_for,
+                      run_evolution)
+from evospace.engine import PerformanceModel, _classify, _signed_steps
 from evospace.errors import ConfigError
 from evospace.model import Sample, empirical_performance
 
@@ -36,28 +37,54 @@ class LinearModel(PerformanceModel):
         return np.sum(np.asarray(C, float), axis=1)
 
 
+class QuarticModel(PerformanceModel):
+    """perf(c) = -sum(c^4): scored only through the default ``score``."""
+
+    def draw(self, step, m):
+        return None
+
+    def perf(self, stats, coords):
+        return -float(np.sum(np.asarray(coords, float) ** 4))
+
+
+class UncachedQuadratic(QuadraticPerfModel):
+    """Recomputes the premiums on every call."""
+
+    def score(self, stats, coords, steps):
+        self._premium_key = (None, None)
+        return super().score(stats, coords, steps)
+
+
 class TestNeighborhood:
     def test_count_and_order(self):
         B = MutationSet(rng_for(40).standard_normal((3, 5)))
-        c = np.array([0.1, -0.2, 0.3])
-        muts = neighborhood(c, B, alpha=0.05)
-        assert len(muts) == 2 * B.dF
+        steps = _signed_steps(B, alpha=0.05)
+        assert steps.shape == (2 * B.dF, B.dG)
         for i in range(B.dF):
-            plus, minus = muts[2 * i], muts[2 * i + 1]
-            assert (plus.index, plus.polarity) == (i, +1)
-            assert (minus.index, minus.polarity) == (i, -1)
-            assert np.allclose(plus.coords, c + 0.05 * B.column(i))
-            assert np.allclose(minus.coords, c - 0.05 * B.column(i))
+            assert np.allclose(steps[2 * i], 0.05 * B.column(i))
+            assert np.allclose(steps[2 * i + 1], -0.05 * B.column(i))
+
+    def test_gains_follow_the_order(self):
+        model = constant_stats_model(3, cross=np.array([0.3, -0.1, 0.2]))
+        stats = model.draw(0, 1)
+        B = MutationSet(rng_for(45).standard_normal((3, 4)))
+        c = np.array([0.1, -0.2, 0.3])
+        perf_f, gains = model.score(stats, c, _signed_steps(B, 0.05))
+        for i in range(B.dF):
+            for row, sign in ((2 * i, 1.0), (2 * i + 1, -1.0)):
+                mutant = c + sign * 0.05 * B.column(i)
+                assert gains[row] == pytest.approx(
+                    model.perf(stats, mutant) - perf_f, abs=1e-14)
 
     def test_not_reflexive(self):
-        B = MutationSet.orthonormal(3)
-        c = np.zeros(3)
-        for m in neighborhood(c, B, alpha=0.01):
-            assert not np.allclose(m.coords, c)
+        steps = _signed_steps(MutationSet.orthonormal(3), alpha=0.01)
+        assert np.all(np.linalg.norm(steps, axis=1) > 0)
 
     def test_alpha_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            neighborhood(np.zeros(2), MutationSet.orthonormal(2), alpha=0.0)
+        for alpha in (0.0, -0.1):
+            with pytest.raises(ConfigError):
+                EvolutionConfig(mutations=MutationSet.orthonormal(2),
+                                alpha=alpha, tol=0.1, m=1, t_steps=1)
 
 
 class TestClassify:
@@ -72,28 +99,101 @@ class TestClassify:
         # index 1 (gain exactly -tol) and 4 (gain -1.0) are in neither class
         assert 1 not in set(bene) | set(neut)
         assert 4 not in set(bene) | set(neut)
+        b2, n2 = _classify(np.asarray(perfs) - base, tol)
+        assert np.array_equal(bene, b2) and np.array_equal(neut, n2)
 
     def test_tol_validation(self):
         with pytest.raises(ConfigError):
             classify_mutants(0.0, [0.1], 0.0)
 
-    def test_sampled_wrapper_agrees(self):
+    def test_scored_gains_classify_like_direct_divergences(self):
         gen = BregmanGenerator.squared_euclidean()
         panel = IdentityPanel(2)
         pts = rng_for(41).standard_normal((16, 2))
         sample = Sample(points=pts, weights=np.full(16, 1 / 16), size=16)
-        B = MutationSet.orthonormal(2)
+        model = QuadraticPerfModel(None, quadratic_stats_for(panel, gen,
+                                                             lambda P: P))
         c = np.array([0.2, -0.4])
-        muts = neighborhood(c, B, alpha=0.3)
+        steps = _signed_steps(MutationSet.orthonormal(2), alpha=0.3)
+        perf_f, gains = model.score(model.stats_fn(sample, 0), c, steps)
 
-        def perf(coords, s):
-            return empirical_performance(coords, s.points, panel, s, gen)
+        def perf(coords):
+            return empirical_performance(coords, sample.points, panel, sample, gen)
 
-        bene, neut = classify_sampled(c, muts, sample, 0.01, perf)
-        base = perf(c, sample)
-        perfs = [perf(m.coords, sample) for m in muts]
-        b2, n2 = classify_mutants(base, perfs, 0.01)
+        direct = [perf(c + s) for s in steps]
+        assert perf_f == pytest.approx(perf(c), rel=1e-12)
+        assert gains == pytest.approx(np.asarray(direct) - perf(c), abs=1e-12)
+        bene, neut = classify_mutants(perf(c), direct, 0.01)
+        b2, n2 = _classify(gains, 0.01)
         assert np.array_equal(bene, b2) and np.array_equal(neut, n2)
+
+
+class TestScore:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dG=st.integers(1, 5),
+           dF=st.integers(1, 6), alpha=st.floats(1e-3, 1.0),
+           tol=st.floats(1e-6, 1.0))
+    def test_gain_identity_matches_direct_evaluation(self, seed, dG, dF,
+                                                     alpha, tol):
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(-1.0, 1.0, (dG, dG))
+        stats = (A @ A.T, rng.uniform(-1.0, 1.0, dG), float(rng.uniform(0.0, 2.0)))
+        f = rng.uniform(-1.0, 1.0, dG)
+        B = MutationSet(rng.uniform(-1.0, 1.0, (dG, dF)) + 0.1)
+        steps = _signed_steps(B, alpha)
+        model = QuadraticPerfModel(None, None)
+        perf_f, gains = model.score(stats, f, steps)
+
+        def bound(expected):
+            return np.maximum(1e-9 * np.abs(expected), 1e-12)
+
+        direct_f = model.perf(stats, f)
+        direct = model.perf_batch(stats, f + steps) - direct_f
+        assert abs(perf_f - direct_f) <= bound(direct_f)
+        assert np.all(np.abs(gains - direct) <= bound(direct))
+        clear = ((np.abs(direct - tol) > bound(direct))
+                 & (np.abs(direct + tol) > bound(direct)))
+        for got, want in zip(_classify(gains, tol), _classify(direct, tol)):
+            assert np.array_equal(np.isin(np.nonzero(clear)[0], got),
+                                  np.isin(np.nonzero(clear)[0], want))
+
+    def test_premiums_recomputed_on_renewal_and_new_quad(self):
+        quads = [np.array([[2.0, 0.3], [0.3, 0.5]]),
+                 np.array([[0.7, -0.2], [-0.2, 1.5]])]
+        cross = np.array([0.4, -0.3])
+
+        def stats_fn(sample, step):
+            # the same quad object for three steps, then the other one
+            return (quads[(step // 3) % 2], cross, 0.5)
+
+        def renew(rng, step):
+            return MutationSet(rng.uniform(-1.0, 1.0, (2, 2)) + np.eye(2))
+
+        sampler = ConditionSampler.from_callable(
+            lambda rng, m: rng.standard_normal((m, 2)), seed=0)
+        cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.05,
+                              tol=1e-4, m=1, t_steps=40, seed=9,
+                              failure_policy="forced_uniform",
+                              renewal_period=4, renewal_fn=renew)
+        cached = run_evolution(QuadraticPerfModel(sampler, stats_fn), cfg)
+        fresh = run_evolution(UncachedQuadratic(sampler, stats_fn), cfg)
+        assert [r.to_dict() for r in cached.trace] == \
+            [r.to_dict() for r in fresh.trace]
+        assert np.array_equal(cached.organism.coords, fresh.organism.coords)
+
+    def test_default_score_serves_a_custom_model(self):
+        model = QuarticModel()
+        c = np.array([0.5, -0.25])
+        steps = _signed_steps(MutationSet.orthonormal(2), alpha=0.1)
+        perf_f, gains = model.score(None, c, steps)
+        assert perf_f == model.perf(None, c)
+        assert np.array_equal(gains, [model.perf(None, c + s) - perf_f
+                                      for s in steps])
+        cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
+                              tol=1e-3, m=1, t_steps=30, seed=2, f0=c)
+        res = run_evolution(model, cfg)
+        assert not res.failed and res.bene_steps > 0
+        assert model.perf(None, res.organism.coords) > perf_f
 
 
 class TestSelection:

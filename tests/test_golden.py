@@ -37,11 +37,11 @@ CASES = {
 UNSUP_FILES = {
     "path-0.csv": "043e3df3c824f946e5740fdb302a9abfff5c104026ee71a1f2a08e5903b19dd4",
     "path-3.csv": "c2810d81b9f93cabaf17108d71ccbf14b221cbecd0f49a7344f2103653409926",
-    "perf-0.csv": "5f091ea7600b6c82d778a5c8777fee70810034c6c57120585d18c1827bacb4bd",
-    "perf-3.csv": "4d5b00849cf89e679fe84bd0fc800358d865101481faeff9fe0a6aff8eaddd62",
+    "perf-0.csv": "7e377c8445d82a21df019de8e330f6e29e1c8b8ac1258bcd5984a3e760f8be6e",
+    "perf-3.csv": "88f9cb3117967961316b96073bc4095fb05691d83f6af4bf25f6fc1c842ddaca",
     "report.json": "1e74e0c0e9297ff9d555a058a816bc055576a3cfde7a89a987ed56bc854e67cb",
-    "trace-0.jsonl": "39f9d3c65ed925d3b5602b5f5100a93d4da8b88a585e473b3c0c3fe91ccbb4d7",
-    "trace-3.jsonl": "a2621a4a7f0bec5562b0b74f541b4097b689ed950b0ead2149c6ca0da96237ae",
+    "trace-0.jsonl": "996a222c6739fce197cd77886355e672094b0bf9a23b4601cf7e15119109d96c",
+    "trace-3.jsonl": "bfed07ba8d30c2b3b1fc983eb1cca46db44b1621b345220c2f0eee869d0aab1e",
 }
 
 

@@ -133,3 +133,10 @@ class TestDatasetCsv:
             load_dataset_csv(self.write(tmp_path, "x0\nfoo\n"))
         with pytest.raises(ModelError):
             load_dataset_csv(self.write(tmp_path, "x0\ninf\n"))
+
+    def test_ragged_row_names_line_and_widths(self, tmp_path):
+        path = self.write(tmp_path, "x0,x1,y\n1,2,3\n4,5\n6,7,8\n")
+        with pytest.raises(ConfigError, match=r"line 3 has 2 columns, expected 3"):
+            load_dataset_csv(path)
+        with pytest.raises(ConfigError, match="non-numeric"):
+            load_dataset_csv(self.write(tmp_path, "x0,x1\n1,2\n3,z\n"))

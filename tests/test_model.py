@@ -188,6 +188,35 @@ class TestSampler:
         assert np.array_equal(s.points, sampler.draw(4, 25).points)
         assert not np.array_equal(s.points, sampler.draw(5, 25).points)
 
+    @pytest.mark.parametrize("fn", [
+        lambda rng, m: np.full((m + 1, 2), np.nan),   # one row too many
+        lambda rng, m: np.zeros(m),                   # not 2-d
+        lambda rng, m: np.zeros((m - 1, 3)),          # one row too few
+    ])
+    def test_generator_output_shape_checked(self, fn):
+        sampler = ConditionSampler.from_callable(fn, seed=0)
+        with pytest.raises(ModelError, match=r"expected \(4, k\)"):
+            sampler.draw(0, 4)
+
+    def test_generator_output_must_be_finite(self):
+        def fn(rng, m):
+            pts = rng.standard_normal((m, 2))
+            pts[1, 0] = np.inf
+            return pts
+
+        with pytest.raises(ModelError, match="non-finite"):
+            ConditionSampler.from_callable(fn, seed=0).draw(0, 4)
+
+    def test_uniform_weights_shared_and_read_only(self):
+        data = rng_for(7).standard_normal((10, 2))
+        for sampler in (ConditionSampler.empirical(data, seed=1),
+                        ConditionSampler.from_callable(
+                            lambda rng, m: rng.standard_normal((m, 2)), seed=1)):
+            a, b = sampler.draw(0, 30), sampler.draw(1, 30)
+            assert a.weights is b.weights and not a.weights.flags.writeable
+            assert np.array_equal(a.weights, np.full(30, 1.0 / 30))
+            assert sampler.draw(2, 20).weights.shape == (20,)
+
 
 class TestMutationSet:
     def test_orthonormal(self):
