@@ -7,10 +7,9 @@ scenarios.  A CLI front end lives in :mod:`evospace.cli`.
 """
 
 from .errors import ConfigError, ModelError
-from .model import (BregmanGenerator, CallablePanel, ConditionSampler,
-                    DataColumnPanel, GenePanel, IdentityPanel, MutationSet,
-                    Organism, Sample, TraceStep, bregman_divergence,
-                    empirical_performance, rng_for,
+from .model import (BregmanGenerator, ConditionSampler, DataColumnPanel,
+                    GenePanel, IdentityPanel, MutationSet, Organism, Sample,
+                    TraceStep, empirical_performance, rng_for,
                     true_performance_quadratic)
 from .engine import (FAILURE_POLICIES, EvolutionConfig, EvolutionResult,
                      PerformanceModel, QuadraticPerfModel, classify_mutants,
@@ -35,23 +34,21 @@ from .experiments import (SCENARIOS, MeanEstimationModel, ScenarioConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BStarSelection", "BasisQuality", "BregmanGenerator", "CallablePanel",
-    "ConditionSampler", "ConfigError", "DEFAULT_KNOBS", "DataColumnPanel",
-    "DriftPlan", "EvolutionConfig", "EvolutionResult", "ExenReport",
-    "FAILURE_POLICIES", "FrontierPoint", "FrontierProblem", "GenePanel",
-    "IdentityPanel", "KnobTriple", "MeanEstimationModel", "ModelConstants",
-    "ModelError", "MutationSet", "Organism", "PerformanceModel",
-    "QuadraticPerfModel",
+    "BStarSelection", "BasisQuality", "BregmanGenerator", "ConditionSampler",
+    "ConfigError", "DEFAULT_KNOBS", "DataColumnPanel", "DriftPlan",
+    "EvolutionConfig", "EvolutionResult", "ExenReport", "FAILURE_POLICIES",
+    "FrontierPoint", "FrontierProblem", "GenePanel", "IdentityPanel",
+    "KnobTriple", "MeanEstimationModel", "ModelConstants", "ModelError",
+    "MutationSet", "Organism", "PerformanceModel", "QuadraticPerfModel",
     "SCENARIOS", "Sample", "Schedule", "ScenarioConfig", "TraceStep",
-    "agnostic_projection_oracle", "basis_quality", "bregman_divergence",
-    "classify_mutants", "compute_schedule", "conditioning_scale",
-    "derangement_sign_det", "drift_bound", "efficient_frontier",
-    "empirical_performance", "estimate_model_constants", "exen_ratio",
-    "gen_gaussian_mixture", "kkt_oracle", "knob_region_check",
-    "make_drift_plan", "mutator_step", "pdg_bruteforce", "pdg_closed",
-    "projection_from_moments", "quadratic_stats_for",
-    "return_and_premium", "rng_for", "run_agnostic", "run_drift",
-    "run_evolution", "run_frontier_scaling", "run_scenario", "run_stability",
-    "run_supervised_linear", "run_unsupervised_mean", "select_bstar",
-    "stable_knob_example", "true_performance_quadratic", "xi",
+    "agnostic_projection_oracle", "basis_quality", "classify_mutants",
+    "compute_schedule", "conditioning_scale", "derangement_sign_det",
+    "drift_bound", "efficient_frontier", "empirical_performance",
+    "estimate_model_constants", "exen_ratio", "gen_gaussian_mixture",
+    "kkt_oracle", "knob_region_check", "make_drift_plan", "mutator_step",
+    "pdg_bruteforce", "pdg_closed", "projection_from_moments",
+    "quadratic_stats_for", "return_and_premium", "rng_for", "run_agnostic",
+    "run_drift", "run_evolution", "run_frontier_scaling", "run_scenario",
+    "run_stability", "run_supervised_linear", "run_unsupervised_mean",
+    "select_bstar", "stable_knob_example", "true_performance_quadratic", "xi",
 ]

@@ -8,28 +8,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
 import numpy as np
 
-from .analysis import (derangement_sign_det, exen_ratio, pdg_bruteforce,
-                       pdg_closed, projection_from_moments)
+from .analysis import derangement_sign_det, exen_ratio, pdg_bruteforce, pdg_closed
 from .basis import basis_quality, select_bstar
-from .engine import EvolutionConfig, QuadraticPerfModel, quadratic_stats_for, \
-    run_evolution
 from .errors import ConfigError, ModelError
 from .experiments import (SCENARIOS, MeanEstimationModel, ScenarioConfig,
-                          _pair_renewal, run_frontier_scaling, run_scenario)
+                          as_knobs, labels_problem, run_frontier_scaling,
+                          run_scenario, run_seed)
 from .frontier import FrontierProblem, efficient_frontier, kkt_oracle
 from .io import (ensure_dir, load_config, load_dataset_csv, write_json_report,
                  write_path_csv, write_trace_csv, write_trace_jsonl)
-from .model import (BregmanGenerator, ConditionSampler, DataColumnPanel,
-                    IdentityPanel, MutationSet, rng_for)
-from .schedule import (DEFAULT_KNOBS, KnobTriple, compute_schedule,
-                       estimate_model_constants, make_drift_plan)
+from .model import BregmanGenerator, ConditionSampler, IdentityPanel, MutationSet
+from .schedule import compute_schedule, estimate_model_constants, make_drift_plan
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,14 +42,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
-
-
-def _knobs_from(cfg: dict) -> KnobTriple:
-    knobs = cfg.get("knobs")
-    if knobs is None:
-        return DEFAULT_KNOBS
-    zt, za, zl = knobs
-    return KnobTriple(z_tau=float(zt), z_alpha=float(za), z_tol=float(zl))
 
 
 def _generator_from(spec) -> BregmanGenerator:
@@ -80,56 +67,51 @@ class _RunSetup:
             raise ConfigError("model.target must be 'mean' or 'labels'")
         self.gen = _generator_from(model_cfg.get("generator"))
         X, Y = load_dataset_csv(dataset, dim_x=model_cfg.get("dim"))
-        self.target = target
-        seed = int(cfg.get("run", {}).get("seed", 0))
-        self.seed = seed
+        self.seed = seed = int(cfg.get("run", {}).get("seed", 0))
+        self.dim = X.shape[1]
+        mut_cfg = cfg.get("mutations", {"source": "orthonormal"})
+        source = mut_cfg.get("source", "orthonormal")
+        if source not in ("orthonormal", "explicit", "data_pairs"):
+            raise ConfigError(f"unknown mutation source: {source!r}")
+        self.renewal_fn = None
 
         if target == "mean":
-            self.dim = X.shape[1]
+            if self.gen.kind != "squared_euclidean":
+                raise ConfigError("the mean target scores squared Euclidean "
+                                  "distance; model.generator must be "
+                                  "squared_euclidean")
+            if source == "data_pairs":
+                raise ConfigError("data_pairs mutations need a labels target")
             self.panel = IdentityPanel(self.dim)
-            self.data = X
-            self.mu = X.mean(axis=0)
-            self.t_coords = self.mu
-            self.w_star = None
+            self.sampler = ConditionSampler.empirical(X, seed=seed)
+            self.t_coords = X.mean(axis=0)
+            self.model = MeanEstimationModel(self.sampler, self.t_coords)
         else:
             if Y is None:
                 raise ConfigError("labels target needs a y column in the CSV")
             Y = np.asarray(Y, dtype=float).reshape(X.shape[0], -1)
             if Y.shape[1] != 1:
                 raise ConfigError("labels target needs exactly one y column")
-            Y = Y[:, 0]
-            self.dim = X.shape[1]
-            n = X.shape[0]
-            self.A = X.T @ X / n
-            self.c_vec = X.T @ Y / n
-            self.w_star, self.baseline = projection_from_moments(
-                self.A, self.c_vec, float(Y @ Y) / n)
-            self.panel = DataColumnPanel(self.dim, columns=tuple(range(self.dim)))
-            self.data = np.column_stack([X, Y])
-            self.t_coords = self.w_star
-        self.sampler = ConditionSampler.empirical(self.data, seed=seed)
+            pairs = None
+            if source == "data_pairs":
+                pairs = (float(mut_cfg.get("det_min", 0.05)),
+                         float(mut_cfg.get("norm_min", 0.2)))
+            problem = labels_problem(X, Y[:, 0], seed, self.gen, pairs)
+            self.panel, self.sampler = problem.panel, problem.sampler
+            self.model, self.t_coords = problem.model, problem.w_star
+            self.renewal_fn, self.mutations = problem.renew, problem.first_basis
 
-        mut_cfg = cfg.get("mutations", {"source": "orthonormal"})
-        source = mut_cfg.get("source", "orthonormal")
-        self.renewal_fn = None
         if source == "orthonormal":
             self.mutations = MutationSet.orthonormal(self.dim)
         elif source == "explicit":
+            if "vectors" not in mut_cfg:
+                raise ConfigError("explicit mutations need 'vectors'")
             vectors = np.asarray(mut_cfg["vectors"], float)
             self.mutations = MutationSet(np.column_stack(list(vectors)))
-        elif source == "data_pairs":
-            if self.data.shape[1] < 3 and target == "mean":
-                raise ConfigError("data_pairs mutations need a labels target")
-            self.renewal_fn = _pair_renewal(
-                self.data, float(mut_cfg.get("det_min", 0.05)),
-                float(mut_cfg.get("norm_min", 0.2)))
-            self.mutations = self.renewal_fn(rng_for((seed, "renew")), 0)
-        else:
-            raise ConfigError(f"unknown mutation source: {source!r}")
 
         sched_cfg = cfg.get("schedule", {})
         self.epsilon = float(sched_cfg.get("epsilon", 0.1))
-        self.knobs = _knobs_from(sched_cfg)
+        self.knobs = as_knobs(sched_cfg.get("knobs"))
         run_cfg = cfg.get("run", {})
         f0 = run_cfg.get("f0")
         self.f0 = np.zeros(self.dim) if f0 is None else np.asarray(f0, float)
@@ -143,40 +125,21 @@ class _RunSetup:
             m_cap=int(sched_cfg.get("m_cap", 50000)))
         self.run_cfg = run_cfg
 
-    def build_model(self):
-        if self.target == "mean":
-            return MeanEstimationModel(self.sampler, self.mu)
-        dim = self.dim
-        return QuadraticPerfModel(
-            self.sampler,
-            quadratic_stats_for(self.panel, self.gen,
-                                lambda P: P[:, dim:dim + 1]),
-            true_stats=(self.A, self.c_vec, float(self.c_vec @ self.w_star)))
-
-    def build_run_config(self) -> EvolutionConfig:
-        rc = self.run_cfg
-        renewal_period = rc.get("renewal_period")
-        return EvolutionConfig(
-            mutations=self.mutations, alpha=self.schedule.alpha,
-            tol=self.schedule.tol,
-            m=int(rc.get("m_override") or self.schedule.m),
-            t_steps=int(rc.get("t_override") or self.schedule.t_steps),
-            seed=self.seed,
-            failure_policy=rc.get("failure_policy", "strict"),
-            epsilon=self.epsilon,
-            renewal_period=renewal_period,
-            renewal_fn=self.renewal_fn if renewal_period else None,
-            f0=self.f0, record_path=bool(rc.get("record_path", False)))
-
 
 def _cmd_evolve(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.setdefault("run", {})["seed"] = args.seed
     setup = _RunSetup(cfg)
-    model = setup.build_model()
-    config = setup.build_run_config()
-    result = run_evolution(model, config)
+    rc = setup.run_cfg
+    period = rc.get("renewal_period")
+    result, config = run_seed(
+        setup.model, setup.mutations, setup.schedule, setup.seed,
+        setup.epsilon, m_override=rc.get("m_override"),
+        t_override=rc.get("t_override"), f0=setup.f0,
+        failure_policy=rc.get("failure_policy", "strict"),
+        renewal=(period, setup.renewal_fn if period else None),
+        record_path=bool(rc.get("record_path", False)))
 
     out = ensure_dir(args.out) if args.out else None
     if out:
@@ -208,9 +171,13 @@ def _cmd_evolve(args) -> int:
 
 
 def _parse_seeds(text: str) -> list:
-    if "," in text:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    count = int(text)
+    try:
+        if "," in text:
+            return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        count = int(text)
+    except ValueError:
+        raise ConfigError(f"--seeds must be a count or a comma list of "
+                          f"integers, got {text!r}")
     if count <= 0:
         raise ConfigError("--seeds as a count must be positive")
     return list(range(count))
@@ -254,8 +221,7 @@ def _cmd_diagnose(args) -> int:
     if args.what == "basis":
         quality = basis_quality(setup.mutations.vectors)
         selection = select_bstar(setup.mutations)
-        _emit({"quality": quality.to_dict()
-               if hasattr(quality, "to_dict") else vars(quality),
+        _emit({"quality": vars(quality),
                "bstar_indices": [int(i) for i in selection.indices],
                "exhaustive": selection.exhaustive})
         return EXIT_OK

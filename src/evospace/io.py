@@ -1,10 +1,15 @@
-"""File formats: JSON-lines traces, CSV summaries, JSON configs and reports."""
+"""File formats: JSON-lines traces, CSV summaries, JSON configs and reports.
+
+Every writer replaces its file atomically, so an interrupted run leaves
+each output whole or absent.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
 import os
+from contextlib import contextmanager
 from typing import List, Optional
 
 import numpy as np
@@ -17,18 +22,37 @@ _CSV_FIELDS = ["step", "perf_before", "perf_after", "bene_size", "neut_size",
                "perf_true", "in_target_set"]
 
 
+@contextmanager
+def _replacing(path: str, mode: str, **kwargs):
+    """Open a new file beside ``path`` that replaces it once the block completes.
+
+    A write that raises leaves the old file (or none) and removes the
+    unfinished one, so no reader ever sees a truncated output.
+    """
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def trace_jsonl_bytes(steps: List[TraceStep]) -> bytes:
     lines = [json.dumps(s.to_dict(), sort_keys=True) for s in steps]
     return ("\n".join(lines) + ("\n" if lines else "")).encode()
 
 
 def write_trace_jsonl(path: str, steps: List[TraceStep]) -> None:
-    with open(path, "wb") as fh:
+    with _replacing(path, "xb") as fh:
         fh.write(trace_jsonl_bytes(steps))
 
 
 def write_trace_csv(path: str, steps: List[TraceStep]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, "x", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
         w.writeheader()
         for s in steps:
@@ -38,7 +62,7 @@ def write_trace_csv(path: str, steps: List[TraceStep]) -> None:
 def write_path_csv(path: str, coords_path: np.ndarray) -> None:
     """Organism coordinate trajectory, one row per step."""
     arr = np.asarray(coords_path, dtype=float)
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, "x", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step"] + [f"c{i}" for i in range(arr.shape[1])])
         for i, row in enumerate(arr):
@@ -46,7 +70,7 @@ def write_path_csv(path: str, coords_path: np.ndarray) -> None:
 
 
 def write_json_report(path: str, report: dict) -> None:
-    with open(path, "w") as fh:
+    with _replacing(path, "x") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

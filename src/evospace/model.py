@@ -220,55 +220,33 @@ class BregmanGenerator:
                 raise ModelError("custom generator is not strictly convex at a check point")
 
 
-def bregman_divergence(u, v, gen: BregmanGenerator) -> float:
-    """D(u || v) for the given generator.  Nonnegative for valid generators."""
-    return gen.divergence(u, v)
-
-
 # ---------------------------------------------------------------------------
 # gene panels
 
 
 class GenePanel:
-    """Gene panel mapping a condition x to the d x dG output matrix G_x."""
+    """Gene panel mapping a condition x to the d x dG output matrix G_x.
+
+    Subclasses compute the three batch reductions below in closed form.
+    """
 
     d: int
     dG: int
 
-    def evaluate(self, x) -> np.ndarray:
-        raise NotImplementedError
-
     def express(self, X: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Organism outputs on a stack of conditions: (n, d) array."""
-        return np.stack([self.evaluate(x) @ coords for x in X])
+        raise NotImplementedError
 
     def second_moment(self, X: np.ndarray, M: Optional[np.ndarray] = None,
                       weights: Optional[np.ndarray] = None) -> np.ndarray:
         """Weighted mean of G_x^T M G_x over the rows of X (M = I if omitted)."""
-        n = X.shape[0]
-        w = np.full(n, 1.0 / n) if weights is None else weights
-        acc = np.zeros((self.dG, self.dG))
-        for x, wi in zip(X, w):
-            if wi == 0.0:
-                continue
-            G = self.evaluate(x)
-            GM = G if M is None else M @ G
-            acc += wi * (G.T @ GM)
-        return acc
+        raise NotImplementedError
 
     def cross_moment(self, X: np.ndarray, targets: np.ndarray,
                      M: Optional[np.ndarray] = None,
                      weights: Optional[np.ndarray] = None) -> np.ndarray:
         """Weighted mean of G_x^T M t(x): the dG-vector pairing genes with targets."""
-        n = X.shape[0]
-        w = np.full(n, 1.0 / n) if weights is None else weights
-        acc = np.zeros(self.dG)
-        for x, t, wi in zip(X, targets, w):
-            if wi == 0.0:
-                continue
-            G = self.evaluate(x)
-            acc += wi * (G.T @ (t if M is None else M @ t))
-        return acc
+        raise NotImplementedError
 
 
 class IdentityPanel(GenePanel):
@@ -279,9 +257,6 @@ class IdentityPanel(GenePanel):
             raise ConfigError("identity panel needs d >= 1")
         self.d = self.dG = int(d)
         self.scale = float(scale)
-
-    def evaluate(self, x) -> np.ndarray:
-        return self.scale * np.eye(self.d)
 
     def express(self, X, coords):
         out = np.broadcast_to(self.scale * np.asarray(coords, dtype=float),
@@ -319,12 +294,6 @@ class DataColumnPanel(GenePanel):
     def _take(self, X: np.ndarray) -> np.ndarray:
         return X if self.columns is None else X[..., self.columns]
 
-    def evaluate(self, x) -> np.ndarray:
-        x = self._take(np.asarray(x, dtype=float))
-        if x.shape != (self.dG,):
-            raise ModelError(f"condition shape {x.shape} does not match dG={self.dG}")
-        return x.reshape(1, self.dG)
-
     def express(self, X, coords):
         X = self._take(np.asarray(X, dtype=float))
         return (X @ np.asarray(coords, dtype=float)).reshape(-1, 1)
@@ -343,22 +312,6 @@ class DataColumnPanel(GenePanel):
         w = np.full(n, 1.0 / n) if weights is None else weights
         scale = 1.0 if M is None else float(np.asarray(M).reshape(()))
         return scale * (X.T @ (w * t))
-
-
-class CallablePanel(GenePanel):
-    """Panel defined by an arbitrary per-condition callback x -> (d, dG)."""
-
-    def __init__(self, fn: Callable, d: int, dG: int):
-        self.fn = fn
-        self.d = int(d)
-        self.dG = int(dG)
-
-    def evaluate(self, x) -> np.ndarray:
-        G = np.asarray(self.fn(x), dtype=float)
-        if G.shape != (self.d, self.dG):
-            raise ModelError(f"panel callback returned shape {G.shape}, "
-                             f"expected {(self.d, self.dG)}")
-        return G
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,12 @@ def run_cli(capsys, *argv):
     return code, (json.loads(out) if out else None)
 
 
+def cli_error(capsys, *argv):
+    """Exit code and stderr of a run that fails before printing a result."""
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -188,6 +194,65 @@ class TestEvolve:
         code, _ = run_cli(capsys, "evolve", "--config",
                           write_cfg(tmp_path, cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("target", ["mean", "labels"])
+    def test_data_pairs_need_two_condition_columns(self, tmp_path, capsys,
+                                                   target):
+        rng = rng_for(("cli-data", 2))
+        data = rng.normal(0.0, 0.3, (40, 4))
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, data, delimiter=",", header="x1,x2,x3,y",
+                   comments="")
+        cfg = {"model": {"dataset": str(path), "target": target},
+               "mutations": {"source": "data_pairs"},
+               "run": {"m_override": 20, "t_override": 10}}
+        if target == "mean":
+            cfg["model"]["dim"] = 4     # all four columns are conditions
+        code, err = cli_error(capsys, "evolve", "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert ("2 condition columns" if target == "labels"
+                else "labels target") in err
+
+    def test_explicit_mutations_need_vectors(self, tmp_path, capsys,
+                                             mean_csv):
+        cfg = mean_config(mean_csv)
+        cfg["mutations"] = {"source": "explicit"}
+        code, err = cli_error(capsys, "evolve", "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert "vectors" in err
+
+    def test_labels_generator_scales_the_oracle(self, tmp_path, capsys,
+                                                labels_csv):
+        # the empirical scores use M = 4, so the oracle's must too: same
+        # start, four times the squared-Euclidean relative performance
+        def initial_perf(generator):
+            cfg = {"model": {"dataset": labels_csv, "target": "labels"},
+                   "schedule": {"epsilon": 0.25},
+                   "run": {"m_override": 40, "t_override": 5,
+                           "failure_policy": "forced_uniform"}}
+            if generator is not None:
+                cfg["model"]["generator"] = generator
+            code, summary = run_cli(capsys, "evolve", "--config",
+                                    write_cfg(tmp_path, cfg))
+            assert code == 0
+            return summary["initial_true_perf"]
+
+        plain = initial_perf(None)
+        scaled = initial_perf({"kind": "mahalanobis", "matrix": [[4.0]]})
+        assert plain < 0.0
+        assert scaled == pytest.approx(4.0 * plain, rel=1e-12)
+
+    def test_mean_target_rejects_other_generators(self, tmp_path, capsys,
+                                                  mean_csv):
+        cfg = mean_config(mean_csv)
+        cfg["model"]["generator"] = {"kind": "mahalanobis",
+                                     "matrix": [[4.0, 0.0], [0.0, 1.0]]}
+        code, err = cli_error(capsys, "evolve", "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert "squared_euclidean" in err
 
     def test_usage_errors_exit_64(self, tmp_path, capsys):
         assert run_cli(capsys, "no-such-command")[0] == 64
@@ -339,6 +404,13 @@ class TestExperiment:
 
     def test_scenario_required(self, capsys):
         assert run_cli(capsys, "experiment", "--seeds", "2")[0] == 2
+
+    @pytest.mark.parametrize("seeds", ["1,x", "ten"])
+    def test_malformed_seeds_rejected(self, capsys, seeds):
+        code, err = cli_error(capsys, "experiment", "--scenario",
+                              "unsupervised_mean", "--seeds", seeds)
+        assert code == 2
+        assert "--seeds" in err
 
     def test_zero_seed_count_rejected(self, capsys):
         code, _ = run_cli(capsys, "experiment", "--scenario",

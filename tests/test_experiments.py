@@ -101,6 +101,11 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="bogus_knob"):
             run_unsupervised_mean(cfg)
 
+    def test_named_runner_rejects_other_scenarios(self):
+        cfg = ScenarioConfig("agnostic", seeds=[0])
+        with pytest.raises(ConfigError, match="run_drift needs a 'drift' config"):
+            run_drift(cfg)
+
     def test_dispatch_uses_scenario_name(self):
         cfg = ScenarioConfig("unsupervised_mean", seeds=[0],
                              overrides={"m_override": 10, "t_override": 40})

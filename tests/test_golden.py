@@ -95,7 +95,7 @@ CASE_FILES = {
 }
 
 # `evolve --out` outputs: one mean run with orthonormal mutations and CSV
-# traces, one labels run with data-pair mutations, renewal and forced steps
+# traces, one labels run with data-pair mutations, renewal and a forced step
 EVOLVE_CASES = {
     "mean": (
         {"model": {"target": "mean"},

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -63,6 +64,41 @@ class TestTraceFiles:
         # repr round-trip preserves the exact float
         assert float(rows[1][2]) == 1.0 / 3.0
         assert float(rows[2][1]) == 0.1 + 0.2
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json_report(str(path), {"a": 1})
+        old = path.read_bytes()
+        # "a" is serialized before json.dump reaches the object it cannot
+        with pytest.raises(TypeError):
+            write_json_report(str(path), {"a": 2, "b": object()})
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_failed_csv_write_mid_stream(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), steps_fixture())
+        old = path.read_bytes()
+        with pytest.raises(AttributeError):
+            write_trace_csv(str(path), steps_fixture() + [None])
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["trace.csv"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(AttributeError):
+            write_trace_jsonl(str(tmp_path / "trace.jsonl"), [None])
+        assert os.listdir(tmp_path) == []
+
+    def test_rewrite_replaces_with_plain_file_mode(self, tmp_path):
+        path = tmp_path / "path.csv"
+        write_path_csv(str(path), np.zeros((2, 2)))
+        write_path_csv(str(path), np.ones((3, 2)))
+        assert path.read_text().count("\n") == 4
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
 
 
 class TestConfigFiles:

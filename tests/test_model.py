@@ -5,7 +5,7 @@ import pytest
 
 from evospace import (BregmanGenerator, ConditionSampler, DataColumnPanel,
                       IdentityPanel, MutationSet, Organism, Sample,
-                      bregman_divergence, empirical_performance, rng_for,
+                      empirical_performance, rng_for,
                       true_performance_quadratic)
 from evospace.errors import ConfigError, ModelError
 
@@ -50,9 +50,9 @@ class TestRngFor:
 class TestGenerators:
     def test_squared_euclidean_value(self):
         gen = BregmanGenerator.squared_euclidean()
-        assert bregman_divergence([2.0], [1.0], gen) == pytest.approx(1.0)
+        assert gen.divergence([2.0], [1.0]) == pytest.approx(1.0)
         u, v = np.array([1.0, 3.0]), np.array([-1.0, 0.5])
-        assert bregman_divergence(u, v, gen) == pytest.approx(
+        assert gen.divergence(u, v) == pytest.approx(
             float(np.sum((u - v) ** 2)))
 
     def test_mahalanobis_value(self):
@@ -60,13 +60,13 @@ class TestGenerators:
         gen = BregmanGenerator.mahalanobis(M)
         u, v = np.array([1.0, -1.0]), np.array([0.0, 2.0])
         d = u - v
-        assert bregman_divergence(u, v, gen) == pytest.approx(float(d @ M @ d))
+        assert gen.divergence(u, v) == pytest.approx(float(d @ M @ d))
 
     def test_custom_quartic_value(self):
         # D(2||1) = phi(2) - phi(1) - phi'(1) * 1 with phi(u)=u^4:
         # 16 - 1 - 4 = 11; the u^2 part adds (4 - 1 - 2) = 1
         gen = quartic_gen()
-        assert bregman_divergence([2.0], [1.0], gen) == pytest.approx(12.0)
+        assert gen.divergence([2.0], [1.0]) == pytest.approx(12.0)
 
     def test_nonnegative_zero_iff_equal(self):
         rng = rng_for(11)
@@ -74,8 +74,8 @@ class TestGenerators:
             for _ in range(20):
                 u = rng.uniform(-1.5, 1.5, 3)
                 v = rng.uniform(-1.5, 1.5, 3)
-                assert bregman_divergence(u, v, gen) >= 0.0
-                assert bregman_divergence(u, u, gen) == pytest.approx(0.0, abs=1e-12)
+                assert gen.divergence(u, v) >= 0.0
+                assert gen.divergence(u, u) == pytest.approx(0.0, abs=1e-12)
 
     def test_divergence_rows_matches_scalar(self):
         gen = quartic_gen()
@@ -84,7 +84,7 @@ class TestGenerators:
         V = rng.uniform(-1.5, 1.5, (8, 2))
         rows = gen.divergence_rows(U, V)
         for i in range(8):
-            assert rows[i] == pytest.approx(bregman_divergence(U[i], V[i], gen))
+            assert rows[i] == pytest.approx(gen.divergence(U[i], V[i]))
 
     def test_hessian_bound_rejection(self):
         # phi'' = 12u^2 + 2 reaches 50 at u=2, violating a declared cap of 3
