@@ -106,7 +106,17 @@ class _RunSetup:
         elif source == "explicit":
             if "vectors" not in mut_cfg:
                 raise ConfigError("explicit mutations need 'vectors'")
-            vectors = np.asarray(mut_cfg["vectors"], float)
+            vectors = mut_cfg["vectors"]
+            if not (isinstance(vectors, list) and vectors
+                    and all(isinstance(v, list) for v in vectors)):
+                raise ConfigError("mutations.vectors must be a nonempty list "
+                                  "of vectors")
+            lengths = sorted({len(v) for v in vectors})
+            if lengths != [self.dim]:
+                raise ConfigError(
+                    f"mutations.vectors must all have the data's condition "
+                    f"dimension {self.dim}, got lengths {lengths}")
+            vectors = np.asarray(vectors, float)
             self.mutations = MutationSet(np.column_stack(list(vectors)))
 
         sched_cfg = cfg.get("schedule", {})
@@ -115,6 +125,9 @@ class _RunSetup:
         run_cfg = cfg.get("run", {})
         f0 = run_cfg.get("f0")
         self.f0 = np.zeros(self.dim) if f0 is None else np.asarray(f0, float)
+        if self.f0.shape != (self.dim,):
+            raise ConfigError(f"run.f0 must have the data's condition "
+                              f"dimension {self.dim}, got shape {self.f0.shape}")
         self.constants = estimate_model_constants(
             self.panel, self.mutations, self.sampler, self.gen)
         self.schedule = compute_schedule(

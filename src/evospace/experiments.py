@@ -10,6 +10,7 @@ of (config, seed list).  Every run, the CLI's included, goes through
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -78,6 +79,11 @@ def as_knobs(value) -> KnobTriple:
         return DEFAULT_KNOBS
     if isinstance(value, KnobTriple):
         return value
+    if not (isinstance(value, (list, tuple)) and len(value) == 3
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in value)):
+        raise ConfigError(f"knobs must be three finite numbers "
+                          f"[z_tau, z_alpha, z_tol], got {value!r}")
     zt, za, zl = value
     return KnobTriple(z_tau=float(zt), z_alpha=float(za), z_tol=float(zl))
 

@@ -67,9 +67,81 @@ def rng_for(seed, index: int = 0) -> np.random.Generator:
 
     ``seed`` may be an int, a string label, or a nested sequence of them;
     the derived streams are independent across distinct (seed, index) pairs.
+    This is the definition of every random stream in the package:
+    ``ConditionSampler.draw`` reaches the same streams without calling it.
     """
     words = _seed_words(seed) + _seed_words(index)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words filled by hashmix and mix with these constants and a 16-bit
+# xorshift.  The constants follow a fixed sequence whatever the data, so the
+# hash of many entropy lists that differ in one word runs as array arithmetic.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# the multiplier of PCG64's 128-bit linear congruential step
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# Step streams are seeded a block at a time: 4,096 x 4 uint64 = 128 KB.
+_SEED_BLOCK = 4096
+
+
+def _uint32_words(words) -> list:
+    # SeedSequence splits each entropy int into little-endian 32-bit words,
+    # with 0 -> [0].
+    out = []
+    for w in words:
+        out.append(w & _MASK32)
+        while w > _MASK32:
+            w >>= 32
+            out.append(w & _MASK32)
+    return out
+
+
+def _stream_seeds(prefix: list, first: int, count: int) -> np.ndarray:
+    """PCG64 seeds of the streams ``rng_for(seed, i)``, i in [first, first + count).
+
+    ``prefix`` is ``_uint32_words(_seed_words(seed))`` and every index must be
+    below 2**32.  Row ``i - first`` equals
+    ``SeedSequence(_seed_words(seed) + [i]).generate_state(4, np.uint64)``.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return out ^ (out >> np.uint32(16))
+
+    entropy = [np.full(count, w, np.uint32) for w in prefix]
+    entropy.append(np.arange(first, first + count, dtype=np.uint32))
+    entropy += [np.zeros(count, np.uint32)] * (4 - len(entropy))
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+
+    # generate_state(4, np.uint64) reads 8 words as little-endian word pairs
+    seeds = np.empty((count, 4), dtype="<u8")
+    halves = seeds.view("<u4")
+    hash_const = _INIT_B
+    for k in range(8):
+        value = pool[k % 4] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        halves[:, k] = value ^ (value >> np.uint32(16))
+    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +408,15 @@ class Sample:
 
 
 class ConditionSampler:
-    """Draws per-step condition batches, deterministically in (seed, index)."""
+    """Draws per-step condition batches, deterministically in (seed, index).
+
+    ``draw(index, m)`` uses the stream ``rng_for(seed, index)``.  For
+    indices in [0, 2**32) the sampler gets there without building a
+    generator per draw: it hashes the seeds of a block of indices at once and
+    moves one reused generator to the index's seeded state.  So the ``rng``
+    handed to a ``from_callable`` callback is valid only during that call,
+    and a sampler must not be shared between threads.
+    """
 
     def __init__(self, kind: str, *, data=None, fn=None, seed=0):
         if kind == "empirical":
@@ -354,6 +434,10 @@ class ConditionSampler:
         self.kind = kind
         self.seed = seed
         self._uniform = np.empty(0)
+        self._bit_generator = np.random.PCG64(0)
+        self._rng = np.random.Generator(self._bit_generator)
+        self._block_start = -1
+        self._block = None
 
     def _uniform_weights(self, m: int) -> np.ndarray:
         # one read-only array, shared by the draws of a run (m rarely changes)
@@ -370,11 +454,32 @@ class ConditionSampler:
     def from_callable(cls, fn, seed=0) -> "ConditionSampler":
         return cls("generator", fn=fn, seed=seed)
 
+    def _stream(self, index) -> np.random.Generator:
+        # rng_for(self.seed, index), by seeding the reused PCG64 the way
+        # PCG64(SeedSequence) does from the seed row (s0, s1, s2, s3):
+        # initstate = s0:s1 and initseq = s2:s3 (high:low 64-bit words),
+        # inc = 2 * initseq + 1, then state = (inc + initstate) * MULT + inc.
+        if not (isinstance(index, (int, np.integer)) and 0 <= index < 1 << 32):
+            return rng_for(self.seed, index)
+        start = index - index % _SEED_BLOCK
+        if start != self._block_start:
+            self._block = _stream_seeds(_uint32_words(_seed_words(self.seed)),
+                                        start, _SEED_BLOCK)
+            self._block_start = start
+        s0, s1, s2, s3 = self._block[index - start].tolist()
+        inc = ((s2 << 65) | (s3 << 1) | 1) & _MASK128
+        state = (((s0 << 64) | s1) + inc) * _PCG64_MULT + inc
+        self._bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state & _MASK128, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        return self._rng
+
     def draw(self, index: int, m: int) -> Sample:
         """Sample m conditions i.i.d. (with replacement for empirical data)."""
         if m < 1:
             raise ConfigError("sample size must be >= 1")
-        rng = rng_for(self.seed, index)
+        rng = self._stream(index)
         if self.kind == "generator":
             pts = np.asarray(self.fn(rng, m), dtype=float)
             if pts.ndim != 2 or pts.shape[0] != m:

@@ -223,6 +223,37 @@ class TestEvolve:
         assert code == 2
         assert "vectors" in err
 
+    @pytest.mark.parametrize("vectors, lengths", [
+        ([[1, 0], [0, 1, 0]], "[2, 3]"),      # ragged
+        ([[1, 0, 0]], "[3]"),                 # wrong dimension
+    ])
+    def test_mutation_vectors_need_the_data_dimension(
+            self, tmp_path, capsys, mean_csv, vectors, lengths):
+        cfg = mean_config(mean_csv)
+        cfg["mutations"] = {"source": "explicit", "vectors": vectors}
+        code, err = cli_error(capsys, "evolve", "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert "mutations.vectors" in err
+        assert "dimension 2" in err and lengths in err
+
+    def test_f0_needs_the_data_dimension(self, tmp_path, capsys, mean_csv):
+        cfg = mean_config(mean_csv, f0=[0.0, 0.0, 0.0])
+        code, err = cli_error(capsys, "evolve", "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert "run.f0" in err
+        assert "dimension 2" in err and "(3,)" in err
+
+    @pytest.mark.parametrize("knobs", [[0.1, 0.2], "abc"])
+    def test_malformed_knobs_exit_2(self, tmp_path, capsys, mean_csv, knobs):
+        cfg = mean_config(mean_csv)
+        cfg["schedule"]["knobs"] = knobs
+        code, err = cli_error(capsys, "evolve", "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert "knobs must be three finite numbers" in err
+
     def test_labels_generator_scales_the_oracle(self, tmp_path, capsys,
                                                 labels_csv):
         # the empirical scores use M = 4, so the oracle's must too: same
@@ -404,6 +435,14 @@ class TestExperiment:
 
     def test_scenario_required(self, capsys):
         assert run_cli(capsys, "experiment", "--seeds", "2")[0] == 2
+
+    def test_malformed_knobs_override_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"overrides": {"knobs": [0.1, 0.2]}})
+        code, err = cli_error(capsys, "experiment", "--scenario",
+                              "unsupervised_mean", "--seeds", "1",
+                              "--config", cfg)
+        assert code == 2
+        assert "knobs must be three finite numbers" in err
 
     @pytest.mark.parametrize("seeds", ["1,x", "ten"])
     def test_malformed_seeds_rejected(self, capsys, seeds):

@@ -102,6 +102,21 @@ class TestClassify:
         b2, n2 = _classify(np.asarray(perfs) - base, tol)
         assert np.array_equal(bene, b2) and np.array_equal(neut, n2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(gains=st.lists(st.floats(-10.0, 10.0), max_size=20),
+           tol=st.floats(1e-300, 5.0))
+    def test_classes_disjoint_with_documented_ties(self, gains, tol):
+        ties = [tol, -tol, np.nextafter(tol, 0.0), -np.nextafter(tol, 0.0)]
+        g = np.array(gains + ties)
+        bene, neut = _classify(g, tol)
+        assert not set(bene.tolist()) & set(neut.tolist())
+        assert bene.tolist() == [i for i, v in enumerate(g) if v >= tol]
+        assert neut.tolist() == [i for i, v in enumerate(g) if abs(v) < tol]
+        at_tol, at_minus_tol, below, above_minus = range(len(gains), len(g))
+        assert at_tol in bene                             # beneficial
+        assert at_minus_tol not in np.r_[bene, neut]      # neither
+        assert below in neut and above_minus in neut      # neutral
+
     def test_tol_validation(self):
         with pytest.raises(ConfigError):
             classify_mutants(0.0, [0.1], 0.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evospace import (BregmanGenerator, ConditionSampler, DataColumnPanel,
                       IdentityPanel, MutationSet, Organism, Sample,
@@ -218,6 +219,48 @@ class TestSampler:
             assert sampler.draw(2, 20).weights.shape == (20,)
 
 
+class RngForSampler(ConditionSampler):
+    """The reference sampler: every draw on its own rng_for(seed, index)."""
+
+    def _stream(self, index):
+        return rng_for(self.seed, index)
+
+
+_SEEDS = st.one_of(
+    st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+    st.just(2**64 - 1), st.text(max_size=6),
+    st.tuples(st.integers(0, 2**40), st.text(max_size=3), st.integers(0, 9)))
+_INDICES = st.one_of(
+    st.sampled_from([0, 4095, 4096, 8191, 8192, 2**32 - 4097, 2**32 - 1,
+                     -1, -2, -3, 2**32, 2**40]),
+    st.integers(0, 20_000), st.integers(-5, 2**34))
+
+
+class TestSamplerStreams:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=_SEEDS, indices=st.lists(_INDICES, min_size=1, max_size=6))
+    def test_draw_equals_a_fresh_rng_for_draw(self, seed, indices):
+        data = rng_for(("stream-data", 0)).standard_normal((7, 2))
+
+        def fn(rng, m):
+            # an odd count of 32-bit draws leaves a buffered half word behind
+            return np.column_stack([rng.standard_normal(m),
+                                    rng.integers(0, 9, size=m)])
+
+        pairs = [(ConditionSampler.empirical(data, seed=seed),
+                  RngForSampler.empirical(data, seed=seed)),
+                 (ConditionSampler.from_callable(fn, seed=seed),
+                  RngForSampler.from_callable(fn, seed=seed))]
+        # out of order and repeated indices on one sampler
+        for index in indices + indices[::-1]:
+            for sampler, reference in pairs:
+                for m in (3, 40):   # rows (m <= 4n) and multinomial counts
+                    got, want = sampler.draw(index, m), reference.draw(index, m)
+                    assert np.array_equal(got.points, want.points)
+                    assert np.array_equal(got.weights, want.weights)
+                    assert got.size == want.size == m
+
+
 class TestMutationSet:
     def test_orthonormal(self):
         B = MutationSet.orthonormal(3)
@@ -254,6 +297,41 @@ class TestOrganism:
         assert np.allclose(org.coords, pos)
         assert np.all(org.counts == 0)
         assert np.allclose(org.base, pos)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dG=st.integers(1, 4),
+           dF=st.integers(1, 5), alpha=st.floats(1e-4, 2.0),
+           steps=st.integers(1, 3000), rebase_at=st.integers(0, 3000))
+    def test_coords_stay_within_ulps_of_the_grid(self, seed, dG, dF, alpha,
+                                                steps, rebase_at):
+        rng = np.random.default_rng(seed)
+
+        def basis():
+            return MutationSet(rng.uniform(-1.0, 1.0, (dG, dF)) + 1e-3)
+
+        org = Organism(basis=basis(), base=rng.uniform(-1.0, 1.0, dG),
+                       alpha=alpha)
+
+        def check(since_rebase, peak):
+            # each incremental step and each term of the recomputation
+            # rounds once, at no more than the largest magnitude on the path
+            B = np.abs(org.basis.vectors)
+            grid = (np.abs(org.base).max()
+                    + alpha * (B @ np.abs(org.counts)).max())
+            mag = max(peak, grid) + alpha * B.max()
+            err = np.abs(org.coords - org.recompute_coords()).max()
+            assert err <= (since_rebase + dF + 2) * np.spacing(mag)
+
+        since, peak = 0, 0.0
+        for k in range(steps):
+            if k == rebase_at:
+                check(since, peak)
+                org.rebase(basis())
+                assert np.array_equal(org.coords, org.recompute_coords())
+                since = 0
+            org.apply(int(rng.integers(0, dF)), int(rng.choice((-1, 1))))
+            since, peak = since + 1, max(peak, np.abs(org.coords).max())
+        check(since, peak)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ModelError):
