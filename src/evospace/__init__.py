@@ -9,11 +9,10 @@ scenarios.  A CLI front end lives in :mod:`evospace.cli`.
 from .errors import ConfigError, ModelError
 from .model import (BregmanGenerator, ConditionSampler, DataColumnPanel,
                     GenePanel, IdentityPanel, MutationSet, Organism, Sample,
-                    TraceStep, empirical_performance, rng_for,
-                    true_performance_quadratic)
+                    empirical_performance, rng_for)
 from .engine import (FAILURE_POLICIES, EvolutionConfig, EvolutionResult,
-                     PerformanceModel, QuadraticPerfModel, classify_mutants,
-                     mutator_step, quadratic_stats_for, run_evolution)
+                     PerformanceModel, QuadraticPerfModel, Trace,
+                     quadratic_stats_for, run_evolution)
 from .schedule import (DEFAULT_KNOBS, DriftPlan, KnobTriple, ModelConstants,
                        Schedule, compute_schedule, conditioning_scale,
                        drift_bound, estimate_model_constants,
@@ -40,15 +39,14 @@ __all__ = [
     "FrontierPoint", "FrontierProblem", "GenePanel", "IdentityPanel",
     "KnobTriple", "MeanEstimationModel", "ModelConstants", "ModelError",
     "MutationSet", "Organism", "PerformanceModel", "QuadraticPerfModel",
-    "SCENARIOS", "Sample", "Schedule", "ScenarioConfig", "TraceStep",
-    "agnostic_projection_oracle", "basis_quality", "classify_mutants",
-    "compute_schedule", "conditioning_scale", "derangement_sign_det",
-    "drift_bound", "efficient_frontier", "empirical_performance",
-    "estimate_model_constants", "exen_ratio", "gen_gaussian_mixture",
-    "kkt_oracle", "knob_region_check", "make_drift_plan", "mutator_step",
-    "pdg_bruteforce", "pdg_closed", "projection_from_moments",
+    "SCENARIOS", "Sample", "Schedule", "ScenarioConfig", "Trace",
+    "agnostic_projection_oracle", "basis_quality", "compute_schedule",
+    "conditioning_scale", "derangement_sign_det", "drift_bound",
+    "efficient_frontier", "empirical_performance", "estimate_model_constants",
+    "exen_ratio", "gen_gaussian_mixture", "kkt_oracle", "knob_region_check",
+    "make_drift_plan", "pdg_bruteforce", "pdg_closed", "projection_from_moments",
     "quadratic_stats_for", "return_and_premium", "rng_for", "run_agnostic",
     "run_drift", "run_evolution", "run_frontier_scaling", "run_scenario",
     "run_stability", "run_supervised_linear", "run_unsupervised_mean",
-    "select_bstar", "stable_knob_example", "true_performance_quadratic", "xi",
+    "select_bstar", "stable_knob_example", "xi",
 ]

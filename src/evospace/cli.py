@@ -44,6 +44,24 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _read(section: dict, key: str, convert=float, default=None):
+    """``convert`` of dotted config ``key`` in ``section``, else a ConfigError.
+
+    Absent reads as ``default``; with no default, absent or null is None.
+    """
+    value = section.get(key.rpartition(".")[2], default)
+    if value is None and default is None:
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be numeric, got {value!r}") from None
+
+
 def _generator_from(spec) -> BregmanGenerator:
     if spec is None or spec == "squared_euclidean":
         return BregmanGenerator.squared_euclidean()
@@ -67,7 +85,7 @@ class _RunSetup:
             raise ConfigError("model.target must be 'mean' or 'labels'")
         self.gen = _generator_from(model_cfg.get("generator"))
         X, Y = load_dataset_csv(dataset, dim_x=model_cfg.get("dim"))
-        self.seed = seed = int(cfg.get("run", {}).get("seed", 0))
+        self.seed = seed = _read(cfg.get("run", {}), "run.seed", int, 0)
         self.dim = X.shape[1]
         mut_cfg = cfg.get("mutations", {"source": "orthonormal"})
         source = mut_cfg.get("source", "orthonormal")
@@ -94,8 +112,8 @@ class _RunSetup:
                 raise ConfigError("labels target needs exactly one y column")
             pairs = None
             if source == "data_pairs":
-                pairs = (float(mut_cfg.get("det_min", 0.05)),
-                         float(mut_cfg.get("norm_min", 0.2)))
+                pairs = (_read(mut_cfg, "mutations.det_min", default=0.05),
+                         _read(mut_cfg, "mutations.norm_min", default=0.2))
             problem = labels_problem(X, Y[:, 0], seed, self.gen, pairs)
             self.panel, self.sampler = problem.panel, problem.sampler
             self.model, self.t_coords = problem.model, problem.w_star
@@ -116,15 +134,15 @@ class _RunSetup:
                 raise ConfigError(
                     f"mutations.vectors must all have the data's condition "
                     f"dimension {self.dim}, got lengths {lengths}")
-            vectors = np.asarray(vectors, float)
+            vectors = _read(mut_cfg, "mutations.vectors", _floats)
             self.mutations = MutationSet(np.column_stack(list(vectors)))
 
         sched_cfg = cfg.get("schedule", {})
-        self.epsilon = float(sched_cfg.get("epsilon", 0.1))
+        self.epsilon = _read(sched_cfg, "schedule.epsilon", default=0.1)
         self.knobs = as_knobs(sched_cfg.get("knobs"))
         run_cfg = cfg.get("run", {})
-        f0 = run_cfg.get("f0")
-        self.f0 = np.zeros(self.dim) if f0 is None else np.asarray(f0, float)
+        f0 = _read(run_cfg, "run.f0", _floats)
+        self.f0 = np.zeros(self.dim) if f0 is None else f0
         if self.f0.shape != (self.dim,):
             raise ConfigError(f"run.f0 must have the data's condition "
                               f"dimension {self.dim}, got shape {self.f0.shape}")
@@ -133,9 +151,9 @@ class _RunSetup:
         self.schedule = compute_schedule(
             self.epsilon, self.knobs, self.constants,
             horizon=sched_cfg.get("d_hint"), f0=self.f0,
-            t_coords=self.t_coords, c_t=float(sched_cfg.get("c_t", 1.0)),
-            c_m=float(sched_cfg.get("c_m", 1.0)),
-            m_cap=int(sched_cfg.get("m_cap", 50000)))
+            t_coords=self.t_coords, c_t=_read(sched_cfg, "schedule.c_t", default=1.0),
+            c_m=_read(sched_cfg, "schedule.c_m", default=1.0),
+            m_cap=_read(sched_cfg, "schedule.m_cap", int, 50000))
         self.run_cfg = run_cfg
 
 
@@ -148,8 +166,9 @@ def _cmd_evolve(args) -> int:
     period = rc.get("renewal_period")
     result, config = run_seed(
         setup.model, setup.mutations, setup.schedule, setup.seed,
-        setup.epsilon, m_override=rc.get("m_override"),
-        t_override=rc.get("t_override"), f0=setup.f0,
+        setup.epsilon,
+        m_override=_read(rc, "run.m_override", int),
+        t_override=_read(rc, "run.t_override", int), f0=setup.f0,
         failure_policy=rc.get("failure_policy", "strict"),
         renewal=(period, setup.renewal_fn if period else None),
         record_path=bool(rc.get("record_path", False)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ModelError
 from .model import (BregmanGenerator, ConditionSampler, GenePanel, MutationSet,
-                    Organism, Sample, TraceStep, rng_for)
+                    Organism, Sample, rng_for)
 
 FAILURE_POLICIES = ("strict", "forced_uniform")
 
@@ -31,18 +31,12 @@ def _signed_steps(mutations: MutationSet, alpha: float) -> np.ndarray:
 
 
 def _classify(gains: np.ndarray, tol: float) -> tuple:
-    return (gains >= tol).nonzero()[0], (np.abs(gains) < tol).nonzero()[0]
-
-
-def classify_mutants(perf_current: float, mutant_perfs, tol: float) -> tuple:
     """Positional indices of the beneficial and neutral mutants.
 
-    Beneficial: perf gain >= tol (inclusive).  Neutral: |gain| < tol
-    (strict).  A gain of exactly -tol lands in neither class.
+    Beneficial: gain >= tol (inclusive).  Neutral: |gain| < tol (strict).
+    A gain of exactly -tol lands in neither class.
     """
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
-    return _classify(np.asarray(mutant_perfs, dtype=float) - perf_current, tol)
+    return (gains >= tol).nonzero()[0], (np.abs(gains) < tol).nonzero()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +173,88 @@ class EvolutionConfig:
             raise ConfigError("renewal needs both a period and a callback")
 
 
+class Trace:
+    """Per-step record of one run: a numpy column per stored field, row t for step t.
+
+    ``j`` is the chosen index in the signed neighborhood (2 i for +b_i,
+    2 i + 1 for -b_i); ``perf_true`` exists only when the model has an
+    oracle.  ``rows`` derives the written FIELDS from these.  A halted run
+    ends on its failed step, written with null choice and oracle fields.
+    """
+
+    FIELDS = ("step", "perf_before", "perf_after", "bene_size", "neut_size",
+              "chosen_index", "chosen_polarity", "forced", "failed",
+              "perf_true", "in_target_set")
+
+    def __init__(self, t_steps: int, oracle: bool, epsilon: Optional[float]):
+        # np.empty pages that are never written cost no memory
+        self.perf_before = np.empty(t_steps)
+        self.perf_after = np.empty(t_steps)
+        self.bene_size = np.empty(t_steps, np.int32)
+        self.neut_size = np.empty(t_steps, np.int32)
+        self.j = np.empty(t_steps, np.int32)
+        self.forced = np.empty(t_steps, bool)
+        self.perf_true = np.empty(t_steps) if oracle else None
+        self.epsilon = epsilon
+        self.failed = False
+
+    def __len__(self) -> int:
+        return self.perf_before.shape[0]
+
+    @property
+    def moves(self) -> int:
+        """Rows whose step moved the organism: all but a halted last row."""
+        return len(self) - self.failed
+
+    def record(self, t: int, perf_before: float, perf_after: float, bene_size: int,
+               neut_size: int, j: int, forced: bool, perf_true: Optional[float]) -> None:
+        """Store row ``t``; ``perf_true`` is dropped when there is no oracle."""
+        self.perf_before[t] = perf_before
+        self.perf_after[t] = perf_after
+        self.bene_size[t] = bene_size
+        self.neut_size[t] = neut_size
+        self.j[t] = j
+        self.forced[t] = forced
+        if self.perf_true is not None:
+            self.perf_true[t] = perf_true
+
+    def halt(self, t: int, perf: float) -> None:
+        """Record the failed step ``t`` and cut every column after it."""
+        self.record(t, perf, perf, 0, 0, -1, False, np.nan)
+        self.failed = True
+        for name, column in list(vars(self).items()):
+            if isinstance(column, np.ndarray):
+                setattr(self, name, column[:t + 1])
+
+    def in_target(self, rows: slice = slice(None)) -> np.ndarray:
+        """Whether the oracle perf of each row is at least -epsilon."""
+        return self.perf_true[rows] >= -self.epsilon
+
+    def rows(self, start: int = 0, stop: Optional[int] = None) -> List[dict]:
+        """Rows ``start``..``stop``-1 as written: dicts keyed by FIELDS."""
+        steps = range(len(self))[start:stop]
+        cut = slice(steps.start, steps.stop)
+        j = self.j[cut]
+        perf_true = in_target = [None] * len(steps)
+        if self.perf_true is not None:
+            perf_true = self.perf_true[cut].tolist()
+            if self.epsilon is not None:
+                in_target = self.in_target(cut).tolist()
+        out = [dict(zip(self.FIELDS, values)) for values in zip(
+            steps, self.perf_before[cut].tolist(), self.perf_after[cut].tolist(),
+            self.bene_size[cut].tolist(), self.neut_size[cut].tolist(),
+            (j // 2).tolist(), (1 - 2 * (j % 2)).tolist(),
+            self.forced[cut].tolist(), [False] * len(steps), perf_true, in_target)]
+        if self.failed and steps and steps[-1] == len(self) - 1:
+            out[-1].update(chosen_index=None, chosen_polarity=None, failed=True,
+                           perf_true=None, in_target_set=None)
+        return out
+
+
 @dataclass
 class EvolutionResult:
     organism: Organism
-    trace: List[TraceStep]
+    trace: Trace
     failed: bool
     failure_step: Optional[int]
     forced_steps: int
@@ -195,8 +267,12 @@ class EvolutionResult:
 
 def mutator_step(model: PerformanceModel, organism: Organism, config: EvolutionConfig,
                  step: int, selection_rng: np.random.Generator,
-                 steps_matrix: np.ndarray) -> TraceStep:
-    """One selection round; mutates ``organism`` in place unless it fails."""
+                 steps_matrix: np.ndarray, trace: Trace) -> bool:
+    """One selection round, recorded as row ``step`` of ``trace``.
+
+    Mutates ``organism`` in place and returns False, or returns True when a
+    strict run halts.
+    """
     model.pre_step(step, organism.coords)
     stats = model.draw(step, config.m)
     perf_f, gains = model.score(stats, organism.coords, steps_matrix)
@@ -211,21 +287,13 @@ def mutator_step(model: PerformanceModel, organism: Organism, config: EvolutionC
         j = int(selection_rng.integers(0, gains.shape[0]))
         forced = True
     else:
-        return TraceStep(step=step, perf_before=perf_f, perf_after=perf_f,
-                         bene_size=0, neut_size=0, chosen_index=None,
-                         chosen_polarity=None, forced=False, failed=True)
+        trace.halt(step, perf_f)
+        return True
 
     organism.apply(j // 2, +1 if j % 2 == 0 else -1)
-    rec = TraceStep(step=step, perf_before=perf_f, perf_after=float(perf_f + gains[j]),
-                    bene_size=int(bene.size), neut_size=int(neut.size),
-                    chosen_index=j // 2, chosen_polarity=+1 if j % 2 == 0 else -1,
-                    forced=forced, failed=False)
-    tp = model.true_perf(organism.coords, step + 1)
-    if tp is not None:
-        rec.perf_true = float(tp)
-        if config.epsilon is not None:
-            rec.in_target_set = bool(tp >= -config.epsilon)
-    return rec
+    trace.record(step, perf_f, perf_f + gains[j], bene.size, neut.size, j,
+                 forced, model.true_perf(organism.coords, step + 1))
+    return False
 
 
 def run_evolution(model: PerformanceModel, config: EvolutionConfig) -> EvolutionResult:
@@ -245,10 +313,11 @@ def run_evolution(model: PerformanceModel, config: EvolutionConfig) -> Evolution
     steps_matrix = _signed_steps(mutations, config.alpha)
 
     initial_tp = model.true_perf(organism.coords, 0)
-    trace: List[TraceStep] = []
-    path = [organism.coords.copy()] if config.record_path else None
-    failed, failure_step = False, None
-    forced_steps = bene_steps = neut_steps = 0
+    trace = Trace(config.t_steps, initial_tp is not None, config.epsilon)
+    path = None
+    if config.record_path:
+        path = np.empty((config.t_steps + 1, mutations.dG))
+        path[0] = organism.coords
 
     for t in range(config.t_steps):
         if config.renewal_period and t % config.renewal_period == 0:
@@ -257,24 +326,21 @@ def run_evolution(model: PerformanceModel, config: EvolutionConfig) -> Evolution
                 raise ModelError("renewal callback must return a MutationSet")
             organism.rebase(new_basis)
             steps_matrix = _signed_steps(new_basis, config.alpha)
-        rec = mutator_step(model, organism, config, t, selection_rng, steps_matrix)
-        trace.append(rec)
-        if rec.failed:
-            failed, failure_step = True, t
+        if mutator_step(model, organism, config, t, selection_rng, steps_matrix,
+                        trace):
             break
-        if rec.forced:
-            forced_steps += 1
-        elif rec.bene_size > 0:
-            bene_steps += 1
-        else:
-            neut_steps += 1
         if path is not None:
-            path.append(organism.coords.copy())
+            path[t + 1] = organism.coords
 
     final_tp = model.true_perf(organism.coords, len(trace))
+    # a forced step has no beneficial mutant, and a halted row none
+    forced = int(np.count_nonzero(trace.forced))
+    bene = int(np.count_nonzero(trace.bene_size))
     return EvolutionResult(
-        organism=organism, trace=trace, failed=failed, failure_step=failure_step,
-        forced_steps=forced_steps, bene_steps=bene_steps, neut_steps=neut_steps,
+        organism=organism, trace=trace, failed=trace.failed,
+        failure_step=len(trace) - 1 if trace.failed else None,
+        forced_steps=forced, bene_steps=bene,
+        neut_steps=trace.moves - forced - bene,
         initial_true_perf=None if initial_tp is None else float(initial_tp),
         final_true_perf=None if final_tp is None else float(final_tp),
-        path=None if path is None else np.asarray(path))
+        path=None if path is None else path[:trace.moves + 1])

@@ -402,6 +402,12 @@ def run_seed(model: PerformanceModel, mutations: MutationSet,
     return result, config
 
 
+def _oracle_steps(result: EvolutionResult) -> tuple:
+    """Oracle perf before and after each step that moved, as two columns."""
+    after = result.trace.perf_true[:result.trace.moves]
+    return np.concatenate(([result.initial_true_perf], after))[:-1], after
+
+
 def _schedule_row(schedule: Schedule, config: EvolutionConfig) -> dict:
     return {"alpha": schedule.alpha, "tol": schedule.tol, "m": config.m,
             "t_steps": config.t_steps, "u": schedule.u}
@@ -439,16 +445,9 @@ def _unsupervised_mean(cfg, opts, knobs, trace_to) -> dict:
                              f0=np.zeros(2), record_path=trace is not None,
                              trace_to=trace)
 
-        far_bene = far_ok = 0
-        prev = result.initial_true_perf
-        for rec in result.trace:
-            if rec.failed:
-                break
-            if rec.bene_size > 0 and not rec.forced and prev < -eps:
-                far_bene += 1
-                if rec.perf_true - prev >= margin:
-                    far_ok += 1
-            prev = rec.perf_true
+        before, after = _oracle_steps(result)
+        far = (result.trace.bene_size[:after.size] > 0) & (before < -eps)
+        far_ok = far & (after - before >= margin)
         cov = np.cov(pts.T, bias=True)
         return {
             "seed": seed, "data_tries": tries, "mu": [float(v) for v in mu],
@@ -457,7 +456,7 @@ def _unsupervised_mean(cfg, opts, knobs, trace_to) -> dict:
             "final_true_perf": result.final_true_perf,
             "failed": result.failed, "bene_steps": result.bene_steps,
             "neut_steps": result.neut_steps,
-            "far_bene_steps": far_bene, "far_bene_margin_ok": far_ok,
+            "far_bene_steps": int(far.sum()), "far_bene_margin_ok": int(far_ok.sum()),
             "mu_hat_variance_m5": float(np.trace(cov)) / 5.0,
         }
 
@@ -654,34 +653,24 @@ def _supervised_linear(cfg, opts, knobs, trace_to) -> dict:
             renewal=(int(opts["renewal_period"]), prob.renew),
             record_path=trace is not None, trace_to=trace)
 
-        crossing = None
-        drops = drops_attributed = bene_drops = 0
-        max_bene_drop = 0.0
-        prev = result.initial_true_perf
-        for rec in result.trace:
-            if crossing is None and rec.perf_true >= -eps:
-                crossing = rec.step
-            gap = rec.perf_true - prev
-            if gap < 0:
-                drops += 1
-                if rec.forced or rec.bene_size == 0:
-                    drops_attributed += 1
-                else:
-                    bene_drops += 1
-                    max_bene_drop = max(max_bene_drop, -gap)
-            prev = rec.perf_true
+        before, after = _oracle_steps(result)
+        crossed = (after >= -eps).nonzero()[0]
+        gap = after - before
+        drops = gap < 0
+        bene_drops = drops & (result.trace.bene_size[:after.size] > 0)
         return {
             "seed": seed, "data_tries": tries,
             "success": bool(result.final_true_perf >= -eps),
             "final_relative_perf": result.final_true_perf,
             "baseline_perf": prob.baseline,
             "w_star_norm": float(np.linalg.norm(prob.w_star)),
-            "crossing_step": crossing,
+            "crossing_step": int(crossed[0]) if crossed.size else None,
             "forced_steps": result.forced_steps,
             "bene_steps": result.bene_steps, "neut_steps": result.neut_steps,
-            "drops": drops, "drops_forced_or_neutral": drops_attributed,
-            "drops_on_beneficial": bene_drops,
-            "max_beneficial_drop": max_bene_drop,
+            "drops": int(drops.sum()),
+            "drops_forced_or_neutral": int((drops & ~bene_drops).sum()),
+            "drops_on_beneficial": int(bene_drops.sum()),
+            "max_beneficial_drop": float((-gap[bene_drops]).max(initial=0.0)),
             "schedule": _schedule_row(schedule, config),
         }
 
@@ -731,18 +720,14 @@ _STAB_DEFAULTS = {
 }
 
 
-def _dwell_stats(result: EvolutionResult, dwell: int) -> dict:
-    flags = [rec.in_target_set for rec in result.trace]
-    hit = next((i for i, f in enumerate(flags) if f), None)
-    if hit is None:
+def _dwell_stats(flags: np.ndarray, dwell: int) -> dict:
+    """First in-target row of the ``flags`` column and the in-target run after it."""
+    hit = int(flags.argmax())
+    if not flags[hit]:
         return {"hit_step": None, "dwell": 0, "dwell_ok": False,
                 "window_complete": False}
     window = flags[hit + 1: hit + 1 + dwell]
-    run_len = 0
-    for f in window:
-        if not f:
-            break
-        run_len += 1
+    run_len = len(window) if window.all() else int(window.argmin())
     return {"hit_step": hit, "dwell": run_len,
             "dwell_ok": len(window) >= dwell and run_len == dwell,
             "window_complete": len(window) >= dwell}
@@ -787,7 +772,7 @@ def _stability(cfg, opts, knobs, trace_to) -> dict:
             out = {"seed": seed, "data_tries": tries,
                    "final_true_perf": result.final_true_perf,
                    "alpha": schedule.alpha, "tol": schedule.tol}
-            out.update(_dwell_stats(result, dwell))
+            out.update(_dwell_stats(result.trace.in_target(), dwell))
             return out
 
         rows = [row(pos, seed) for pos, seed in enumerate(cfg.seeds)]

@@ -1,7 +1,8 @@
 """File formats: JSON-lines traces, CSV summaries, JSON configs and reports.
 
 Every writer replaces its file atomically, so an interrupted run leaves
-each output whole or absent.
+each output whole or absent.  The trace writers stream a run's ``Trace``
+into the new file a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -10,16 +11,14 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
+from .engine import Trace
 from .errors import ConfigError, ModelError
-from .model import TraceStep
 
-_CSV_FIELDS = ["step", "perf_before", "perf_after", "bene_size", "neut_size",
-               "chosen_index", "chosen_polarity", "forced", "failed",
-               "perf_true", "in_target_set"]
+_BLOCK_ROWS = 4096
 
 
 @contextmanager
@@ -41,22 +40,20 @@ def _replacing(path: str, mode: str, **kwargs):
         raise
 
 
-def trace_jsonl_bytes(steps: List[TraceStep]) -> bytes:
-    lines = [json.dumps(s.to_dict(), sort_keys=True) for s in steps]
-    return ("\n".join(lines) + ("\n" if lines else "")).encode()
-
-
-def write_trace_jsonl(path: str, steps: List[TraceStep]) -> None:
+def write_trace_jsonl(path: str, trace: Trace) -> None:
     with _replacing(path, "xb") as fh:
-        fh.write(trace_jsonl_bytes(steps))
+        for start in range(0, len(trace), _BLOCK_ROWS):
+            rows = trace.rows(start, start + _BLOCK_ROWS)
+            fh.write("".join(json.dumps(row, sort_keys=True) + "\n"
+                             for row in rows).encode())
 
 
-def write_trace_csv(path: str, steps: List[TraceStep]) -> None:
+def write_trace_csv(path: str, trace: Trace) -> None:
     with _replacing(path, "x", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
+        w = csv.DictWriter(fh, fieldnames=trace.FIELDS)
         w.writeheader()
-        for s in steps:
-            w.writerow(s.to_dict())
+        for start in range(0, len(trace), _BLOCK_ROWS):
+            w.writerows(trace.rows(start, start + _BLOCK_ROWS))
 
 
 def write_path_csv(path: str, coords_path: np.ndarray) -> None:

@@ -596,69 +596,3 @@ def empirical_performance(coords, target_outputs, panel: GenePanel,
     outputs = panel.express(sample.points, coords)
     divs = gen.divergence_rows(outputs, t)
     return float(-(sample.weights @ divs))
-
-
-def true_performance_quadratic(f_coords, t_coords, gamma,
-                               gen: BregmanGenerator) -> tuple:
-    """Distribution-level performance bounds for a known in-span target.
-
-    For quadratic generators ``gamma`` must be the generator-metric second
-    moment E[G_x^T M G_x] and the value -<delta, gamma delta> is exact (both
-    bounds coincide).  For custom generators ``gamma`` is the plain panel
-    second moment and the declared Hessian bounds sandwich the result.
-    Returns (lower, upper).
-    """
-    f = _as_vector(f_coords, "f coordinates")
-    t = _as_vector(t_coords, "t coordinates")
-    g = _as_matrix(gamma, "gamma")
-    if f.shape != t.shape or g.shape != (f.shape[0], f.shape[0]):
-        raise ModelError("true_performance_quadratic shape mismatch")
-    if not np.allclose(g, g.T, atol=1e-10):
-        raise ModelError("gamma must be symmetric")
-    eig = np.linalg.eigvalsh(0.5 * (g + g.T))
-    if eig[0] <= 0:
-        raise ModelError("gamma must be positive definite")
-    delta = f - t
-    if gen.is_quadratic:
-        val = float(-(delta @ g @ delta))
-        return (val, val)
-    nsq = float(delta @ delta)
-    lower = -0.5 * gen.h_max * eig[-1] * nsq
-    upper = -0.5 * gen.h_min * eig[0] * nsq
-    return (lower, upper)
-
-
-# ---------------------------------------------------------------------------
-# trace records
-
-
-@dataclass
-class TraceStep:
-    """One evolution step, as recorded in run traces."""
-
-    step: int
-    perf_before: float
-    perf_after: float
-    bene_size: int
-    neut_size: int
-    chosen_index: Optional[int]
-    chosen_polarity: Optional[int]
-    forced: bool
-    failed: bool
-    perf_true: Optional[float] = None
-    in_target_set: Optional[bool] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "perf_before": self.perf_before,
-            "perf_after": self.perf_after,
-            "bene_size": self.bene_size,
-            "neut_size": self.neut_size,
-            "chosen_index": self.chosen_index,
-            "chosen_polarity": self.chosen_polarity,
-            "forced": self.forced,
-            "failed": self.failed,
-            "perf_true": self.perf_true,
-            "in_target_set": self.in_target_set,
-        }

@@ -1,6 +1,9 @@
 """End-to-end command-line tests driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -254,6 +257,23 @@ class TestEvolve:
         assert code == 2
         assert "knobs must be three finite numbers" in err
 
+    @pytest.mark.parametrize("section, key, value, shown", [
+        ("schedule", "epsilon", "abc", "'abc'"),
+        ("run", "m_override", "x", "'x'"),
+        ("run", "f0", [[0], [0, 1]], "[[0], [0, 1]]"),
+        ("mutations", "vectors", [[1, 0], ["a", 1]], "'a'"),
+    ])
+    def test_malformed_values_name_their_key(self, tmp_path, capsys, mean_csv,
+                                             section, key, value, shown):
+        cfg = mean_config(mean_csv)
+        if section == "mutations":
+            cfg["mutations"] = {"source": "explicit"}
+        cfg.setdefault(section, {})[key] = value
+        code, err = cli_error(capsys, "evolve", "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert f"{section}.{key}" in err and shown in err
+
     def test_labels_generator_scales_the_oracle(self, tmp_path, capsys,
                                                 labels_csv):
         # the empirical scores use M = 4, so the oracle's must too: same
@@ -291,6 +311,47 @@ class TestEvolve:
         assert run_cli(capsys, "diagnose", "everything",
                        "--config", "x.json")[0] == 64
         assert run_cli(capsys)[0] == 64                    # no subcommand
+
+
+# peak RSS bound (KB) for a 50,000-step run with --out and record_path.
+# Measured on x86-64 Linux, Python 3.11, numpy 2.4: about 50 MB with the
+# trace in numpy columns, 99 MB with one Python record object and one path
+# array per step; a 1,000-step run peaks at about 41 MB either way.
+EVOLVE_RSS_BOUND_KB = 75_000
+
+
+def test_long_evolve_run_memory_is_bounded(tmp_path):
+    rng = rng_for(("cli-rss", 0))
+    pts = rng.normal([0.45, 0.25], 0.18, (200, 2))
+    pts /= max(1.0, float(np.linalg.norm(pts, axis=1).max()))
+    data = tmp_path / "mean.csv"
+    np.savetxt(data, pts, delimiter=",", header="x1,x2", comments="")
+    cfg = write_cfg(tmp_path, {
+        "model": {"dataset": str(data), "target": "mean"},
+        "schedule": {"epsilon": 0.1},
+        "run": {"m_override": 20, "t_override": 50000,
+                "failure_policy": "forced_uniform", "record_path": True}})
+    code = ("import resource, sys\n"
+            "from evospace.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(rc)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    # Linux charges a process's ru_maxrss with the peak of the process it
+    # was started from, so the run starts from a small launcher, not pytest
+    launcher = ("import subprocess, sys\n"
+                "sys.exit(subprocess.run(sys.argv[1:]).returncode)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-c", code, "evolve",
+         "--config", cfg, "--out", str(tmp_path / "out")],
+        env=env, text=True, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    summary, rss_kb = proc.stdout.strip().splitlines()
+    assert json.loads(summary)["steps"] == 50000
+    assert (tmp_path / "out" / "trace.jsonl").stat().st_size > 0
+    assert int(rss_kb) < EVOLVE_RSS_BOUND_KB, f"peak RSS {int(rss_kb)} KB"
 
 
 class TestDiagnose:

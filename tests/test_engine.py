@@ -7,8 +7,7 @@ from scipy import stats as sps
 
 from evospace import (BregmanGenerator, ConditionSampler, EvolutionConfig,
                       IdentityPanel, MutationSet, QuadraticPerfModel,
-                      classify_mutants, quadratic_stats_for, rng_for,
-                      run_evolution)
+                      quadratic_stats_for, rng_for, run_evolution)
 from evospace.engine import PerformanceModel, _classify, _signed_steps
 from evospace.errors import ConfigError
 from evospace.model import Sample, empirical_performance
@@ -93,14 +92,12 @@ class TestClassify:
         base = 1.0
         # gains: +tol (bene, inclusive), -tol (neither), inside, above, below
         perfs = [1.5, 0.5, 1.2, 3.0, 0.0]
-        bene, neut = classify_mutants(base, perfs, tol)
+        bene, neut = _classify(np.asarray(perfs) - base, tol)
         assert list(bene) == [0, 3]
         assert list(neut) == [2]
         # index 1 (gain exactly -tol) and 4 (gain -1.0) are in neither class
         assert 1 not in set(bene) | set(neut)
         assert 4 not in set(bene) | set(neut)
-        b2, n2 = _classify(np.asarray(perfs) - base, tol)
-        assert np.array_equal(bene, b2) and np.array_equal(neut, n2)
 
     @settings(max_examples=300, deadline=None)
     @given(gains=st.lists(st.floats(-10.0, 10.0), max_size=20),
@@ -119,7 +116,8 @@ class TestClassify:
 
     def test_tol_validation(self):
         with pytest.raises(ConfigError):
-            classify_mutants(0.0, [0.1], 0.0)
+            EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
+                            tol=0.0, m=1, t_steps=1)
 
     def test_scored_gains_classify_like_direct_divergences(self):
         gen = BregmanGenerator.squared_euclidean()
@@ -138,7 +136,7 @@ class TestClassify:
         direct = [perf(c + s) for s in steps]
         assert perf_f == pytest.approx(perf(c), rel=1e-12)
         assert gains == pytest.approx(np.asarray(direct) - perf(c), abs=1e-12)
-        bene, neut = classify_mutants(perf(c), direct, 0.01)
+        bene, neut = _classify(np.asarray(direct) - perf(c), 0.01)
         b2, n2 = _classify(gains, 0.01)
         assert np.array_equal(bene, b2) and np.array_equal(neut, n2)
 
@@ -192,8 +190,7 @@ class TestScore:
                               renewal_period=4, renewal_fn=renew)
         cached = run_evolution(QuadraticPerfModel(sampler, stats_fn), cfg)
         fresh = run_evolution(UncachedQuadratic(sampler, stats_fn), cfg)
-        assert [r.to_dict() for r in cached.trace] == \
-            [r.to_dict() for r in fresh.trace]
+        assert cached.trace.rows() == fresh.trace.rows()
         assert np.array_equal(cached.organism.coords, fresh.organism.coords)
 
     def test_default_score_serves_a_custom_model(self):
@@ -219,8 +216,9 @@ class TestSelection:
                               alpha=0.1, tol=0.05, m=1, t_steps=steps, seed=3)
         res = run_evolution(LinearModel(), cfg)
         assert res.bene_steps == steps
-        counts = np.bincount([r.chosen_index for r in res.trace], minlength=dim)
-        assert all(r.chosen_polarity == 1 for r in res.trace)
+        rows = res.trace.rows()
+        counts = np.bincount([r["chosen_index"] for r in rows], minlength=dim)
+        assert all(r["chosen_polarity"] == 1 for r in rows)
         assert sps.chisquare(counts).pvalue > 1e-3
 
     def test_neutral_fallback(self):
@@ -238,11 +236,14 @@ class TestFailurePolicies:
         # from the origin of perf = -|c|^2 every mutant loses alpha^2 >= tol
         model = constant_stats_model(2)
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2),
-                              alpha=0.5, tol=0.1, m=1, t_steps=100, seed=5)
+                              alpha=0.5, tol=0.1, m=1, t_steps=100, seed=5,
+                              record_path=True)
         res = run_evolution(model, cfg)
         assert res.failed and res.failure_step == 0
-        assert len(res.trace) == 1 and res.trace[0].failed
-        assert res.trace[0].bene_size == 0 and res.trace[0].neut_size == 0
+        [row] = res.trace.rows()
+        assert row["failed"] and row["chosen_index"] is None
+        assert row["bene_size"] == 0 and row["neut_size"] == 0
+        assert res.trace.moves == 0 and len(res.path) == 1
         assert np.allclose(res.organism.coords, 0.0)
 
     def test_forced_uniform_continues(self):
@@ -254,7 +255,7 @@ class TestFailurePolicies:
         assert not res.failed
         assert len(res.trace) == 100
         assert res.forced_steps >= 1
-        assert any(r.forced for r in res.trace)
+        assert any(r["forced"] for r in res.trace.rows())
         assert res.forced_steps + res.bene_steps + res.neut_steps == 100
 
     def test_policy_validation(self):
@@ -349,7 +350,7 @@ class TestRunDeterminism:
     def test_repeat_identical(self):
         a, b = self._run(11), self._run(11)
         assert np.array_equal(a.path, b.path)
-        assert [r.to_dict() for r in a.trace] == [r.to_dict() for r in b.trace]
+        assert a.trace.rows() == b.trace.rows()
         assert a.final_true_perf == b.final_true_perf
 
     def test_seed_changes_run(self):
@@ -360,9 +361,9 @@ class TestRunDeterminism:
         res = self._run(11)
         assert res.initial_true_perf is not None
         assert len(res.path) == len(res.trace) + 1
-        for r in res.trace:
-            assert r.perf_true is not None
-            assert r.in_target_set is not None
+        for r in res.trace.rows():
+            assert r["perf_true"] is not None
+            assert r["in_target_set"] is not None
         # improvement recorded by the oracle over the run
         assert res.final_true_perf > res.initial_true_perf
 

@@ -2,7 +2,6 @@
 
 import json
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -278,7 +277,7 @@ class TestMeanEstimationModel:
         first = run_evolution(model, config)
         t_first = model.t_cur.copy()
         second = run_evolution(model, config)
-        assert second.trace == first.trace
+        assert second.trace.rows() == first.trace.rows()
         assert second.initial_true_perf == first.initial_true_perf
         assert second.final_true_perf == first.final_true_perf
         assert np.array_equal(second.organism.coords, first.organism.coords)
@@ -310,8 +309,7 @@ class TestMeanEstimationModel:
 
 class TestDwellStats:
     def result(self, flags):
-        trace = [SimpleNamespace(in_target_set=f) for f in flags]
-        return SimpleNamespace(trace=trace)
+        return np.array(flags, dtype=bool)
 
     def test_never_hits(self):
         stats = _dwell_stats(self.result([False, False, False]), 2)
@@ -348,6 +346,27 @@ class TestDwellStats:
         stats = _dwell_stats(self.result([True, True, True]), 2)
         assert stats == {"hit_step": 0, "dwell": 2, "dwell_ok": True,
                          "window_complete": True}
+
+    @settings(max_examples=300, deadline=None)
+    @given(flags=st.lists(st.booleans(), min_size=1, max_size=40),
+           dwell=st.integers(1, 10))
+    def test_matches_the_per_row_loop(self, flags, dwell):
+        # the per-row loop the column version replaced, kept as the reference
+        hit = next((i for i, f in enumerate(flags) if f), None)
+        if hit is None:
+            expected = {"hit_step": None, "dwell": 0, "dwell_ok": False,
+                        "window_complete": False}
+        else:
+            window = flags[hit + 1: hit + 1 + dwell]
+            run_len = 0
+            for f in window:
+                if not f:
+                    break
+                run_len += 1
+            expected = {"hit_step": hit, "dwell": run_len,
+                        "dwell_ok": len(window) >= dwell and run_len == dwell,
+                        "window_complete": len(window) >= dwell}
+        assert _dwell_stats(self.result(flags), dwell) == expected
 
 
 SMALL_UNSUP = {"m_override": 40, "t_override": 250}
@@ -389,6 +408,29 @@ class TestUnsupervisedScenario:
             assert not (out / f"trace-{dropped}.jsonl").exists()
             on_disk = json.loads((out / "report.json").read_text())
             assert dumps(on_disk) == dumps(json.loads(dumps(report)))
+
+
+    def test_far_beneficial_counts_match_the_trace_rows(self, tmp_path):
+        # the per-row loop the column version replaced, run over the written
+        # trace, kept as the reference
+        report = run_unsupervised_mean(ScenarioConfig(
+            "unsupervised_mean", seeds=[0, 1], overrides=dict(SMALL_UNSUP),
+            out_dir=str(tmp_path)))
+        for row in report["per_seed"]:
+            far_bene = far_ok = 0
+            prev = row["initial_true_perf"]
+            with open(tmp_path / f"trace-{row['seed']}.jsonl") as fh:
+                for rec in map(json.loads, fh):
+                    if rec["failed"]:
+                        break
+                    if rec["bene_size"] > 0 and not rec["forced"] and prev < -0.1:
+                        far_bene += 1
+                        if rec["perf_true"] - prev >= report["margin"]:
+                            far_ok += 1
+                    prev = rec["perf_true"]
+            assert far_bene > 0
+            assert (row["far_bene_steps"], row["far_bene_margin_ok"]) == \
+                (far_bene, far_ok)
 
 
 class TestDriftScenario:

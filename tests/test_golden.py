@@ -14,8 +14,12 @@ import json
 import numpy as np
 import pytest
 
+from evospace import (BregmanGenerator, ConditionSampler, EvolutionConfig,
+                      IdentityPanel, MutationSet, QuadraticPerfModel,
+                      quadratic_stats_for, run_evolution)
 from evospace.cli import main
 from evospace.experiments import ScenarioConfig, run_scenario
+from evospace.io import write_trace_csv, write_trace_jsonl
 from evospace.model import rng_for
 
 CASES = {
@@ -189,3 +193,53 @@ def test_evolve_output_files(name, tmp_path, capsys):
                  *argv]) == 0
     capsys.readouterr()
     assert file_digests(out) == expected
+
+
+# trace files whose rows carry nulls: a strict run that halts at step 33 (its
+# last row has null chosen_*/perf_true/in_target_set and failed true), a
+# model with no oracle (null perf_true and in_target_set on every row), and
+# a run with epsilon=None (null in_target_set on every row)
+NULL_FIELD_CASES = {
+    "halted": (
+        {"oracle": True, "alpha": 0.1, "tol": 0.005, "seed": 2,
+         "epsilon": 0.02, "failure_policy": "strict"},
+        {"trace.jsonl": "c726e0a0ab4133653352542e0ec0130e4eff2ddc680565766e8f87848a1f9154",
+         "trace.csv": "feb44163091da748e417ded66de1a6b9dd06c2a2bc8ff5ab338c09eaf869a821"}),
+    "no_oracle": (
+        {"oracle": False, "alpha": 0.15, "tol": 0.01, "seed": 1,
+         "epsilon": 0.02, "failure_policy": "forced_uniform"},
+        {"trace.jsonl": "999d8bbb18abe2030f58a4811de2911096c1e41d87d70a66f92c2bcee1fc8d84",
+         "trace.csv": "33a84153e9f30271bb686aaac554362be3a39cb518163db97984942ea3d7636a"}),
+    "no_epsilon": (
+        {"oracle": True, "alpha": 0.15, "tol": 0.01, "seed": 3,
+         "epsilon": None, "failure_policy": "forced_uniform"},
+        {"trace.jsonl": "fd03c21b80b6a81e2ed030aa44cdc4d8d2ec9ff1b3c629e2f3c23683685f1586",
+         "trace.csv": "b861388272f329234f6cdf8440767d4f9dae33b10d3ac07023950e435b43c3bc"}),
+}
+
+
+def null_field_run(oracle, alpha, tol, seed, epsilon, failure_policy):
+    data = rng_for(("golden-null", 0)).normal(0.0, 0.3, (40, 2))
+    data += np.array([0.3, -0.2])
+    mu = data.mean(axis=0)
+    stats_fn = quadratic_stats_for(IdentityPanel(2),
+                                   BregmanGenerator.squared_euclidean(),
+                                   lambda pts: pts)
+    model = QuadraticPerfModel(ConditionSampler.empirical(data, seed=seed),
+                               stats_fn,
+                               true_stats=(np.eye(2), mu, float(mu @ mu))
+                               if oracle else None)
+    return run_evolution(model, EvolutionConfig(
+        mutations=MutationSet.orthonormal(2), alpha=alpha, tol=tol, m=20,
+        t_steps=40, seed=seed, epsilon=epsilon, failure_policy=failure_policy,
+        f0=np.array([-0.2, 0.3])))
+
+
+@pytest.mark.parametrize("name", sorted(NULL_FIELD_CASES))
+def test_null_field_trace_files(name, tmp_path):
+    params, expected = NULL_FIELD_CASES[name]
+    result = null_field_run(**params)
+    assert result.failed == (name == "halted")
+    write_trace_jsonl(str(tmp_path / "trace.jsonl"), result.trace)
+    write_trace_csv(str(tmp_path / "trace.csv"), result.trace)
+    assert file_digests(tmp_path) == expected

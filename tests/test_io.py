@@ -7,23 +7,20 @@ import os
 import numpy as np
 import pytest
 
+from evospace import io
+from evospace.engine import Trace
 from evospace.errors import ConfigError, ModelError
 from evospace.io import (dump_config, load_config, load_dataset_csv,
-                         trace_jsonl_bytes, write_json_report, write_path_csv,
-                         write_trace_csv, write_trace_jsonl)
-from evospace.model import TraceStep
+                         write_json_report, write_path_csv, write_trace_csv,
+                         write_trace_jsonl)
 
 
 def steps_fixture():
-    return [
-        TraceStep(step=0, perf_before=-1.0, perf_after=-0.9, bene_size=2,
-                  neut_size=1, chosen_index=0, chosen_polarity=1,
-                  forced=False, failed=False, perf_true=-0.95,
-                  in_target_set=False),
-        TraceStep(step=1, perf_before=-0.9, perf_after=-0.9, bene_size=0,
-                  neut_size=0, chosen_index=None, chosen_polarity=None,
-                  forced=False, failed=True),
-    ]
+    """A step that took the first +1 mutant, then a halted step."""
+    trace = Trace(5, oracle=True, epsilon=0.1)
+    trace.record(0, -1.0, -0.9, 2, 1, 0, False, -0.95)
+    trace.halt(1, -0.9)
+    return trace
 
 
 class TestTraceFiles:
@@ -40,10 +37,17 @@ class TestTraceFiles:
         assert rec1["failed"] is True
         assert rec1["chosen_index"] is None
 
-    def test_jsonl_bytes_deterministic(self):
+    def test_jsonl_bytes_deterministic(self, tmp_path):
         steps = steps_fixture()
-        assert trace_jsonl_bytes(steps) == trace_jsonl_bytes(steps)
-        assert trace_jsonl_bytes([]) == b""
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_trace_jsonl(str(first), steps)
+        write_trace_jsonl(str(second), steps)
+        assert first.read_bytes() == second.read_bytes()
+        rec0 = json.loads(first.read_text().splitlines()[0])
+        assert rec0["in_target_set"] is False and rec0["chosen_polarity"] == 1
+        empty = tmp_path / "empty.jsonl"
+        write_trace_jsonl(str(empty), Trace(0, oracle=False, epsilon=None))
+        assert empty.read_bytes() == b""
 
     def test_csv_columns(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -77,18 +81,28 @@ class TestAtomicWrites:
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["report.json"]
 
-    def test_failed_csv_write_mid_stream(self, tmp_path):
+    def test_failed_csv_write_mid_stream(self, tmp_path, monkeypatch):
         path = tmp_path / "trace.csv"
         write_trace_csv(str(path), steps_fixture())
         old = path.read_bytes()
-        with pytest.raises(AttributeError):
-            write_trace_csv(str(path), steps_fixture() + [None])
+        # one-row blocks, and the second block cannot be built
+        trace, rows = steps_fixture(), Trace.rows
+
+        def rows_or_fail(self, start, stop):
+            if start:
+                raise RuntimeError("row source lost")
+            return rows(self, start, stop)
+
+        monkeypatch.setattr(io, "_BLOCK_ROWS", 1)
+        monkeypatch.setattr(Trace, "rows", rows_or_fail)
+        with pytest.raises(RuntimeError):
+            write_trace_csv(str(path), trace)
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["trace.csv"]
 
     def test_failed_first_write_leaves_nothing(self, tmp_path):
-        with pytest.raises(AttributeError):
-            write_trace_jsonl(str(tmp_path / "trace.jsonl"), [None])
+        with pytest.raises(TypeError):
+            write_trace_jsonl(str(tmp_path / "trace.jsonl"), None)
         assert os.listdir(tmp_path) == []
 
     def test_rewrite_replaces_with_plain_file_mode(self, tmp_path):

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from evospace import (BregmanGenerator, ConditionSampler, DataColumnPanel,
                       IdentityPanel, MutationSet, Organism, Sample,
-                      empirical_performance, rng_for,
-                      true_performance_quadratic)
+                      empirical_performance, rng_for)
 from evospace.errors import ConfigError, ModelError
 
 
@@ -362,17 +361,3 @@ class TestPerformance:
         targets = np.tile(coords, (6, 1))
         assert empirical_performance(coords, targets, panel, sample, gen) == \
             pytest.approx(0.0, abs=1e-15)
-
-    def test_true_performance_quadratic_sql(self):
-        gen = BregmanGenerator.squared_euclidean()
-        f = np.array([1.0, 2.0])
-        t = np.array([0.0, 0.5])
-        lo, hi = true_performance_quadratic(f, t, np.eye(2), gen)
-        assert lo == pytest.approx(-3.25)
-        assert hi == pytest.approx(-3.25)
-
-    def test_true_performance_bounds_order(self):
-        gen = quartic_gen()
-        f, t = np.array([0.8, -0.3]), np.array([0.1, 0.4])
-        lo, hi = true_performance_quadratic(f, t, np.eye(2), gen)
-        assert lo <= hi <= 0.0
