@@ -62,6 +62,28 @@ def _read(section: dict, key: str, convert=float, default=None):
         raise ConfigError(f"{key} must be numeric, got {value!r}") from None
 
 
+# the keys each `evolve` config section may hold
+_SECTION_KEYS = {
+    "model": ("dataset", "target", "generator", "dim"),
+    "mutations": ("source", "vectors", "det_min", "norm_min"),
+    "schedule": ("epsilon", "knobs", "c_t", "c_m", "m_cap", "d_hint"),
+    "run": ("seed", "f0", "m_override", "t_override", "failure_policy",
+            "renewal_period", "record_path"),
+}
+
+
+def _check_sections(cfg: dict) -> None:
+    """ConfigError for a section that is not an object or holds an unknown key."""
+    for name, allowed in _SECTION_KEYS.items():
+        section = cfg.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section '{name}' must be an object")
+        unknown = sorted(set(section) - set(allowed))
+        if unknown:
+            raise ConfigError(f"unknown config key {name}.{unknown[0]}; "
+                              f"'{name}' allows {', '.join(allowed)}")
+
+
 def _generator_from(spec) -> BregmanGenerator:
     if spec is None or spec == "squared_euclidean":
         return BregmanGenerator.squared_euclidean()
@@ -77,6 +99,7 @@ class _RunSetup:
         model_cfg = cfg.get("model")
         if not isinstance(model_cfg, dict):
             raise ConfigError("config needs a 'model' section")
+        _check_sections(cfg)
         dataset = model_cfg.get("dataset")
         if not dataset:
             raise ConfigError("model.dataset (a CSV path) is required")
@@ -283,13 +306,14 @@ def _cmd_frontier(args) -> int:
         raise ConfigError("frontier needs --config or --scan")
     cfg = load_config(args.config)
     for key in ("gamma", "delta", "n", "alpha", "premium"):
-        if key not in cfg:
+        if cfg.get(key) is None:
             raise ConfigError(f"frontier config needs '{key}'")
-    problem = FrontierProblem(np.asarray(cfg["gamma"], float),
-                              np.asarray(cfg["delta"], float),
-                              n=float(cfg["n"]), alpha=float(cfg["alpha"]))
-    hi, lo = efficient_frontier(problem, float(cfg["premium"]))
-    out = {"r_high": hi.r, "r_low": lo.r, "premium": float(cfg["premium"]),
+    problem = FrontierProblem(_read(cfg, "gamma", _floats),
+                              _read(cfg, "delta", _floats),
+                              n=_read(cfg, "n"), alpha=_read(cfg, "alpha"))
+    premium = _read(cfg, "premium")
+    hi, lo = efficient_frontier(problem, premium)
+    out = {"r_high": hi.r, "r_low": lo.r, "premium": premium,
            "min_premium": problem.min_premium,
            "degenerate": problem.is_degenerate}
     for tag, point in (("high", hi), ("low", lo)):

@@ -278,8 +278,10 @@ class MeanEstimationModel(QuadraticPerfModel):
         self.drift_steps += 1
 
     def draw(self, step: int, m: int):
-        sample = self.sampler.draw(step, m)
-        center = sample.mean_point() + (self.t_cur - self.mu0)
+        mean = self.sampler._block_mean(step, m)
+        if mean is None:
+            mean = self.sampler.draw(step, m).mean_point()
+        center = mean + (self.t_cur - self.mu0)
         return (self._eye, center, float(center @ center))
 
     def true_perf(self, coords, step: int) -> float:

@@ -1,8 +1,8 @@
 """File formats: JSON-lines traces, CSV summaries, JSON configs and reports.
 
 Every writer replaces its file atomically, so an interrupted run leaves
-each output whole or absent.  The trace writers stream a run's ``Trace``
-into the new file a block of rows at a time.
+each output whole or absent.  The trace and path writers stream a run's
+``Trace`` or path into the new file a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ def write_path_csv(path: str, coords_path: np.ndarray) -> None:
     with _replacing(path, "x", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step"] + [f"c{i}" for i in range(arr.shape[1])])
-        for i, row in enumerate(arr):
-            w.writerow([i] + [repr(float(v)) for v in row])
+        for start in range(0, arr.shape[0], _BLOCK_ROWS):
+            block = arr[start:start + _BLOCK_ROWS].tolist()
+            w.writerows([i, *map(repr, row)] for i, row in enumerate(block, start))
 
 
 def write_json_report(path: str, report: dict) -> None:

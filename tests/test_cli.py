@@ -274,6 +274,19 @@ class TestEvolve:
         assert code == 2
         assert f"{section}.{key}" in err and shown in err
 
+    @pytest.mark.parametrize("section, key", [
+        ("model", "targte"), ("mutations", "sorce"), ("schedule", "epsilom"),
+        ("run", "t_overide")])
+    def test_unknown_keys_are_named(self, tmp_path, capsys, mean_csv,
+                                    section, key):
+        cfg = mean_config(mean_csv)
+        cfg.setdefault(section, {})[key] = 50
+        code, err = cli_error(capsys, "evolve", "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert f"unknown config key {section}.{key}" in err
+        assert "allows" in err and "Traceback" not in err
+
     def test_labels_generator_scales_the_oracle(self, tmp_path, capsys,
                                                 labels_csv):
         # the empirical scores use M = 4, so the oracle's must too: same
@@ -416,6 +429,18 @@ class TestFrontier:
     def test_config_missing_key_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"gamma": [[1.0]], "delta": [1.0]})
         assert run_cli(capsys, "frontier", "--config", cfg)[0] == 2
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("n", "x", "'x'"), ("gamma", "abc", "'abc'")])
+    def test_malformed_values_name_their_key(self, tmp_path, capsys, key,
+                                             value, shown):
+        cfg = {"gamma": [[1.0, 0.0], [0.0, 1.0]], "delta": [1.0, -1.0],
+               "n": 1.0, "alpha": 1.0, "premium": 1.0}
+        cfg[key] = value
+        code, err = cli_error(capsys, "frontier", "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert f"{key} must be numeric" in err and shown in err
 
     def test_needs_config_or_scan(self, capsys):
         assert run_cli(capsys, "frontier")[0] == 2

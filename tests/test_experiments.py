@@ -307,6 +307,54 @@ class TestMeanEstimationModel:
         assert np.allclose(center2, center + offset, atol=1e-14)
 
 
+class PerStepSampler(ConditionSampler):
+    """Reference sampler: each step's rows from its own rng_for(seed, step)."""
+
+    def _index_block(self, index, m):
+        return None
+
+    def _stream(self, index):
+        return rng_for(self.seed, index)
+
+
+class TestMeanBlocks:
+    """Block means against a model whose every step draws through rng_for."""
+
+    def models(self, rows=30, dim=2, seed=6):
+        data = rng_for(("block-means", rows)).standard_normal((rows, dim))
+        mu0 = data.mean(axis=0)
+        return (MeanEstimationModel(ConditionSampler.empirical(data, seed=seed), mu0),
+                MeanEstimationModel(PerStepSampler.empirical(data, seed=seed), mu0))
+
+    @staticmethod
+    def run(model, m, t_steps):
+        return run_evolution(model, EvolutionConfig(
+            mutations=MutationSet.orthonormal(model.mu0.shape[0]), alpha=0.05,
+            tol=0.01, m=m, t_steps=t_steps, seed=3,
+            failure_policy="forced_uniform", epsilon=0.1))
+
+    def test_runs_across_block_edges_match_per_step_draws(self):
+        # m = 40: blocks of 1,638 steps, so the run crosses two block edges
+        model, reference = self.models()
+        want = self.run(reference, 40, 3400).trace.rows()
+        assert self.run(model, 40, 3400).trace.rows() == want
+
+    def test_reused_model_and_another_m_on_the_same_sampler(self):
+        model, reference = self.models()
+        for m in (40, 40, 7, 40):
+            want = self.run(reference, m, 1700).trace.rows()
+            assert self.run(model, m, 1700).trace.rows() == want
+
+    def test_large_samples_are_drawn_per_step(self):
+        # m = 256 is served from a block of 256 steps; m = 257 and 40,000
+        # (<= 4n) draw per step
+        model, reference = self.models(rows=10_000, dim=3)
+        for step, m in ((0, 256), (1, 257), (2, 40_000), (255, 256), (1, 40_000)):
+            assert (model.sampler._index_block(step, m) is None) == (m > 256)
+            assert np.array_equal(model.draw(step, m)[1],
+                                  reference.draw(step, m)[1])
+
+
 class TestDwellStats:
     def result(self, flags):
         return np.array(flags, dtype=bool)

@@ -99,7 +99,9 @@ CASE_FILES = {
 }
 
 # `evolve --out` outputs: one mean run with orthonormal mutations and CSV
-# traces, one labels run with data-pair mutations, renewal and a forced step
+# traces, one labels run with data-pair mutations, renewal and a forced step,
+# and one mean run whose m = 150 <= 4n takes its rows from blocks of 436
+# steps, so its 1,000 steps cross two block edges
 EVOLVE_CASES = {
     "mean": (
         {"model": {"target": "mean"},
@@ -112,6 +114,18 @@ EVOLVE_CASES = {
             "path.csv": "ff4c123b03188110c4e9581c769e7fff57db9d04590563ee48e7b07da447bd90",
             "schedule.json": "afe19f4cf6199b92f728541cf6e834b58ccf3c94cff9667ebb77ad8ac0e07085",
             "trace.csv": "465271fa117904a71285bd04ae92c8a16198cb02ef3a7bbbfed830d41f29a200",
+        }),
+    "mean_blocks": (
+        {"model": {"target": "mean"},
+         "schedule": {"epsilon": 0.1},
+         "run": {"seed": 12, "m_override": 150, "t_override": 1000,
+                 "failure_policy": "forced_uniform", "record_path": True}},
+        [],
+        {
+            "organism.json": "1f570076153ba1b0c3850eb3a6207ecd551daed187f09e3e5784874abe70fd78",
+            "path.csv": "48d1e35ca1f9612b7b52a0538a7c66d29f67358e467155baac0de639b82e8505",
+            "schedule.json": "22f5e1f96b59ab2f4ac1e1588335262e4213b9eb541dfac2ef153b9df358ae0a",
+            "trace.jsonl": "b198fe8583a9ada302cfaa27997f8c96291e862455e747c8b56748595566efa1",
         }),
     "labels": (
         {"model": {"target": "labels"},

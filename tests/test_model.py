@@ -221,6 +221,9 @@ class TestSampler:
 class RngForSampler(ConditionSampler):
     """The reference sampler: every draw on its own rng_for(seed, index)."""
 
+    def _index_block(self, index, m):
+        return None
+
     def _stream(self, index):
         return rng_for(self.seed, index)
 
@@ -253,11 +256,102 @@ class TestSamplerStreams:
         # out of order and repeated indices on one sampler
         for index in indices + indices[::-1]:
             for sampler, reference in pairs:
-                for m in (3, 40):   # rows (m <= 4n) and multinomial counts
+                # rows from 4,096- and 2,340-step blocks (m <= 4n), and
+                # multinomial counts
+                for m in (3, 28, 40):
                     got, want = sampler.draw(index, m), reference.draw(index, m)
                     assert np.array_equal(got.points, want.points)
                     assert np.array_equal(got.weights, want.weights)
                     assert got.size == want.size == m
+
+
+def index_sampler(seed, n):
+    """An empirical sampler of n rows that stores one: ``_index_rows`` reads only n."""
+    sampler = ConditionSampler.empirical(np.zeros((1, 1)), seed=seed)
+    sampler.data = np.broadcast_to(sampler.data, (n, 1))
+    return sampler
+
+
+def reference_rows(seed, n, first, count, m):
+    return [rng_for(seed, first + k).integers(0, n, size=m) for k in range(count)]
+
+
+# n = 1 draws nothing; n = 2**31 + 1 rejects about half of all 32-bit
+# halves, so every step is drawn again through rng_for; 641 and 6700417
+# divide 2**32 + 1, so their rejection threshold (2**32 - n) % n is n - 1,
+# the largest it can be (at n = 6700417 and m = 256 about one step in three
+# rejects a half)
+_ROW_COUNTS = st.one_of(st.just(1), st.integers(2, 1000),
+                        st.sampled_from([641, 6700417, 2**31 + 1]))
+
+
+@st.composite
+def _blocks(draw):
+    """(first, count): a run of steps, often across a 4,096-step seed block edge."""
+    count = draw(st.integers(1, 6))
+    edge = draw(st.sampled_from([4096, 8192, 3 * 4096, 2**32]))
+    first = draw(st.one_of(st.integers(edge - count, edge - 1),
+                           st.integers(0, 2**32 - count)))
+    return first, min(count, 2**32 - first)
+
+
+class TestIndexRows:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_SEEDS, n=_ROW_COUNTS, block=_blocks(), m=st.integers(1, 256))
+    def test_rows_equal_fresh_rng_for_draws(self, seed, n, block, m):
+        first, count = block
+        rows = index_sampler(seed, n)._index_rows(first, count, m)
+        assert rows.shape == (count, m) and rows.dtype == np.int64
+        for got, want in zip(rows, reference_rows(seed, n, first, count, m)):
+            assert np.array_equal(got, want)
+
+    def test_steps_that_reject_a_half_are_redrawn(self):
+        # at n = 6700417 and m = 256 about a third of the steps reject a half
+        rows = index_sampler(11, 6700417)._index_rows(100, 30, 256)
+        want = reference_rows(11, 6700417, 100, 30, 256)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, want))
+
+    def test_half_one_below_the_threshold_is_rejected(self):
+        # choose n so that a step's first half h has low word
+        # (h * n) % 2**32 == (2**32 - n) % n - 1, i.e. n * (h + 1) == -1
+        # mod 2**32 with n > 2**31: a threshold one too low accepts h
+        for index in range(100):
+            h = int(rng_for(4, index).bit_generator.random_raw()) & 0xFFFFFFFF
+            n = -pow(h + 1, -1, 2**32) % 2**32 if h % 2 == 0 else 0
+            if n > 2**31:
+                break
+        assert (h * n) % 2**32 == (2**32 - n) % n - 1
+        got = index_sampler(4, n)._index_rows(index, 1, 1)
+        want = rng_for(4, index).integers(0, n, size=1)
+        assert got[0, 0] == want[0] != (h * n) >> 32
+
+    def test_draw_past_the_cached_block_then_back(self):
+        data = rng_for(("rows-data", 0)).standard_normal((40, 2))
+        sampler = ConditionSampler.empirical(data, seed=5)
+        reference = RngForSampler.empirical(data, seed=5)
+        m = 20   # blocks of 65536 // 20 = 3,276 steps
+        for index in (0, 3275, 3276, 10_000, 1, 3276, 0, 2**32 - 1, 5):
+            got, want = sampler.draw(index, m), reference.draw(index, m)
+            assert np.array_equal(got.points, want.points)
+            first, rows = sampler._index_block(index, m)
+            assert first == index - index % 3276
+            # the last block stops at 2**32
+            assert len(rows) == min(3276, 2**32 - first)
+
+    def test_samples_above_256_conditions_are_drawn_per_step(self):
+        # blocks serve m <= 256 (256 steps of 256); larger samples, up to
+        # 4n, draw their rows per step
+        data = rng_for(("rows-data", 1)).standard_normal((10_000, 1))
+        sampler = ConditionSampler.empirical(data, seed=2)
+        reference = RngForSampler.empirical(data, seed=2)
+        for index, m in ((300, 256), (1, 257), (7, 40_000), (300, 256)):
+            block = sampler._index_block(index, m)
+            if m == 256:
+                assert block[0] == 256 and block[1].shape == (256, 256)
+            else:
+                assert block is None and sampler._block_mean(index, m) is None
+            assert np.array_equal(sampler.draw(index, m).points,
+                                  reference.draw(index, m).points)
 
 
 class TestMutationSet:
