@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -48,10 +49,12 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _read(section: dict, key: str, convert=float, default=None):
+def _read(section: dict, key: str, convert=float, default=None,
+          kind: str = "numeric"):
     """``convert`` of dotted config ``key`` in ``section``, else a ConfigError.
 
     Absent reads as ``default``; with no default, absent or null is None.
+    The error says the value must be ``kind``.
     """
     value = section.get(key.rpartition(".")[2], default)
     if value is None and default is None:
@@ -59,7 +62,23 @@ def _read(section: dict, key: str, convert=float, default=None):
     try:
         return convert(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be numeric, got {value!r}") from None
+        raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
+
+
+def _ints(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return [operator.index(v) for v in value]
+
+
+def _check_keys(cfg: dict, allowed, section: str = "") -> None:
+    """ConfigError naming a key of ``cfg`` (a section, or the top level) not in ``allowed``."""
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        key = f"{section}.{unknown[0]}" if section else unknown[0]
+        where = f"'{section}'" if section else "the top level"
+        raise ConfigError(f"unknown config key {key}; {where} allows "
+                          f"{', '.join(allowed)}")
 
 
 # the keys each `evolve` config section may hold
@@ -73,15 +92,13 @@ _SECTION_KEYS = {
 
 
 def _check_sections(cfg: dict) -> None:
-    """ConfigError for a section that is not an object or holds an unknown key."""
+    """ConfigError for an unknown or non-object section, or an unknown key in one."""
+    _check_keys(cfg, _SECTION_KEYS)
     for name, allowed in _SECTION_KEYS.items():
         section = cfg.get(name, {})
         if not isinstance(section, dict):
             raise ConfigError(f"config section '{name}' must be an object")
-        unknown = sorted(set(section) - set(allowed))
-        if unknown:
-            raise ConfigError(f"unknown config key {name}.{unknown[0]}; "
-                              f"'{name}' allows {', '.join(allowed)}")
+        _check_keys(section, allowed, name)
 
 
 def _generator_from(spec) -> BregmanGenerator:
@@ -95,7 +112,7 @@ def _generator_from(spec) -> BregmanGenerator:
 class _RunSetup:
     """Everything `evolve` and the diagnostics need, built from one config."""
 
-    def __init__(self, cfg: dict):
+    def __init__(self, cfg: dict, seed=None):
         model_cfg = cfg.get("model")
         if not isinstance(model_cfg, dict):
             raise ConfigError("config needs a 'model' section")
@@ -108,7 +125,9 @@ class _RunSetup:
             raise ConfigError("model.target must be 'mean' or 'labels'")
         self.gen = _generator_from(model_cfg.get("generator"))
         X, Y = load_dataset_csv(dataset, dim_x=model_cfg.get("dim"))
-        self.seed = seed = _read(cfg.get("run", {}), "run.seed", int, 0)
+        if seed is None:
+            seed = _read(cfg.get("run", {}), "run.seed", int, 0)
+        self.seed = seed
         self.dim = X.shape[1]
         mut_cfg = cfg.get("mutations", {"source": "orthonormal"})
         source = mut_cfg.get("source", "orthonormal")
@@ -181,10 +200,7 @@ class _RunSetup:
 
 
 def _cmd_evolve(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.setdefault("run", {})["seed"] = args.seed
-    setup = _RunSetup(cfg)
+    setup = _RunSetup(load_config(args.config), seed=args.seed)
     rc = setup.run_cfg
     period = rc.get("renewal_period")
     result, config = run_seed(
@@ -240,16 +256,17 @@ def _parse_seeds(text: str) -> list:
 
 def _cmd_experiment(args) -> int:
     file_cfg = load_config(args.config) if args.config else {}
+    _check_keys(file_cfg, ("scenario", "seeds", "epsilon", "overrides"))
     scenario = args.scenario or file_cfg.get("scenario")
     if not scenario:
         raise ConfigError("a scenario is required (--scenario or config)")
-    seeds = _parse_seeds(args.seeds) if args.seeds else file_cfg.get("seeds")
+    seeds = _parse_seeds(args.seeds) if args.seeds else \
+        _read(file_cfg, "seeds", _ints, kind="a list of integers")
     if seeds is None:
         seeds = list(range(10))
     epsilon = args.epsilon if args.epsilon is not None \
-        else file_cfg.get("epsilon", 0.1)
-    cfg = ScenarioConfig(scenario=scenario, seeds=list(seeds),
-                         epsilon=float(epsilon),
+        else _read(file_cfg, "epsilon", default=0.1)
+    cfg = ScenarioConfig(scenario=scenario, seeds=seeds, epsilon=epsilon,
                          overrides=file_cfg.get("overrides", {}),
                          out_dir=args.out)
     report = run_scenario(cfg)

@@ -16,8 +16,8 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ConfigError, ModelError
-from .model import (BregmanGenerator, ConditionSampler, GenePanel, MutationSet,
-                    Organism, Sample, rng_for)
+from .model import (BregmanGenerator, ConditionSampler, DataColumnPanel,
+                    GenePanel, MutationSet, Organism, Sample, rng_for)
 
 FAILURE_POLICIES = ("strict", "forced_uniform")
 
@@ -77,6 +77,10 @@ class QuadraticPerfModel(PerformanceModel):
     2 s . (cross - quad f) - s^T quad s, a return less a premium.  Premiums
     are reused while ``quad`` and ``steps`` are the same objects, so a
     stats_fn must return a new ``quad`` array rather than edit one in place.
+    A stats_fn with a ``reduce_block(data, W)`` attribute, as
+    ``quadratic_stats_for`` gives a ``DataColumnPanel``, has the triples of
+    a whole block of multinomial weight rows W reduced at once; each step
+    reads its row, bit for bit what ``stats_fn`` returns for its sample.
     """
 
     def __init__(self, sampler: ConditionSampler, stats_fn: Callable,
@@ -87,7 +91,12 @@ class QuadraticPerfModel(PerformanceModel):
         self._premium_key = (None, None)
 
     def draw(self, step: int, m: int):
-        return self.stats_fn(self.sampler.draw(step, m), step)
+        reduce = getattr(self.stats_fn, "reduce_block", None)
+        stats = reduce and self.sampler._block_reduce(step, m, reduce)
+        if stats is None:
+            return self.stats_fn(self.sampler.draw(step, m), step)
+        quad, cross, const = stats
+        return quad, cross, float(const)
 
     @staticmethod
     def _eval(stats, C: np.ndarray) -> np.ndarray:
@@ -124,22 +133,31 @@ def quadratic_stats_for(panel: GenePanel, gen: BregmanGenerator,
 
     ``target_fn(points) -> (n, d)`` supplies the target outputs for a batch
     of conditions.  The returned closure reduces a sample to the quadratic
-    moments of the empirical performance.
+    moments of the empirical performance.  For a ``DataColumnPanel`` it
+    also carries ``reduce_block``, the same moments for a (K, n) stack of
+    weight rows over all the data, one stacked matmul per term.
     """
     if not gen.is_quadratic:
         raise ConfigError("quadratic stats need a quadratic generator")
     M = gen.quadratic_matrix(panel.d)
 
-    def stats_fn(sample: Sample, step: int):
-        pts, w = sample.points, sample.weights
+    def moments(pts: np.ndarray, w: np.ndarray) -> tuple:
+        # w is one weight row or, for reduce_block, a stack of them; each
+        # row is reduced by its own matmul, so bit for bit alone
         t = np.asarray(target_fn(pts), dtype=float)
         if t.ndim == 1:
             t = t.reshape(-1, 1)
-        quad = panel.second_moment(pts, M=M, weights=w)
-        cross = panel.cross_moment(pts, t, M=M, weights=w)
-        const = float(w @ np.einsum("ij,jk,ik->i", t, M, t))
-        return (quad, cross, const)
+        column = np.einsum("ij,jk,ik->i", t, M, t)
+        return (panel.second_moment(pts, M=M, weights=w),
+                panel.cross_moment(pts, t, M=M, weights=w),
+                np.matmul(w[..., None, :], column)[..., 0])
 
+    def stats_fn(sample: Sample, step: int):
+        quad, cross, const = moments(sample.points, sample.weights)
+        return (quad, cross, float(const))
+
+    if isinstance(panel, DataColumnPanel):
+        stats_fn.reduce_block = moments
     return stats_fn
 
 

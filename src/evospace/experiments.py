@@ -63,11 +63,41 @@ class ScenarioConfig:
             raise ConfigError("overrides must be a mapping")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_override(key: str, value, default) -> None:
+    """ConfigError naming ``overrides.<key>`` for a value unlike its default.
+
+    A number must be a number, and an integer where the default is an
+    integer or None (m_override, t_override); a tuple must be a list of
+    numbers; None is allowed where the default is None.  The value itself
+    is kept, so reports echo it as given.  ``as_knobs`` checks the knobs,
+    and a scenario its string options.
+    """
+    if key == "knobs" or isinstance(default, str) or (value is None and default is None):
+        return
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+        kind = "a list of numbers"
+    elif isinstance(default, float):
+        ok, kind = _is_number(value), "a number"
+    else:
+        ok = _is_number(value) and (isinstance(value, numbers.Integral)
+                                    or float(value).is_integer())
+        kind = "an integer"
+    if not ok:
+        raise ConfigError(f"overrides.{key} must be {kind}, got {value!r}")
+
+
 def _resolve(defaults: dict, overrides: dict, scenario: str) -> dict:
     unknown = set(overrides) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown {scenario} overrides: {sorted(unknown)}; "
                           f"allowed: {sorted(defaults)}")
+    for key, value in overrides.items():
+        _check_override(key, value, defaults[key])
     out = dict(defaults)
     out.update(overrides)
     return out

@@ -22,7 +22,8 @@ from .errors import ConfigError, ModelError
 # Sample sizes above this multiple of the dataset size are drawn as
 # multinomial counts instead of explicit index lists.  The empirical mean of
 # any per-condition statistic is identical in distribution either way; the
-# counts form just avoids materialising huge index arrays.
+# counts form just avoids materialising huge index arrays, and its weights
+# are drawn a block of steps at a time (``ConditionSampler._weight_rows``).
 _WEIGHTED_DRAW_FACTOR = 4
 
 
@@ -94,6 +95,10 @@ _SEED_BLOCK = 4096
 _BLOCK_MAX_M = 256
 _BLOCK_INDICES = 1 << 16
 _CHUNK_INDICES = 1 << 14
+# Multinomial weights are drawn a block of max(1, 2**14 // n) steps at a
+# time, about 2**14 float64 weights (128 KB).  A block of 2**17 weights was
+# no faster and raised the peak RSS of a supervised sweep by about 4 MB.
+_BLOCK_WEIGHTS = 1 << 14
 
 
 def _uint32_words(words) -> list:
@@ -418,7 +423,9 @@ class DataColumnPanel(GenePanel):
     genes read (conditions may carry extra columns, e.g. labels).  The
     selected copy of the last X is kept while X is the same object, so a
     whole dataset passed every step is selected once; X must not be edited
-    in place between calls.
+    in place between calls.  The moments also take a (K, n) stack of
+    weight rows and return the K moments stacked, each bit for bit the
+    moment of its row alone.
     """
 
     def __init__(self, dG: int, columns=None):
@@ -448,7 +455,12 @@ class DataColumnPanel(GenePanel):
         n = X.shape[0]
         w = np.full(n, 1.0 / n) if weights is None else weights
         scale = 1.0 if M is None else float(np.asarray(M).reshape(()))
-        return scale * (X.T * w) @ X
+        # scaled in place, so a stack of weight rows makes one (K, dG, n)
+        # temporary; then one matmul per row, since a plain (K, n) @ (n, dG)
+        # product would round differently from the one-row product
+        weighted = X.T * w[..., None, :]
+        weighted *= scale
+        return np.matmul(weighted, X)
 
     def cross_moment(self, X, targets, M=None, weights=None):
         X = self._take(np.asarray(X, dtype=float))
@@ -456,7 +468,7 @@ class DataColumnPanel(GenePanel):
         n = X.shape[0]
         w = np.full(n, 1.0 / n) if weights is None else weights
         scale = 1.0 if M is None else float(np.asarray(M).reshape(()))
-        return scale * (X.T @ (w * t))
+        return scale * np.matmul(X.T, (w * t)[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +497,17 @@ class ConditionSampler:
 
     ``draw(index, m)`` uses the stream ``rng_for(seed, index)``.  For
     indices in [0, 2**32) the sampler gets there without building a
-    generator per draw.  Index rows (m <= 4n) of at most 256 conditions come
-    from a cached block of steps, drawn at once by jumping each step's PCG64
-    ahead in numpy lanes (``_index_rows``), with their sample means for
-    ``_block_mean``.  Other draws hash the seeds of a block of indices at
+    generator per draw, and an empirical sampler serves two kinds of draw
+    from a cached block of steps (``_step_block``):
+
+    * index rows (m <= 4n) of at most 256 conditions, drawn at once by
+      jumping each step's PCG64 ahead in numpy lanes (``_index_rows``);
+    * multinomial weights (m > 4n), each step's counts drawn on its own
+      seeded stream (``_weight_rows``).
+
+    A block also gives each of its steps the sample mean (``_block_mean``)
+    and any stacked reduction of its weights (``_block_reduce``) from one
+    stacked matmul.  Other draws hash the seeds of a block of indices at
     once and move one reused generator to the index's seeded state, so the
     ``rng`` handed to a ``from_callable`` callback is valid only during that
     call.  A sampler must not be shared between threads.
@@ -514,8 +533,9 @@ class ConditionSampler:
         self._rng = np.random.Generator(self._bit_generator)
         self._block_start = -1
         self._block = None
-        self._rows = (0, np.empty((0, 0), dtype=np.int64))
+        self._steps = (0, 0, np.empty((0, 0)))
         self._means = None
+        self._reduced = (None, None)
 
     def _uniform_weights(self, m: int) -> np.ndarray:
         # one read-only array, shared by the draws of a run (m rarely changes)
@@ -585,45 +605,91 @@ class ConditionSampler:
                     rows[k] = self._seeded(seeds[k]).integers(0, n, size=m)
         return rows
 
-    def _index_block(self, index, m: int) -> Optional[tuple]:
-        """(first, rows): the cached ``_index_rows`` block holding step ``index``.
+    def _weight_rows(self, indices, m: int) -> np.ndarray:
+        """Read-only (len(indices), n) matrix of the steps' multinomial weights.
 
-        None when the step's conditions are not index rows from a block: a
-        callable sampler, multinomial counts (m > 4n), more than 256
-        conditions, or an index outside [0, 2**32).  A block holds
-        min(4096, 2**16 // m) steps.
+        Row k is ``rng_for(seed, indices[k]).multinomial(m, [1/n] * n) / m``,
+        each step on its own seeded stream.
         """
-        first, rows = self._rows
-        if rows.shape[1] == m and type(index) is int and 0 <= index - first < len(rows):
-            return first, rows   # the cached block only ever holds such steps
-        if self.data is None or not (isinstance(index, (int, np.integer))
-                                     and 0 <= index < 1 << 32):
+        n = self.data.shape[0]
+        pvals = np.full(n, 1.0 / n)
+        weights = np.empty((len(indices), n))
+        for k, index in enumerate(indices):
+            weights[k] = self._stream(index).multinomial(m, pvals)
+        weights /= m
+        weights.flags.writeable = False
+        return weights
+
+    def _step_block(self, index, m: int) -> Optional[tuple]:
+        """(first, block): the cached block of steps holding step ``index``.
+
+        Row ``index - first`` of the block is the step's draw: for m > 4n a
+        ``_weight_rows`` block of max(1, 2**14 // n) steps, else an
+        ``_index_rows`` block of min(4096, 2**16 // m) steps.  None when the
+        step is not drawn from a block: a callable sampler, index rows of
+        more than 256 conditions, or an index outside [0, 2**32).
+        """
+        first, size, block = self._steps
+        integer = isinstance(index, (int, np.integer))
+        if size == m and integer and 0 <= index - first < len(block):
+            return first, block
+        if self.data is None or not (integer and 0 <= index < 1 << 32):
             return None
         n = self.data.shape[0]
-        if m > min(_BLOCK_MAX_M, _WEIGHTED_DRAW_FACTOR * n) or n > 1 << 32:
+        weighted = m > _WEIGHTED_DRAW_FACTOR * n
+        if not weighted and (m > _BLOCK_MAX_M or n > 1 << 32):
             return None
-        count = min(_SEED_BLOCK, _BLOCK_INDICES // m)
+        count = (max(1, _BLOCK_WEIGHTS // n) if weighted
+                 else min(_SEED_BLOCK, _BLOCK_INDICES // m))
         first = int(index) - int(index) % count
-        self._rows = self._means = rows = None   # free the old block first
-        rows = self._index_rows(first, min(count, (1 << 32) - first), m)
-        self._rows = (first, rows)
-        return first, rows
+        count = min(count, (1 << 32) - first)
+        # free the old block and its reductions first
+        self._steps = (0, 0, np.empty((0, 0)))
+        self._means, self._reduced = None, (None, None)
+        del block
+        block = (self._weight_rows(range(first, first + count), m) if weighted
+                 else self._index_rows(first, count, m))
+        self._steps = (first, m, block)
+        return first, block
 
     def _block_mean(self, index, m: int) -> Optional[np.ndarray]:
         """``draw(index, m).mean_point()`` from the cached block, or None if it has none."""
-        block = self._index_block(index, m)
+        block = self._step_block(index, m)
         if block is None:
             return None
-        first, rows = block
+        first, block = block
         if self._means is None:
-            # a stacked matmul gives each step of the block the same mean,
-            # bit for bit, as its own sample's mean_point; slices of about
-            # 2**14 gathered values keep the temporaries small
-            w, dim = self._uniform_weights(m), self.data.shape[1]
-            step = max(1, _CHUNK_INDICES // (m * max(dim, 1)))
-            self._means = np.concatenate([np.matmul(w, self.data[rows[k:k + step]])
-                                          for k in range(0, len(rows), step)])
+            # a matmul per step gives each step of the block the same mean,
+            # bit for bit, as its own sample's mean_point
+            if block.dtype != np.int64:
+                self._means = np.matmul(block[:, None, :], self.data)[:, 0]
+            else:
+                # slices of about 2**14 gathered values keep the
+                # temporaries small
+                w, dim = self._uniform_weights(m), self.data.shape[1]
+                step = max(1, _CHUNK_INDICES // (m * max(dim, 1)))
+                self._means = np.concatenate([np.matmul(w, self.data[block[k:k + step]])
+                                              for k in range(0, len(block), step)])
         return self._means[index - first]
+
+    def _block_reduce(self, index, m: int, reduce: Callable) -> Optional[tuple]:
+        """Step ``index``'s row of each array of ``reduce(data, W)``, or None.
+
+        W is the cached block of multinomial weights holding the step, and
+        ``reduce`` returns a tuple of arrays with one row per row of W.  The
+        result of the last ``reduce`` is kept, read-only, for the block.
+        None when the step does not draw multinomial weights from a block.
+        """
+        block = self._step_block(index, m)
+        if block is None or block[1].dtype == np.int64:
+            return None
+        first, weights = block
+        if self._reduced[0] is not reduce:
+            reduced = reduce(self.data, weights)
+            for a in reduced:
+                a.flags.writeable = False
+            self._reduced = (reduce, reduced)
+        return tuple(a[index - first] for a in self._reduced[1])
 
     def draw(self, index: int, m: int) -> Sample:
         """Sample m conditions i.i.d. (with replacement for empirical data)."""
@@ -637,14 +703,15 @@ class ConditionSampler:
             if not np.all(np.isfinite(pts)):
                 raise ModelError("sampler callback returned non-finite entries")
             return Sample(pts, self._uniform_weights(m), m)
-        n = self.data.shape[0]
-        if m > _WEIGHTED_DRAW_FACTOR * n:
-            counts = self._stream(index).multinomial(m, np.full(n, 1.0 / n))
-            return Sample(self.data, counts / float(m), m)
-        block = self._index_block(index, m)
-        idx = (self._stream(index).integers(0, n, size=m) if block is None
-               else block[1][index - block[0]])
-        return Sample(self.data[idx], self._uniform_weights(m), m)
+        block = self._step_block(index, m)
+        row = None if block is None else block[1][index - block[0]]
+        if m > _WEIGHTED_DRAW_FACTOR * self.data.shape[0]:
+            if row is None:
+                row = self._weight_rows([index], m)[0]
+            return Sample(self.data, row, m)
+        if row is None:
+            row = self._stream(index).integers(0, self.data.shape[0], size=m)
+        return Sample(self.data[row], self._uniform_weights(m), m)
 
 
 # ---------------------------------------------------------------------------

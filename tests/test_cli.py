@@ -287,6 +287,26 @@ class TestEvolve:
         assert f"unknown config key {section}.{key}" in err
         assert "allows" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["evolve"], ["diagnose", "schedule"]])
+    def test_unknown_top_level_key_is_named(self, tmp_path, capsys, mean_csv,
+                                            command):
+        # a misspelt section must not run with the defaults it would replace
+        cfg = mean_config(mean_csv)
+        cfg["shedule"] = {"epsilon": 0.5}
+        code, err = cli_error(capsys, *command, "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert "unknown config key shedule" in err and "allows" in err
+
+    def test_seed_flag_with_a_non_object_run_exits_2(self, tmp_path, capsys,
+                                                     mean_csv):
+        cfg = mean_config(mean_csv)
+        cfg["run"] = [1]
+        code, err = cli_error(capsys, "evolve", "--seed", "3", "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert "section 'run' must be an object" in err
+
     def test_labels_generator_scales_the_oracle(self, tmp_path, capsys,
                                                 labels_csv):
         # the empirical scores use M = 4, so the oracle's must too: same
@@ -541,3 +561,17 @@ class TestExperiment:
         code, _ = run_cli(capsys, "experiment", "--scenario",
                           "unsupervised_mean", "--seeds", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("extra, shown", [
+        ({"overrides": {"t_override": "x"}}, "overrides.t_override must be an integer"),
+        ({"overrides": {"f0_distance": [1]}}, "overrides.f0_distance must be a number"),
+        ({"epsilon": "abc"}, "epsilon must be numeric, got 'abc'"),
+        ({"seeds": "ab"}, "seeds must be a list of integers, got 'ab'"),
+        ({"overides": {"t_override": 5}}, "unknown config key overides"),
+    ])
+    def test_malformed_config_file_names_its_key(self, tmp_path, capsys,
+                                                 extra, shown):
+        cfg = write_cfg(tmp_path, {"scenario": "stability", **extra})
+        code, err = cli_error(capsys, "experiment", "--config", cfg)
+        assert code == 2
+        assert shown in err and "Traceback" not in err

@@ -310,7 +310,7 @@ class TestMeanEstimationModel:
 class PerStepSampler(ConditionSampler):
     """Reference sampler: each step's rows from its own rng_for(seed, step)."""
 
-    def _index_block(self, index, m):
+    def _step_block(self, index, m):
         return None
 
     def _stream(self, index):
@@ -350,7 +350,7 @@ class TestMeanBlocks:
         # (<= 4n) draw per step
         model, reference = self.models(rows=10_000, dim=3)
         for step, m in ((0, 256), (1, 257), (2, 40_000), (255, 256), (1, 40_000)):
-            assert (model.sampler._index_block(step, m) is None) == (m > 256)
+            assert (model.sampler._step_block(step, m) is None) == (m > 256)
             assert np.array_equal(model.draw(step, m)[1],
                                   reference.draw(step, m)[1])
 

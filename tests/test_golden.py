@@ -100,8 +100,10 @@ CASE_FILES = {
 
 # `evolve --out` outputs: one mean run with orthonormal mutations and CSV
 # traces, one labels run with data-pair mutations, renewal and a forced step,
-# and one mean run whose m = 150 <= 4n takes its rows from blocks of 436
-# steps, so its 1,000 steps cross two block edges
+# one mean run whose m = 150 <= 4n takes its rows from blocks of 436 steps,
+# so its 1,000 steps cross two block edges, and one mean run whose
+# m = 400 > 4n draws multinomial weights in blocks of 2**14 // 50 = 327
+# steps, so its 800 steps cross two block edges
 EVOLVE_CASES = {
     "mean": (
         {"model": {"target": "mean"},
@@ -126,6 +128,18 @@ EVOLVE_CASES = {
             "path.csv": "48d1e35ca1f9612b7b52a0538a7c66d29f67358e467155baac0de639b82e8505",
             "schedule.json": "22f5e1f96b59ab2f4ac1e1588335262e4213b9eb541dfac2ef153b9df358ae0a",
             "trace.jsonl": "b198fe8583a9ada302cfaa27997f8c96291e862455e747c8b56748595566efa1",
+        }),
+    "mean_multinomial": (
+        {"model": {"target": "mean"},
+         "schedule": {"epsilon": 0.1},
+         "run": {"seed": 7, "m_override": 400, "t_override": 800,
+                 "failure_policy": "forced_uniform", "record_path": True}},
+        [],
+        {
+            "organism.json": "459362a3eea97f7ed9115c32d2043b693294683ae5d7f814ee389a839ca035a2",
+            "path.csv": "5d5cb1fc8f36c984c4a141195920c91ccfda10501050492716920a8103c8d3a0",
+            "schedule.json": "327a1f3b0c0192ead960c16aad9aec28fcf00e2ab7208c917f26d7ceddb70f8a",
+            "trace.jsonl": "708ce321d8ebffd1ff925527370faa723946eb98c90bd4f89df5c004682ee5b8",
         }),
     "labels": (
         {"model": {"target": "labels"},

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evospace import (BregmanGenerator, ConditionSampler, DataColumnPanel,
-                      IdentityPanel, MutationSet, Organism, Sample,
-                      empirical_performance, rng_for)
+                      IdentityPanel, MutationSet, Organism, QuadraticPerfModel,
+                      Sample, empirical_performance, quadratic_stats_for,
+                      rng_for)
 from evospace.errors import ConfigError, ModelError
 
 
@@ -221,7 +222,7 @@ class TestSampler:
 class RngForSampler(ConditionSampler):
     """The reference sampler: every draw on its own rng_for(seed, index)."""
 
-    def _index_block(self, index, m):
+    def _step_block(self, index, m):
         return None
 
     def _stream(self, index):
@@ -333,7 +334,7 @@ class TestIndexRows:
         for index in (0, 3275, 3276, 10_000, 1, 3276, 0, 2**32 - 1, 5):
             got, want = sampler.draw(index, m), reference.draw(index, m)
             assert np.array_equal(got.points, want.points)
-            first, rows = sampler._index_block(index, m)
+            first, rows = sampler._step_block(index, m)
             assert first == index - index % 3276
             # the last block stops at 2**32
             assert len(rows) == min(3276, 2**32 - first)
@@ -345,13 +346,127 @@ class TestIndexRows:
         sampler = ConditionSampler.empirical(data, seed=2)
         reference = RngForSampler.empirical(data, seed=2)
         for index, m in ((300, 256), (1, 257), (7, 40_000), (300, 256)):
-            block = sampler._index_block(index, m)
+            block = sampler._step_block(index, m)
             if m == 256:
                 assert block[0] == 256 and block[1].shape == (256, 256)
             else:
                 assert block is None and sampler._block_mean(index, m) is None
             assert np.array_equal(sampler.draw(index, m).points,
                                   reference.draw(index, m).points)
+
+
+@st.composite
+def _weight_steps(draw):
+    """(n, m, indices): m > 4n, and steps at and around weight-block edges.
+
+    A block holds K = 2**14 // n steps; the last block before 2**32 is cut
+    short, and negative or larger indices take the per-step path.
+    """
+    n = draw(st.integers(1, 80))
+    m = 4 * n + draw(st.integers(1, 300))
+    K = max(1, 2**14 // n)
+    edge = draw(st.sampled_from([K, 2 * K, 5 * K, 2**32 - 2**32 % K]))
+    near = st.integers(edge - 2, edge + 1).filter(lambda i: i < 2**32)
+    indices = draw(st.lists(st.one_of(
+        near, st.integers(0, 20_000),
+        st.sampled_from([0, 2**32 - 1, 2**32 - 2, -1, -7, 2**32, 2**40])),
+        min_size=1, max_size=5))
+    return n, m, indices
+
+
+def labels_data(n, dG):
+    return rng_for(("weight-data", n, dG)).standard_normal((n, dG + 1))
+
+
+class TestWeightBlocks:
+    """Multinomial weights (m > 4n) from blocks against per-stream draws."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=_SEEDS, steps=_weight_steps())
+    def test_weights_equal_fresh_rng_for_draws(self, seed, steps):
+        n, m, indices = steps
+        sampler = ConditionSampler.empirical(labels_data(n, 1), seed=seed)
+        K = max(1, 2**14 // n)
+        for index in indices + indices[::-1]:
+            want = rng_for(seed, index).multinomial(m, [1.0 / n] * n) / m
+            got = sampler.draw(index, m)
+            assert np.array_equal(got.weights, want) and got.size == m
+            assert got.points is sampler.data
+            assert not got.weights.flags.writeable
+            block = sampler._step_block(index, m)
+            if 0 <= index < 2**32:
+                first, weights = block
+                assert first == index - index % K
+                assert weights.shape == (min(K, 2**32 - first), n)
+                assert not weights.flags.writeable
+                assert np.array_equal(weights[index - first], want)
+            else:
+                assert block is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=_SEEDS, steps=_weight_steps(), dG=st.integers(1, 3),
+           scale=st.sampled_from([None, 0.5, 3.0, 0.7]))
+    def test_block_stats_and_means_equal_per_sample_ones(self, seed, steps,
+                                                         dG, scale):
+        n, m, indices = steps
+        data = labels_data(n, dG)
+        gen = (BregmanGenerator.squared_euclidean() if scale is None
+               else BregmanGenerator.mahalanobis([[scale]]))
+        stats_fn = quadratic_stats_for(DataColumnPanel(dG, columns=range(dG)),
+                                       gen, lambda P: P[:, dG:])
+        model = QuadraticPerfModel(ConditionSampler.empirical(data, seed=seed),
+                                   stats_fn)
+        reference = RngForSampler.empirical(data, seed=seed)
+        # the one-sample reduction as written before blocks existed
+        X, t = data[:, list(range(dG))], data[:, dG]
+        M = gen.quadratic_matrix(1)
+        s = float(M.reshape(()))
+        column = np.einsum("ij,jk,ik->i", t[:, None], M, t[:, None])
+        for index in indices + indices[::-1]:
+            sample = reference.draw(index, m)
+            w = sample.weights
+            quad, cross, const = model.draw(index, m)
+            want = stats_fn(sample, index)
+            assert np.array_equal(quad, want[0])
+            assert np.array_equal(quad, s * (X.T * w) @ X)
+            assert np.array_equal(cross, want[1])
+            assert np.array_equal(cross, s * (X.T @ (w * t)))
+            assert type(const) is float
+            assert const == want[2] == float(w @ column)
+            mean = model.sampler._block_mean(index, m)
+            if 0 <= index < 2**32:
+                assert np.array_equal(mean, sample.mean_point())
+                # rows of the cached block reduction
+                assert not (quad.flags.writeable or cross.flags.writeable)
+            else:
+                assert mean is None
+            assert (model.sampler._block_reduce(index, m, stats_fn.reduce_block)
+                    is None) == (mean is None)
+
+    def test_numpy_integer_steps_read_the_cached_block(self):
+        data = labels_data(30, 1)
+        sampler = ConditionSampler.empirical(data, seed=3)
+        reference = RngForSampler.empirical(data, seed=3)
+        for m in (20, 500):   # index rows, then multinomial weights
+            sampler.draw(0, m)
+            block = sampler._steps[2]
+            for index in (np.int64(5), np.uint32(7), np.int64(0)):
+                got, want = sampler.draw(index, m), reference.draw(int(index), m)
+                assert np.array_equal(got.points, want.points)
+                assert np.array_equal(got.weights, want.weights)
+                assert sampler._steps[2] is block
+
+    def test_panels_without_a_block_reduction_draw_per_step(self):
+        # the identity panel's stats keep the per-step reduction, and index
+        # rows (m <= 4n) are never reduced a block at a time
+        gen = BregmanGenerator.squared_euclidean()
+        assert not hasattr(quadratic_stats_for(IdentityPanel(2), gen,
+                                               lambda P: P), "reduce_block")
+        stats_fn = quadratic_stats_for(DataColumnPanel(1, columns=(0,)), gen,
+                                       lambda P: P[:, 1:])
+        sampler = ConditionSampler.empirical(labels_data(30, 1), seed=2)
+        assert sampler._block_reduce(3, 120, stats_fn.reduce_block) is None
+        assert sampler._block_reduce(3, 121, stats_fn.reduce_block) is not None
 
 
 class TestMutationSet:
