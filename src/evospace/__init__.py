@@ -13,18 +13,15 @@ from .model import (BregmanGenerator, ConditionSampler, DataColumnPanel,
 from .engine import (FAILURE_POLICIES, EvolutionConfig, EvolutionResult,
                      PerformanceModel, QuadraticPerfModel, Trace,
                      quadratic_stats_for, run_evolution)
-from .schedule import (DEFAULT_KNOBS, DriftPlan, KnobTriple, ModelConstants,
-                       Schedule, compute_schedule, conditioning_scale,
-                       drift_bound, estimate_model_constants,
-                       knob_region_check, make_drift_plan,
-                       stable_knob_example)
-from .basis import BasisQuality, BStarSelection, basis_quality, select_bstar
-from .analysis import (ExenReport, agnostic_projection_oracle,
-                       derangement_sign_det, exen_ratio, pdg_bruteforce,
-                       pdg_closed, projection_from_moments,
-                       return_and_premium)
-from .frontier import (FrontierPoint, FrontierProblem, efficient_frontier,
-                       kkt_oracle, xi)
+from .schedule import (DEFAULT_KNOBS, KnobTriple, ModelConstants, Schedule,
+                       compute_schedule, conditioning_scale, drift_bound,
+                       estimate_model_constants, knob_region_check,
+                       make_drift_plan, stable_knob_example)
+from .basis import basis_quality, select_bstar
+from .analysis import (agnostic_projection_oracle, derangement_sign_det,
+                       exen_ratio, pdg_bruteforce, pdg_closed,
+                       projection_from_moments, return_and_premium)
+from .frontier import FrontierProblem, efficient_frontier, kkt_oracle, xi
 from .experiments import (SCENARIOS, MeanEstimationModel, ScenarioConfig,
                           gen_gaussian_mixture, run_agnostic, run_drift,
                           run_frontier_scaling, run_scenario, run_stability,
@@ -33,10 +30,9 @@ from .experiments import (SCENARIOS, MeanEstimationModel, ScenarioConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BStarSelection", "BasisQuality", "BregmanGenerator", "ConditionSampler",
-    "ConfigError", "DEFAULT_KNOBS", "DataColumnPanel", "DriftPlan",
-    "EvolutionConfig", "EvolutionResult", "ExenReport", "FAILURE_POLICIES",
-    "FrontierPoint", "FrontierProblem", "GenePanel", "IdentityPanel",
+    "BregmanGenerator", "ConditionSampler", "ConfigError", "DEFAULT_KNOBS",
+    "DataColumnPanel", "EvolutionConfig", "EvolutionResult", "FAILURE_POLICIES",
+    "FrontierProblem", "GenePanel", "IdentityPanel",
     "KnobTriple", "MeanEstimationModel", "ModelConstants", "ModelError",
     "MutationSet", "Organism", "PerformanceModel", "QuadraticPerfModel",
     "SCENARIOS", "Sample", "Schedule", "ScenarioConfig", "Trace",

@@ -9,11 +9,9 @@ small matrix determinant.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import os
 import sys
 from fractions import Fraction
@@ -17,13 +16,15 @@ import numpy as np
 
 from .analysis import derangement_sign_det, exen_ratio, pdg_bruteforce, pdg_closed
 from .basis import basis_quality, select_bstar
+from .engine import FAILURE_POLICIES
 from .errors import ConfigError, ModelError
 from .experiments import (SCENARIOS, MeanEstimationModel, ScenarioConfig,
                           as_knobs, labels_problem, run_frontier_scaling,
                           run_scenario, run_seed)
 from .frontier import FrontierProblem, efficient_frontier, kkt_oracle
-from .io import (ensure_dir, load_config, load_dataset_csv, write_json_report,
-                 write_path_csv, write_trace_csv, write_trace_jsonl)
+from .io import (ensure_dir, load_config, load_dataset_csv, read_config,
+                 write_json_report, write_path_csv, write_trace_csv,
+                 write_trace_jsonl)
 from .model import BregmanGenerator, ConditionSampler, IdentityPanel, MutationSet
 from .schedule import compute_schedule, estimate_model_constants, make_drift_plan
 
@@ -45,97 +46,60 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _read(section: dict, key: str, convert=float, default=None,
-          kind: str = "numeric"):
-    """``convert`` of dotted config ``key`` in ``section``, else a ConfigError.
-
-    Absent reads as ``default``; with no default, absent or null is None.
-    The error says the value must be ``kind``.
-    """
-    value = section.get(key.rpartition(".")[2], default)
-    if value is None and default is None:
-        return None
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
-
-
-def _ints(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError("not a list")
-    return [operator.index(v) for v in value]
-
-
-def _check_keys(cfg: dict, allowed, section: str = "") -> None:
-    """ConfigError naming a key of ``cfg`` (a section, or the top level) not in ``allowed``."""
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        key = f"{section}.{unknown[0]}" if section else unknown[0]
-        where = f"'{section}'" if section else "the top level"
-        raise ConfigError(f"unknown config key {key}; {where} allows "
-                          f"{', '.join(allowed)}")
-
-
-# the keys each `evolve` config section may hold
-_SECTION_KEYS = {
-    "model": ("dataset", "target", "generator", "dim"),
-    "mutations": ("source", "vectors", "det_min", "norm_min"),
-    "schedule": ("epsilon", "knobs", "c_t", "c_m", "m_cap", "d_hint"),
-    "run": ("seed", "f0", "m_override", "t_override", "failure_policy",
-            "renewal_period", "record_path"),
-}
-
-
-def _check_sections(cfg: dict) -> None:
-    """ConfigError for an unknown or non-object section, or an unknown key in one."""
-    _check_keys(cfg, _SECTION_KEYS)
-    for name, allowed in _SECTION_KEYS.items():
-        section = cfg.get(name, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section '{name}' must be an object")
-        _check_keys(section, allowed, name)
-
-
-def _generator_from(spec) -> BregmanGenerator:
-    if spec is None or spec == "squared_euclidean":
-        return BregmanGenerator.squared_euclidean()
-    if isinstance(spec, dict) and spec.get("kind") == "mahalanobis":
-        return BregmanGenerator.mahalanobis(np.asarray(spec["matrix"], float))
-    raise ConfigError(f"unsupported generator spec: {spec!r}")
+def _evolve_table(dim=None) -> dict:
+    """The `evolve`/`diagnose` config, whose vectors and f0 have the data's ``dim``."""
+    return {
+        "model": {
+            "dataset": ("str", ...),
+            "target": (("mean", "labels"), "mean"),
+            "generator": (("squared_euclidean", {"kind": (("mahalanobis",), ...),
+                                                 "matrix": ("matrix", ...)}), None),
+            "dim": ("int", None, ">= 1"),
+        },
+        "mutations": {
+            "source": (("orthonormal", "explicit", "data_pairs"), "orthonormal"),
+            "vectors": ("matrix", None, dim),
+            "det_min": ("number", 0.05, ">= 0"),
+            "norm_min": ("number", 0.2, ">= 0"),
+        },
+        "schedule": {
+            "epsilon": ("number", 0.1),
+            "knobs": ("knobs", None),
+            "c_t": ("number", 1.0, "> 0"),
+            "c_m": ("number", 1.0, "> 0"),
+            "m_cap": ("int", 50000, ">= 1"),
+            "d_hint": ("int", None, ">= 1"),
+        },
+        "run": {
+            "seed": ("int", 0),
+            "f0": ("vector", None, dim),
+            "m_override": ("int", None, ">= 1"),
+            "t_override": ("int", None, ">= 1"),
+            "failure_policy": (FAILURE_POLICIES, "strict"),
+            "renewal_period": ("int", None, ">= 1"),
+            "record_path": ("bool", False),
+        },
+    }
 
 
 class _RunSetup:
     """Everything `evolve` and the diagnostics need, built from one config."""
 
-    def __init__(self, cfg: dict, seed=None):
-        model_cfg = cfg.get("model")
-        if not isinstance(model_cfg, dict):
-            raise ConfigError("config needs a 'model' section")
-        _check_sections(cfg)
-        dataset = model_cfg.get("dataset")
-        if not dataset:
-            raise ConfigError("model.dataset (a CSV path) is required")
-        target = model_cfg.get("target", "mean")
-        if target not in ("mean", "labels"):
-            raise ConfigError("model.target must be 'mean' or 'labels'")
-        self.gen = _generator_from(model_cfg.get("generator"))
-        X, Y = load_dataset_csv(dataset, dim_x=model_cfg.get("dim"))
-        if seed is None:
-            seed = _read(cfg.get("run", {}), "run.seed", int, 0)
-        self.seed = seed
+    def __init__(self, raw: dict, seed=None):
+        # the model section locates the data, which fixes the dimension
+        model = read_config(raw.get("model", {}), _evolve_table()["model"], "model")
+        X, Y = load_dataset_csv(model["dataset"], dim_x=model["dim"])
         self.dim = X.shape[1]
-        mut_cfg = cfg.get("mutations", {"source": "orthonormal"})
-        source = mut_cfg.get("source", "orthonormal")
-        if source not in ("orthonormal", "explicit", "data_pairs"):
-            raise ConfigError(f"unknown mutation source: {source!r}")
+        cfg = read_config(raw, _evolve_table(self.dim))
+        mut_cfg, sched_cfg, self.run_cfg = cfg["mutations"], cfg["schedule"], cfg["run"]
+        spec = model["generator"]
+        self.gen = BregmanGenerator.mahalanobis(spec["matrix"]) \
+            if isinstance(spec, dict) else BregmanGenerator.squared_euclidean()
+        self.seed = self.run_cfg["seed"] if seed is None else seed
+        source = mut_cfg["source"]
         self.renewal_fn = None
 
-        if target == "mean":
+        if model["target"] == "mean":
             if self.gen.kind != "squared_euclidean":
                 raise ConfigError("the mean target scores squared Euclidean "
                                   "distance; model.generator must be "
@@ -143,20 +107,17 @@ class _RunSetup:
             if source == "data_pairs":
                 raise ConfigError("data_pairs mutations need a labels target")
             self.panel = IdentityPanel(self.dim)
-            self.sampler = ConditionSampler.empirical(X, seed=seed)
+            self.sampler = ConditionSampler.empirical(X, seed=self.seed)
             self.t_coords = X.mean(axis=0)
             self.model = MeanEstimationModel(self.sampler, self.t_coords)
         else:
             if Y is None:
                 raise ConfigError("labels target needs a y column in the CSV")
-            Y = np.asarray(Y, dtype=float).reshape(X.shape[0], -1)
             if Y.shape[1] != 1:
                 raise ConfigError("labels target needs exactly one y column")
-            pairs = None
-            if source == "data_pairs":
-                pairs = (_read(mut_cfg, "mutations.det_min", default=0.05),
-                         _read(mut_cfg, "mutations.norm_min", default=0.2))
-            problem = labels_problem(X, Y[:, 0], seed, self.gen, pairs)
+            pairs = (mut_cfg["det_min"], mut_cfg["norm_min"]) \
+                if source == "data_pairs" else None
+            problem = labels_problem(X, Y[:, 0], self.seed, self.gen, pairs)
             self.panel, self.sampler = problem.panel, problem.sampler
             self.model, self.t_coords = problem.model, problem.w_star
             self.renewal_fn, self.mutations = problem.renew, problem.first_basis
@@ -164,53 +125,32 @@ class _RunSetup:
         if source == "orthonormal":
             self.mutations = MutationSet.orthonormal(self.dim)
         elif source == "explicit":
-            if "vectors" not in mut_cfg:
-                raise ConfigError("explicit mutations need 'vectors'")
-            vectors = mut_cfg["vectors"]
-            if not (isinstance(vectors, list) and vectors
-                    and all(isinstance(v, list) for v in vectors)):
-                raise ConfigError("mutations.vectors must be a nonempty list "
-                                  "of vectors")
-            lengths = sorted({len(v) for v in vectors})
-            if lengths != [self.dim]:
-                raise ConfigError(
-                    f"mutations.vectors must all have the data's condition "
-                    f"dimension {self.dim}, got lengths {lengths}")
-            vectors = _read(mut_cfg, "mutations.vectors", _floats)
-            self.mutations = MutationSet(np.column_stack(list(vectors)))
+            if mut_cfg["vectors"] is None:
+                raise ConfigError("explicit mutations need mutations.vectors")
+            self.mutations = MutationSet(np.column_stack(list(mut_cfg["vectors"])))
 
-        sched_cfg = cfg.get("schedule", {})
-        self.epsilon = _read(sched_cfg, "schedule.epsilon", default=0.1)
-        self.knobs = as_knobs(sched_cfg.get("knobs"))
-        run_cfg = cfg.get("run", {})
-        f0 = _read(run_cfg, "run.f0", _floats)
-        self.f0 = np.zeros(self.dim) if f0 is None else f0
-        if self.f0.shape != (self.dim,):
-            raise ConfigError(f"run.f0 must have the data's condition "
-                              f"dimension {self.dim}, got shape {self.f0.shape}")
+        self.epsilon = sched_cfg["epsilon"]
+        self.knobs = as_knobs(sched_cfg["knobs"])
+        self.f0 = np.zeros(self.dim) if self.run_cfg["f0"] is None else self.run_cfg["f0"]
         self.constants = estimate_model_constants(
             self.panel, self.mutations, self.sampler, self.gen)
         self.schedule = compute_schedule(
             self.epsilon, self.knobs, self.constants,
-            horizon=sched_cfg.get("d_hint"), f0=self.f0,
-            t_coords=self.t_coords, c_t=_read(sched_cfg, "schedule.c_t", default=1.0),
-            c_m=_read(sched_cfg, "schedule.c_m", default=1.0),
-            m_cap=_read(sched_cfg, "schedule.m_cap", int, 50000))
-        self.run_cfg = run_cfg
+            horizon=sched_cfg["d_hint"], f0=self.f0, t_coords=self.t_coords,
+            c_t=sched_cfg["c_t"], c_m=sched_cfg["c_m"], m_cap=sched_cfg["m_cap"])
 
 
 def _cmd_evolve(args) -> int:
     setup = _RunSetup(load_config(args.config), seed=args.seed)
     rc = setup.run_cfg
-    period = rc.get("renewal_period")
+    period = rc["renewal_period"]
     result, config = run_seed(
         setup.model, setup.mutations, setup.schedule, setup.seed,
-        setup.epsilon,
-        m_override=_read(rc, "run.m_override", int),
-        t_override=_read(rc, "run.t_override", int), f0=setup.f0,
-        failure_policy=rc.get("failure_policy", "strict"),
+        setup.epsilon, m_override=rc["m_override"],
+        t_override=rc["t_override"], f0=setup.f0,
+        failure_policy=rc["failure_policy"],
         renewal=(period, setup.renewal_fn if period else None),
-        record_path=bool(rc.get("record_path", False)))
+        record_path=rc["record_path"])
 
     out = ensure_dir(args.out) if args.out else None
     if out:
@@ -254,21 +194,21 @@ def _parse_seeds(text: str) -> list:
     return list(range(count))
 
 
+_EXPERIMENT = {"scenario": (SCENARIOS, None), "seeds": ("ints", None),
+               "epsilon": ("number", 0.1), "overrides": ("object", {})}
+
+
 def _cmd_experiment(args) -> int:
-    file_cfg = load_config(args.config) if args.config else {}
-    _check_keys(file_cfg, ("scenario", "seeds", "epsilon", "overrides"))
-    scenario = args.scenario or file_cfg.get("scenario")
+    file_cfg = read_config(load_config(args.config) if args.config else {}, _EXPERIMENT)
+    scenario = args.scenario or file_cfg["scenario"]
     if not scenario:
         raise ConfigError("a scenario is required (--scenario or config)")
-    seeds = _parse_seeds(args.seeds) if args.seeds else \
-        _read(file_cfg, "seeds", _ints, kind="a list of integers")
+    seeds = _parse_seeds(args.seeds) if args.seeds else file_cfg["seeds"]
     if seeds is None:
         seeds = list(range(10))
-    epsilon = args.epsilon if args.epsilon is not None \
-        else _read(file_cfg, "epsilon", default=0.1)
+    epsilon = file_cfg["epsilon"] if args.epsilon is None else args.epsilon
     cfg = ScenarioConfig(scenario=scenario, seeds=seeds, epsilon=epsilon,
-                         overrides=file_cfg.get("overrides", {}),
-                         out_dir=args.out)
+                         overrides=file_cfg["overrides"], out_dir=args.out)
     report = run_scenario(cfg)
     summary = {"scenario": scenario, "seeds": len(cfg.seeds),
                "epsilon": cfg.epsilon}
@@ -288,8 +228,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    cfg = load_config(args.config)
-    setup = _RunSetup(cfg)
+    setup = _RunSetup(load_config(args.config))
     if args.what == "basis":
         quality = basis_quality(setup.mutations.vectors)
         selection = select_bstar(setup.mutations)
@@ -298,8 +237,14 @@ def _cmd_diagnose(args) -> int:
                "exhaustive": selection.exhaustive})
         return EXIT_OK
     if args.what == "exen":
-        coords = np.asarray([float(v) for v in args.coords.split(",")]) \
-            if args.coords else setup.f0
+        try:
+            coords = np.array([float(v) for v in args.coords.split(",")]) \
+                if args.coords else setup.f0
+        except ValueError:
+            coords = None
+        if coords is None or coords.shape != (setup.dim,) or not np.isfinite(coords).all():
+            raise ConfigError(f"--coords must be {setup.dim} comma-separated "
+                              f"finite numbers, got {args.coords!r}")
         rep = exen_ratio(coords, setup.panel, setup.sampler)
         _emit(rep.to_dict())
         return EXIT_OK
@@ -309,8 +254,15 @@ def _cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+_FRONTIER = {"gamma": ("matrix", ...), "delta": ("vector", ...),
+             "n": ("number", ...), "alpha": ("number", ...),
+             "premium": ("number", ...)}
+
+
 def _cmd_frontier(args) -> int:
     if args.scan:
+        if args.dim < 1:
+            raise ConfigError(f"--dim must be >= 1, got {args.dim}")
         report = run_frontier_scaling(seed=args.seed, dim=args.dim)
         if args.out:
             write_json_report(os.path.join(ensure_dir(args.out),
@@ -321,14 +273,10 @@ def _cmd_frontier(args) -> int:
         return EXIT_OK
     if not args.config:
         raise ConfigError("frontier needs --config or --scan")
-    cfg = load_config(args.config)
-    for key in ("gamma", "delta", "n", "alpha", "premium"):
-        if cfg.get(key) is None:
-            raise ConfigError(f"frontier config needs '{key}'")
-    problem = FrontierProblem(_read(cfg, "gamma", _floats),
-                              _read(cfg, "delta", _floats),
-                              n=_read(cfg, "n"), alpha=_read(cfg, "alpha"))
-    premium = _read(cfg, "premium")
+    cfg = read_config(load_config(args.config), _FRONTIER)
+    problem = FrontierProblem(cfg["gamma"], cfg["delta"], n=cfg["n"],
+                              alpha=cfg["alpha"])
+    premium = cfg["premium"]
     hi, lo = efficient_frontier(problem, premium)
     out = {"r_high": hi.r, "r_low": lo.r, "premium": premium,
            "min_premium": problem.min_premium,
@@ -346,7 +294,11 @@ def _cmd_oracle(args) -> int:
     if args.kind == "pdg":
         if args.dg is None or args.z is None:
             raise ConfigError("oracle pdg needs --dg and --z")
-        z = Fraction(str(args.z))
+        try:
+            z = Fraction(args.z)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"--z must be a fraction such as 1/3 or 0.25, "
+                              f"got {args.z!r}") from None
         closed = pdg_closed(args.dg, z)
         brute = pdg_bruteforce(args.dg, z)
         _emit({"dg": args.dg, "z": str(z), "closed": str(closed),

@@ -189,6 +189,8 @@ class EvolutionConfig:
             raise ConfigError("m and t_steps must be >= 1")
         if (self.renewal_period is None) != (self.renewal_fn is None):
             raise ConfigError("renewal needs both a period and a callback")
+        if self.renewal_period is not None and self.renewal_period < 1:
+            raise ConfigError("renewal_period must be >= 1")
 
 
 class Trace:

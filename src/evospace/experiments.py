@@ -10,7 +10,6 @@ of (config, seed list).  Every run, the CLI's included, goes through
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,8 +23,8 @@ from .engine import (EvolutionConfig, EvolutionResult, PerformanceModel,
                      QuadraticPerfModel, quadratic_stats_for, run_evolution)
 from .errors import ConfigError, ModelError
 from .frontier import FrontierProblem, efficient_frontier
-from .io import ensure_dir, write_json_report, write_path_csv, write_trace_csv, \
-    write_trace_jsonl
+from .io import (ensure_dir, read_config, write_json_report, write_path_csv,
+                 write_trace_csv, write_trace_jsonl)
 from .model import (BregmanGenerator, ConditionSampler, DataColumnPanel,
                     IdentityPanel, MutationSet, rng_for)
 from .schedule import (DEFAULT_KNOBS, KnobTriple, ModelConstants, Schedule,
@@ -63,59 +62,28 @@ class ScenarioConfig:
             raise ConfigError("overrides must be a mapping")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_override(key: str, value, default) -> None:
-    """ConfigError naming ``overrides.<key>`` for a value unlike its default.
-
-    A number must be a number, and an integer where the default is an
-    integer or None (m_override, t_override); a tuple must be a list of
-    numbers; None is allowed where the default is None.  The value itself
-    is kept, so reports echo it as given.  ``as_knobs`` checks the knobs,
-    and a scenario its string options.
-    """
-    if key == "knobs" or isinstance(default, str) or (value is None and default is None):
-        return
-    if isinstance(default, tuple):
-        ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
-        kind = "a list of numbers"
-    elif isinstance(default, float):
-        ok, kind = _is_number(value), "a number"
-    else:
-        ok = _is_number(value) and (isinstance(value, numbers.Integral)
-                                    or float(value).is_integer())
-        kind = "an integer"
-    if not ok:
-        raise ConfigError(f"overrides.{key} must be {kind}, got {value!r}")
-
-
-def _resolve(defaults: dict, overrides: dict, scenario: str) -> dict:
-    unknown = set(overrides) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown {scenario} overrides: {sorted(unknown)}; "
-                          f"allowed: {sorted(defaults)}")
-    for key, value in overrides.items():
-        _check_override(key, value, defaults[key])
-    out = dict(defaults)
-    out.update(overrides)
-    return out
+def _resolve(table: dict, overrides: dict) -> dict:
+    """A scenario's options: its table's defaults, replaced by ``overrides``
+    once the reader accepts them; kept as given, so reports echo them."""
+    opts = read_config(overrides, table, "overrides")
+    opts.update(overrides)
+    return opts
 
 
 def as_knobs(value) -> KnobTriple:
-    """A knob triple from None (the default triple), a KnobTriple or (zt, za, zl)."""
-    if value is None:
-        return DEFAULT_KNOBS
-    if isinstance(value, KnobTriple):
-        return value
-    if not (isinstance(value, (list, tuple)) and len(value) == 3
-            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in value)):
-        raise ConfigError(f"knobs must be three finite numbers "
-                          f"[z_tau, z_alpha, z_tol], got {value!r}")
-    zt, za, zl = value
-    return KnobTriple(z_tau=float(zt), z_alpha=float(za), z_tol=float(zl))
+    """A knob triple from None (the default triple) or a read (zt, za, zl)."""
+    return DEFAULT_KNOBS if value is None else KnobTriple(*map(float, value))
+
+
+def _sizing(c_t: float, m_override=None, t_override=None,
+            trace_limit: int = 5) -> dict:
+    """Entries every scenario's table has: schedule constants, m/T overrides, trace_limit."""
+    return {"c_t": ("number", c_t, "> 0"),
+            "c_m": ("number", 1.0, "> 0"),
+            "m_cap": ("int", 50000, ">= 1"),
+            "m_override": ("int", m_override, ">= 1"),
+            "t_override": ("int", t_override, ">= 1"),
+            "trace_limit": ("int", trace_limit, ">= 0")}
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +310,9 @@ def _mean_problem(cfg: ScenarioConfig, opts: dict, knobs: KnobTriple) -> tuple:
         cfg.epsilon, knobs, _identity_constants(data, cfg.seeds),
         f0=np.zeros(2), t_coords=data[cfg.seeds[0]][0].mean(axis=0),
         c_t=opts["c_t"], c_m=opts["c_m"], m_cap=opts["m_cap"])
-    m = int(opts["m_override"] or schedule.m)
-    t_steps = int(opts["t_override"] or schedule.t_steps)
+    m = int(schedule.m if opts["m_override"] is None else opts["m_override"])
+    t_steps = int(schedule.t_steps if opts["t_override"] is None
+                  else opts["t_override"])
     return data, schedule, m, t_steps
 
 
@@ -419,9 +388,9 @@ def run_seed(model: PerformanceModel, mutations: MutationSet,
     """
     config = EvolutionConfig(
         mutations=mutations, alpha=schedule.alpha, tol=schedule.tol,
-        m=int(m_override or schedule.m),
-        t_steps=int(t_override or schedule.t_steps), seed=seed,
-        failure_policy=failure_policy, epsilon=epsilon,
+        m=int(schedule.m if m_override is None else m_override),
+        t_steps=int(schedule.t_steps if t_override is None else t_override),
+        seed=seed, failure_policy=failure_policy, epsilon=epsilon,
         renewal_period=renewal[0], renewal_fn=renewal[1], f0=f0,
         record_path=record_path)
     result = run_evolution(model, config)
@@ -449,16 +418,11 @@ def _schedule_row(schedule: Schedule, config: EvolutionConfig) -> dict:
 # scenario: unsupervised mean estimation
 
 
-_UNSUP_DEFAULTS = {
-    "knobs": None,            # KnobTriple or (zt, za, zl); default region triple
-    "c_t": 0.02,              # step-count constant, tuned for desk scale
-    "c_m": 1.0,
-    "m_cap": 50000,
-    "m_override": None,
-    "t_override": None,
-    "mean_window": (0.4, 0.8),  # admissible ||dataset mean||
-    "mean_balance": 0.25,       # max | |mu_x| - |mu_y| |
-    "trace_limit": 5,           # seeds that write traces when out_dir is set
+_UNSUP = {
+    "knobs": ("knobs", None),   # KnobTriple or (zt, za, zl); default region triple
+    **_sizing(0.02),            # step-count constant tuned for desk scale
+    "mean_window": ("vector", (0.4, 0.8), 2),   # admissible ||dataset mean||
+    "mean_balance": ("number", 0.25, ">= 0"),   # max | |mu_x| - |mu_y| |
 }
 
 
@@ -525,18 +489,13 @@ def run_unsupervised_mean(cfg: ScenarioConfig) -> dict:
 # scenario: agnostic line
 
 
-_AGNOSTIC_DEFAULTS = {
-    "knobs": None,
-    "c_t": 0.02,
-    "c_m": 1.0,
-    "m_cap": 50000,
-    "m_override": 2000,
-    "t_override": None,
-    "sigma": 0.25,        # condition noise around the off-line target point
-    "t_in_norm": 0.6,     # distance from origin to the span projection
-    "t_out_dist": 0.4,    # distance from the target to the span
-    "check_samples": 20000,
-    "trace_limit": 5,
+_AGNOSTIC = {
+    "knobs": ("knobs", None),
+    **_sizing(0.02, m_override=2000),
+    "sigma": ("number", 0.25, ">= 0"),   # condition noise around the off-line target point
+    "t_in_norm": ("number", 0.6, ">= 0"),    # distance from origin to the span projection
+    "t_out_dist": ("number", 0.4, ">= 0"),   # distance from the target to the span
+    "check_samples": ("int", 20000, ">= 1"),
 }
 
 
@@ -628,23 +587,18 @@ def run_agnostic(cfg: ScenarioConfig) -> dict:
 # scenario: supervised linear labels
 
 
-_SUP_DEFAULTS = {
+_SUP = {
     # region triple with a large step knob: on disk-bounded data the mutation
     # premium can then exceed the tolerance, so whole-neighborhood failures
     # are reachable (and observed) while convergence still holds
-    "knobs": (0.02, 0.94, 0.02),
-    "c_t": 1.0,
-    "c_m": 1.0,
-    "m_cap": 50000,
-    "m_override": None,
-    "t_override": 6000,
-    "d_hint": 1,
-    "renewal_period": 1000,
-    "pair_det_min": 0.05,   # |det| of the normalized data pair
-    "pair_norm_min": 0.2,
-    "min_gram_eig": 0.05,   # dataset admissibility: condition second moment
-    "max_w_star": 1.0,      # dataset admissibility: baseline within reach
-    "trace_limit": 5,
+    "knobs": ("knobs", (0.02, 0.94, 0.02)),
+    **_sizing(1.0, t_override=6000),
+    "d_hint": ("int", 1, ">= 1"),
+    "renewal_period": ("int", 1000, ">= 1"),
+    "pair_det_min": ("number", 0.05, ">= 0"),   # |det| of the normalized data pair
+    "pair_norm_min": ("number", 0.2, ">= 0"),
+    "min_gram_eig": ("number", 0.05, "> 0"),   # admissible data: condition second moment
+    "max_w_star": ("number", 1.0, "> 0"),      # admissible data: baseline within reach
 }
 
 
@@ -739,16 +693,11 @@ def run_supervised_linear(cfg: ScenarioConfig) -> dict:
 # scenario: stability of the target set
 
 
-_STAB_DEFAULTS = {
-    "dwell": 50,
-    "f0_distance": 0.36,
-    "m_override": 20,      # deliberately noisy estimates
-    "c_t": 1.0,
-    "c_m": 1.0,
-    "m_cap": 50000,
-    "t_override": 8000,
-    "comparison_t_override": 600,
-    "trace_limit": 3,
+_STAB = {
+    "dwell": ("int", 50, ">= 1"),
+    "f0_distance": ("number", 0.36, "> 0"),
+    **_sizing(1.0, m_override=20, t_override=8000, trace_limit=3),  # m noisy on purpose
+    "comparison_t_override": ("int", 600, ">= 1"),
 }
 
 
@@ -768,8 +717,6 @@ def _dwell_stats(flags: np.ndarray, dwell: int) -> dict:
 def _stability(cfg, opts, knobs, trace_to) -> dict:
     eps = cfg.epsilon
     dwell = int(opts["dwell"])
-    if dwell < 1:
-        raise ConfigError("dwell must be >= 1")
     dist = float(opts["f0_distance"])
     if dist <= math.sqrt(eps):
         raise ConfigError("f0_distance must start outside the target set")
@@ -849,20 +796,15 @@ def run_stability(cfg: ScenarioConfig) -> dict:
 # scenario: drifting target
 
 
-_DRIFT_DEFAULTS = {
-    "knobs": None,
-    "c_t": 0.02,
-    "c_m": 1.0,
-    "m_cap": 50000,
-    "m_override": 5,
-    "t_override": None,
-    "policy": "adversarial",
-    "multipliers": (0.0, 1.0, 4.0, 10.0),
-    "extended_multipliers": (1e5, 2.5e5, 5e5, 1e6),
-    "extended_seed_count": 10,
-    "mean_window": (0.4, 0.8),
-    "mean_balance": 0.25,  # matches the stationary scenario's datasets
-    "trace_limit": 3,
+_DRIFT = {
+    "knobs": ("knobs", None),
+    **_sizing(0.02, m_override=5, trace_limit=3),
+    "policy": (("adversarial", "random"), "adversarial"),
+    "multipliers": ("vector", (0.0, 1.0, 4.0, 10.0)),
+    "extended_multipliers": ("vector", (1e5, 2.5e5, 5e5, 1e6)),
+    "extended_seed_count": ("int", 10, ">= 1"),
+    "mean_window": ("vector", (0.4, 0.8), 2),
+    "mean_balance": ("number", 0.25, ">= 0"),  # matches the stationary scenario's datasets
 }
 
 
@@ -985,26 +927,26 @@ def run_frontier_scaling(eps_list: Sequence[float] = (0.2, 0.1, 0.05, 0.025),
 
 
 _RUNNERS = {
-    "unsupervised_mean": (_UNSUP_DEFAULTS, _unsupervised_mean),
-    "supervised_linear": (_SUP_DEFAULTS, _supervised_linear),
-    "drift": (_DRIFT_DEFAULTS, _drift),
-    "stability": (_STAB_DEFAULTS, _stability),
-    "agnostic": (_AGNOSTIC_DEFAULTS, _agnostic),
+    "unsupervised_mean": (_UNSUP, _unsupervised_mean),
+    "supervised_linear": (_SUP, _supervised_linear),
+    "drift": (_DRIFT, _drift),
+    "stability": (_STAB, _stability),
+    "agnostic": (_AGNOSTIC, _agnostic),
 }
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
     """Run a scenario config and return its report.
 
-    Resolves the overrides against the scenario's defaults, creates
+    Resolves the overrides against the scenario's table, creates
     ``out_dir`` and calls the scenario's runner with (cfg, opts, knobs,
     trace_to); ``trace_to(pos, tag)`` is the ``(out_dir, tag)`` trace
     destination of the seed at list position ``pos``, or None from
     ``trace_limit`` on.  The runner returns the report body; the scenario,
     epsilon and seeds head it, and it is written to ``out_dir/report.json``.
     """
-    defaults, runner = _RUNNERS[cfg.scenario]
-    opts = _resolve(defaults, cfg.overrides, cfg.scenario)
+    table, runner = _RUNNERS[cfg.scenario]
+    opts = _resolve(table, cfg.overrides)
     knobs = as_knobs(opts.get("knobs"))
     out_dir = ensure_dir(cfg.out_dir) if cfg.out_dir else None
 

@@ -55,6 +55,10 @@ class FrontierProblem:
         self.cap_delta = float(ones @ d)
         self.delta_quad = float(d @ self.gamma @ d)
         self.p_delta = 0.5 * self.alpha * self.delta_quad
+        # the closed forms square these, and a float square past 1e154 raises
+        if not np.isfinite(np.square([self.n, self.cap_delta,
+                                      self.s * self.delta_quad])).all():
+            raise ModelError("frontier problem data overflow the float range")
 
     # scale against which the budget-return system degenerates; by
     # Cauchy-Schwarz cap_delta^2 <= s * delta_quad with equality iff delta is

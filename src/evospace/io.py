@@ -86,8 +86,108 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def dump_config(cfg: dict) -> str:
-    return json.dumps(cfg, indent=2, sort_keys=True)
+_EXPECTED = {"int": "an integer", "number": "numeric", "bool": "true or false",
+             "str": "a string", "object": "an object", "ints": "a list of integers",
+             "vector": "a list of numbers",
+             "matrix": "numeric: a nonempty list of equal-length lists",
+             "knobs": "three finite numbers [z_tau, z_alpha, z_tol]"}
+
+
+def read_config(cfg, table: dict, where: str = "") -> dict:
+    """Typed copy of the config object ``cfg``, read against ``table``.
+
+    ``table`` maps each allowed key to a nested table (a section; absent
+    reads as empty) or to ``(kind, default[, extra])``.  An absent key, or a
+    null one whose default is None, reads as its default; a key whose
+    default is ``...`` must be given.  Kinds: "int" (int64) and "number"
+    (finite), each with an optional bound ``extra`` such as ">= 1"; "bool",
+    "str", "object" (kept as given) and "ints"; a tuple of choices, strings
+    or nested tables; "vector" and "matrix" (float arrays; ``extra`` is the
+    vector's or each row's length); "knobs" (three floats).  Bools are never
+    numbers.  A ConfigError names the dotted key, the value and what was
+    expected.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config section '{where}' must be an object, got {cfg!r}")
+    prefix = f"{where}." if where else ""
+    unknown = sorted(set(cfg) - set(table), key=str)
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix}{unknown[0]}; "
+                          f"{repr(where) if where else 'the top level'} "
+                          f"allows {', '.join(table)}")
+    out = {}
+    for name, spec in table.items():
+        if isinstance(spec, dict):
+            out[name] = read_config(cfg.get(name, {}), spec, prefix + name)
+            continue
+        kind, default, *extra = spec
+        if name in cfg and not (cfg[name] is None and default is None):
+            out[name] = _leaf(prefix + name, cfg[name], kind, *extra)
+        elif default is ...:
+            raise ConfigError(f"config key {prefix}{name} is required")
+        else:
+            out[name] = default
+    return out
+
+
+def _floats(value) -> Optional[np.ndarray]:
+    """A list or tuple of finite numbers as a float array, else None."""
+    if not (isinstance(value, (list, tuple)) and all(
+            isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) for v in value)):
+        return None
+    try:
+        arr = np.array(value, dtype=float)
+    except OverflowError:   # an int beyond the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def _leaf(key: str, value, kind, extra=None):
+    """``value`` of the dotted config ``key`` read as ``kind`` (see read_config)."""
+    if isinstance(kind, tuple):
+        for choice in kind:
+            if isinstance(choice, dict) and isinstance(value, dict):
+                return read_config(value, choice, key)
+            if isinstance(value, str) and value == choice:
+                return value
+        raise ConfigError(f"{key} must be one of " + ", ".join(
+            repr(c) if isinstance(c, str) else "{" + ", ".join(c) + "}"
+            for c in kind) + f", got {value!r}")
+    expected = _EXPECTED[kind]
+    if kind in ("int", "number"):
+        out = _floats([value])
+        out = None if out is None else float(out[0])
+        if kind == "int" and out is not None:
+            out = int(value) if out.is_integer() and -2**63 <= int(value) < 2**63 \
+                else None
+        if extra:
+            expected = ("an integer " if kind == "int" else "a number ") + extra
+            op, limit = extra.split()
+            if out is not None and not (out > float(limit) if op == ">"
+                                        else out >= float(limit)):
+                out = None
+    elif kind == "ints":
+        out = [_leaf(key, v, "int") for v in value] if isinstance(value, list) else None
+    elif kind in ("vector", "knobs"):
+        out = _floats(value)
+        if kind == "knobs":
+            out = tuple(out.tolist()) if out is not None and out.shape == (3,) else None
+        elif out is not None and extra is not None and out.shape != (extra,):
+            raise ConfigError(f"{key} must have dimension {extra}, got shape {out.shape}")
+    elif kind == "matrix":
+        rows = [_floats(v) for v in value] if isinstance(value, list) and value else [None]
+        out = None if any(row is None for row in rows) else rows
+        lengths = sorted({row.size for row in out or ()})
+        if out and extra is not None and lengths != [extra]:
+            raise ConfigError(f"{key} rows must all have dimension {extra}, "
+                              f"got lengths {lengths}")
+        out = np.array(out) if out and len(lengths) == 1 and lengths[0] else None
+    else:
+        out = value if isinstance(value, {"bool": bool, "str": str}.get(kind, dict)) else None
+    if out is None:
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    return out
 
 
 def load_dataset_csv(path: str, dim_x: Optional[int] = None) -> tuple:

@@ -12,18 +12,17 @@ reaching the target set stay there for N further steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigError, ModelError
-from .basis import BStarSelection, basis_quality, select_bstar
+from .basis import select_bstar
 from .model import BregmanGenerator, ConditionSampler, GenePanel, MutationSet
 
 
-@dataclass(frozen=True)
-class KnobTriple:
+class KnobTriple(NamedTuple):
     z_tau: float
     z_alpha: float
     z_tol: float
@@ -248,6 +247,8 @@ def compute_schedule(epsilon: float, knobs: KnobTriple, constants: ModelConstant
         if f0 is None or t_coords is None:
             raise ConfigError("need either an explicit horizon or both f0 and t_coords")
         dist = float(np.linalg.norm(np.asarray(t_coords, float) - np.asarray(f0, float)))
+        if not math.isfinite(dist / constants.max_b_norm):
+            raise ConfigError(f"the horizon from f0 to the target is not finite ({dist})")
         horizon = max(1, math.ceil(dist / constants.max_b_norm))
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
@@ -272,12 +273,16 @@ def compute_schedule(epsilon: float, knobs: KnobTriple, constants: ModelConstant
     # Steps needed: the initial divergence bound over the per-step margin.
     t_exact = (constants.h_max * constants.mu_max / 2.0) * \
         constants.max_b_norm ** 2 * horizon ** 2 / margin
+    if not math.isfinite(c_t * t_exact):
+        raise ConfigError(f"c_t * t_exact = {c_t} * {t_exact} is not finite")
     t_steps = max(1, math.ceil(c_t * t_exact))
 
     ratio = (constants.h_max * constants.mu_max) / (constants.h_min * constants.mu_min)
     m_exact = (constants.h_max ** 2 * constants.sup_single ** 2 / tau ** 2) * \
         (ratio * horizon ** 2 / constants.b_bar ** 2 + alpha ** 2) * \
         math.log(constants.dF * t_steps / epsilon)
+    if not math.isfinite(c_m * m_exact):
+        raise ConfigError(f"c_m * m_exact = {c_m} * {m_exact} is not finite")
     m = int(min(m_cap, max(1, math.ceil(c_m * m_exact))))
 
     return Schedule(epsilon=epsilon, knobs=knobs, horizon=horizon, u=u, v=v,

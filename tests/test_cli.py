@@ -8,8 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from evospace.cli import main
+from evospace.cli import _evolve_table, main
 from evospace.model import rng_for
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +290,24 @@ class TestEvolve:
         assert f"unknown config key {section}.{key}" in err
         assert "allows" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "dim", "x"), ("schedule", "d_hint", "x"),
+        ("model", "generator", {"kind": "mahalanobis"}),
+        ("model", "generator", {"kind": "mahalanobis", "matrix": "abc"}),
+        ("run", "renewal_period", "x"), ("run", "renewal_period", -3),
+        ("run", "renewal_period", 0), ("run", "m_override", 10**30),
+        ("schedule", "c_t", 1e308), ("schedule", "c_m", 1e308),
+        ("run", "t_override", 0), ("run", "record_path", "no"),
+        ("run", "seed", 1.5), ("model", "dataset", True)])
+    def test_out_of_range_values_name_their_key(self, tmp_path, capsys,
+                                                mean_csv, section, key, value):
+        cfg = mean_config(mean_csv)
+        cfg.setdefault(section, {})[key] = value
+        code, err = cli_error(capsys, "evolve", "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert key in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", [["evolve"], ["diagnose", "schedule"]])
     def test_unknown_top_level_key_is_named(self, tmp_path, capsys, mean_csv,
                                             command):
@@ -344,6 +365,34 @@ class TestEvolve:
         assert run_cli(capsys, "diagnose", "everything",
                        "--config", "x.json")[0] == 64
         assert run_cli(capsys)[0] == 64                    # no subcommand
+
+
+def test_readme_run_config_lists_the_read_keys():
+    with open(README) as fh:
+        text = fh.read()
+    block = text.split("### Run config")[1].split("```json")[1].split("```")[0]
+    documented = json.loads(block)
+    table = _evolve_table()
+    assert list(documented) == list(table)
+    for section, keys in table.items():
+        assert sorted(documented[section]) == sorted(keys), section
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["diagnose", "exen", "--coords", "a,b"], "--coords"),
+    (["diagnose", "exen", "--coords", "0.1,0.2,0.3"], "--coords"),
+    (["frontier", "--scan", "--dim", "0"], "--dim"),
+    (["frontier", "--scan", "--dim", "-2"], "--dim"),
+    (["oracle", "pdg", "--dg", "4", "--z", "abc"], "--z"),
+    (["oracle", "pdg", "--dg", "4", "--z", "1/0"], "--z"),
+])
+def test_malformed_flag_values_name_their_flag(tmp_path, capsys, mean_csv,
+                                               argv, flag):
+    if argv[0] == "diagnose":
+        argv = argv + ["--config", write_cfg(tmp_path, mean_config(mean_csv))]
+    code, err = cli_error(capsys, *argv)
+    assert code == 2
+    assert flag in err and "Traceback" not in err
 
 
 # peak RSS bound (KB) for a 50,000-step run with --out and record_path.
@@ -575,3 +624,16 @@ class TestExperiment:
         code, err = cli_error(capsys, "experiment", "--config", cfg)
         assert code == 2
         assert shown in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("scenario, key, value", [
+        ("drift", "mean_window", [0.4, 0.8, 0.9]), ("drift", "mean_window", [0.4]),
+        ("drift", "extended_seed_count", 0), ("stability", "t_override", 10**30),
+        ("stability", "m_override", 1e300), ("stability", "dwell", 2.5),
+        ("unsupervised_mean", "t_override", 0), ("drift", "policy", 3)])
+    def test_out_of_range_overrides_name_their_key(self, tmp_path, capsys,
+                                                   scenario, key, value):
+        cfg = write_cfg(tmp_path, {"scenario": scenario, "seeds": [0],
+                                   "overrides": {key: value}})
+        code, err = cli_error(capsys, "experiment", "--config", cfg)
+        assert code == 2
+        assert f"overrides.{key}" in err and "Traceback" not in err

@@ -289,6 +289,13 @@ class TestRenewal:
         # last renewal at t=5, so at most 5 steps of counts accumulate
         assert np.abs(res.organism.counts).sum() <= 5
 
+    @pytest.mark.parametrize("period", [0, -3])
+    def test_period_below_one_rejected(self, period):
+        with pytest.raises(ConfigError, match="renewal_period must be >= 1"):
+            EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
+                            tol=0.1, m=1, t_steps=1, renewal_period=period,
+                            renewal_fn=lambda rng, step: MutationSet.orthonormal(2))
+
     def test_period_without_fn_rejected(self):
         with pytest.raises(ConfigError):
             EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,

@@ -11,11 +11,13 @@ from scipy.optimize import linprog
 from evospace.engine import EvolutionConfig, run_evolution
 from evospace.errors import ConfigError, ModelError
 from evospace.experiments import (
-    _DRIFT_DEFAULTS,
+    _DRIFT,
+    _UNSUP,
     MeanEstimationModel,
     ScenarioConfig,
     _dwell_stats,
     _hulls_overlap,
+    _mean_problem,
     _mean_window,
     _mixture_for,
     _perceptron_separable,
@@ -23,12 +25,14 @@ from evospace.experiments import (
     run_drift,
     run_frontier_scaling,
     run_scenario,
+    run_seed,
     run_stability,
     run_supervised_linear,
     run_agnostic,
     run_unsupervised_mean,
 )
 from evospace.model import ConditionSampler, MutationSet, rng_for
+from evospace.schedule import DEFAULT_KNOBS
 
 SEED_TABLE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "perfbench", "seed_table.json")
@@ -104,6 +108,20 @@ class TestScenarioConfig:
         cfg = ScenarioConfig("agnostic", seeds=[0])
         with pytest.raises(ConfigError, match="run_drift needs a 'drift' config"):
             run_drift(cfg)
+
+    def test_zero_overrides_do_not_fall_back_to_the_schedule(self):
+        cfg = ScenarioConfig("unsupervised_mean", seeds=[0], epsilon=0.25)
+        opts = {key: spec[1] for key, spec in _UNSUP.items()}
+        opts.update(m_override=0, t_override=0)
+        data, schedule, m, t_steps = _mean_problem(cfg, opts, DEFAULT_KNOBS)
+        assert (m, t_steps) == (0, 0)
+        pts = data[0][0]
+        model = MeanEstimationModel(ConditionSampler.empirical(pts, seed=0),
+                                    pts.mean(axis=0))
+        for override in ({"m_override": 0}, {"t_override": 0}):
+            with pytest.raises(ConfigError, match="m and t_steps must be >= 1"):
+                run_seed(model, MutationSet.orthonormal(2), schedule, 0, 0.25,
+                         **override)
 
     def test_dispatch_uses_scenario_name(self):
         cfg = ScenarioConfig("unsupervised_mean", seeds=[0],
@@ -191,8 +209,9 @@ class TestMixtureData:
         # so every seed still needs the draws the benchmark's table lists
         with open(SEED_TABLE) as fh:
             table = json.load(fh)["drift"]
-        accept = _mean_window(*_DRIFT_DEFAULTS["mean_window"],
-                              _DRIFT_DEFAULTS["mean_balance"])
+        # a table entry is (kind, default, bound)
+        accept = _mean_window(*_DRIFT["mean_window"][1],
+                              _DRIFT["mean_balance"][1])
         assert [_mixture_for(s, accept)[2] for s in range(50)] == table[:50]
 
     def test_mixture_for_respects_accept_window(self):

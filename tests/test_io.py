@@ -10,7 +10,7 @@ import pytest
 from evospace import io
 from evospace.engine import Trace
 from evospace.errors import ConfigError, ModelError
-from evospace.io import (dump_config, load_config, load_dataset_csv,
+from evospace.io import (load_config, load_dataset_csv, read_config,
                          write_json_report, write_path_csv, write_trace_csv,
                          write_trace_jsonl)
 
@@ -120,7 +120,7 @@ class TestConfigFiles:
         cfg = {"epsilon": 0.1, "knobs": [1 / 9, 1 / 3, 2 / 27],
                "model": {"target": "mean"}}
         path = tmp_path / "cfg.json"
-        path.write_text(dump_config(cfg))
+        path.write_text(json.dumps(cfg, indent=2, sort_keys=True))
         assert load_config(str(path)) == cfg
 
     def test_missing_file(self, tmp_path):
@@ -190,3 +190,47 @@ class TestDatasetCsv:
             load_dataset_csv(path)
         with pytest.raises(ConfigError, match="non-numeric"):
             load_dataset_csv(self.write(tmp_path, "x0,x1\n1,2\n3,z\n"))
+
+
+class TestReadConfig:
+    TABLE = {"n": ("int", 5, ">= 1"), "x": ("number", None), "flag": ("bool", False),
+             "v": ("vector", None, 2), "pick": (("a", {"m": ("matrix", ...)}), "a"),
+             "sub": {"seeds": ("ints", None), "name": ("str", ...)}}
+
+    def test_defaults_and_conversions(self):
+        assert read_config({"sub": {"name": "s"}}, self.TABLE) == {
+            "n": 5, "x": None, "flag": False, "v": None, "pick": "a",
+            "sub": {"seeds": None, "name": "s"}}
+        out = read_config({"n": 3.0, "v": [1, 2], "x": None,
+                           "pick": {"m": [[1, 2], [3, 4]]},
+                           "sub": {"seeds": [-1, 2**63 - 1], "name": ""}}, self.TABLE)
+        assert out["n"] == 3 and type(out["n"]) is int and out["x"] is None
+        assert out["v"].tolist() == [1.0, 2.0] and out["v"].dtype == float
+        assert out["pick"]["m"].shape == (2, 2)
+        assert out["sub"]["seeds"] == [-1, 2**63 - 1]
+        assert type(read_config({"x": 2, "sub": {"name": ""}}, self.TABLE)["x"]) is float
+
+    @pytest.mark.parametrize("cfg, shown", [
+        ({"n": True}, "n must be an integer >= 1, got True"),
+        ({"n": 0}, "n must be an integer >= 1, got 0"),
+        ({"n": 1.5}, "n must be an integer >= 1, got 1.5"),
+        ({"n": 2**63}, "n must be an integer >= 1, got 9223372036854775808"),
+        ({"n": None}, "n must be an integer >= 1, got None"),
+        ({"x": "1"}, "x must be numeric, got '1'"),
+        ({"x": float("nan")}, "x must be numeric, got nan"),
+        ({"x": 10**400}, "x must be numeric, got 1000"),
+        ({"flag": 1}, "flag must be true or false, got 1"),
+        ({"v": [1, True]}, "v must be a list of numbers, got [1, True]"),
+        ({"v": [1, 2, 3]}, "v must have dimension 2, got shape (3,)"),
+        ({"pick": "b"}, "pick must be one of 'a', {m}, got 'b'"),
+        ({"pick": {}}, "config key pick.m is required"),
+        ({"pick": {"m": [[1], [2, 3]]}}, "pick.m must be numeric: a nonempty list"),
+        ({"sub": []}, "config section 'sub' must be an object, got []"),
+        ({"sub": {"seeds": [1, "2"]}}, "sub.seeds must be an integer, got '2'"),
+        ({"y": 1}, "unknown config key y; the top level allows n, x, flag, v, pick, sub"),
+        ({"sub": {"nme": 1}}, "unknown config key sub.nme; 'sub' allows seeds, name"),
+    ])
+    def test_rejections_name_the_key_the_value_and_the_kind(self, cfg, shown):
+        with pytest.raises(ConfigError) as exc:
+            read_config(cfg, self.TABLE)
+        assert shown in str(exc.value)

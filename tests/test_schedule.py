@@ -197,6 +197,17 @@ class TestScheduleBehavior:
         with pytest.raises(ConfigError):
             compute_schedule(0.1, DEFAULT_KNOBS, c, horizon=0)
 
+    @pytest.mark.parametrize("constant", ["c_t", "c_m"])
+    def test_non_finite_sizing_names_its_constant(self, constant):
+        with pytest.raises(ConfigError, match=f"{constant} \\* "):
+            compute_schedule(0.1, DEFAULT_KNOBS, identity_constants(),
+                             horizon=1, **{constant: 1e308})
+
+    def test_non_finite_horizon_rejected(self):
+        with pytest.raises(ConfigError, match="horizon"):
+            compute_schedule(0.1, DEFAULT_KNOBS, identity_constants(),
+                             f0=np.zeros(2), t_coords=np.array([1e308, 1e308]))
+
     def test_m_cap_binds(self):
         s = compute_schedule(0.1, DEFAULT_KNOBS, identity_constants(),
                              horizon=1, m_cap=123)
