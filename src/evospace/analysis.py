@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ModelError
+from .kernels import dot, matvec, quad_form
 from .model import (BregmanGenerator, ConditionSampler, GenePanel, MutationSet,
                     Sample)
 
@@ -49,14 +50,14 @@ def exen_ratio(f_coords, panel: GenePanel, sampler: ConditionSampler,
     f = np.asarray(f_coords, dtype=float)
     if g_coords is not None:
         f = f - np.asarray(g_coords, dtype=float)
-    enc = float(np.linalg.norm(f))
+    enc = float(np.sqrt(dot(f, f)))
     if enc == 0.0:
         raise ModelError("expression ratio is undefined for a zero encoding")
     sample = sampler.draw(draw_index, n_samples)
     out = panel.express(sample.points, f)
-    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
-    mean = float(sample.weights @ norms)
-    var = float(sample.weights @ (norms - mean) ** 2)
+    norms = np.sqrt(dot(out, out))
+    mean = float(dot(sample.weights, norms))
+    var = float(dot(sample.weights, (norms - mean) ** 2))
     return ExenReport(rho=(var + mean * mean) / enc, mean_expression=mean,
                       var_expression=var, encoding_norm=enc)
 
@@ -94,9 +95,9 @@ def return_and_premium(f_coords, index: int, polarity: int, alpha: float,
     p_terms = np.empty(sample.points.shape[0])
     for k in range(sample.points.shape[0]):
         grad_gap = gen.gradient(t[k]) - gen.gradient(f_out[k])
-        r_terms[k] = polarity * float(b_out[k] @ grad_gap)
+        r_terms[k] = polarity * float(dot(b_out[k], grad_gap))
         p_terms[k] = gen.divergence(step_out[k], f_out[k]) / alpha
-    return (float(sample.weights @ r_terms), float(sample.weights @ p_terms))
+    return (float(dot(sample.weights, r_terms)), float(dot(sample.weights, p_terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +118,7 @@ def projection_from_moments(quad: np.ndarray, cross: np.ndarray,
     if eig[0] <= 1e-14 * max(1.0, eig[-1]):
         raise ModelError("projection moment matrix is singular")
     c = np.linalg.solve(quad, cross)
-    return c, float(-(target_sq - cross @ c))
+    return c, float(-(target_sq - dot(cross, c)))
 
 
 def agnostic_projection_oracle(t_coords, span_vectors, gamma_metric) -> tuple:
@@ -139,12 +140,14 @@ def agnostic_projection_oracle(t_coords, span_vectors, gamma_metric) -> tuple:
     eig = np.linalg.eigvalsh(0.5 * (G + G.T))
     if eig[0] <= 0:
         raise ModelError("gamma metric must be positive definite")
-    quad = S.T @ G @ S
-    cross = S.T @ G @ t
-    c, _ = projection_from_moments(quad, cross, float(t @ G @ t))
-    t_in = S @ c
+    # column a of S pairs with column b through G: quad[a, b] = S_a . G S_b
+    GS = matvec(G, S.T)
+    quad = dot(S.T[:, None, :], GS[None, :, :])
+    cross = dot(S.T, matvec(G, t))
+    c, _ = projection_from_moments(quad, cross, float(quad_form(t, G)))
+    t_in = matvec(S, c)
     resid = t_in - t
-    return t_in, float(-(resid @ G @ resid))
+    return t_in, float(-quad_form(resid, G))
 
 
 # ---------------------------------------------------------------------------

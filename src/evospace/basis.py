@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ModelError
+from .kernels import dot
 from .model import MutationSet, rng_for
 
 _RANK_REL_TOL = 1e-12
@@ -34,9 +35,14 @@ class BasisQuality:
     tilde_volume: float   # Gram volume of the sum-normalised basis
 
 
+def _gram(B: np.ndarray) -> np.ndarray:
+    """B^T B: the inner products of the columns of B."""
+    return dot(B.T[:, None, :], B.T[None, :, :])
+
+
 def _rel_gram_det(B: np.ndarray) -> float:
     """Gram determinant normalised by the product of squared norms."""
-    gram = B.T @ B
+    gram = _gram(B)
     denom = float(np.prod(np.diag(gram)))
     if denom <= 0.0:
         return 0.0
@@ -51,7 +57,7 @@ def basis_quality(vectors) -> BasisQuality:
     if not np.all(np.isfinite(B)):
         raise ModelError("basis has non-finite entries")
     k = B.shape[1]
-    norms = np.linalg.norm(B, axis=0)
+    norms = np.sqrt(dot(B.T, B.T))
     if np.any(norms == 0.0):
         raise ModelError("basis vectors must be nonzero")
     if _rel_gram_det(B) <= _RANK_REL_TOL:
@@ -68,7 +74,7 @@ def basis_quality(vectors) -> BasisQuality:
     else:
         cos_min = 0.0
         for i, j in itertools.combinations(range(k), 2):
-            c = abs(float(B[:, i] @ B[:, j])) / (norms[i] * norms[j])
+            c = abs(float(dot(B[:, i], B[:, j]))) / (norms[i] * norms[j])
             cos_min = max(cos_min, min(c, 1.0))
         theta = math.acos(cos_min)
         kappa_a = 1.0 - (1.0 - cos_min) ** (k - 1)
@@ -80,8 +86,7 @@ def basis_quality(vectors) -> BasisQuality:
     # to the power (k-1)/(2k); its Gram volume lower-bounds nothing here, it
     # is reported so callers can check it dominates b_h.
     scale = (k / float(np.sum(nsq))) ** ((k - 1) / (2.0 * k))
-    gram = (scale * B).T @ (scale * B)
-    det = max(float(np.linalg.det(gram)), 0.0)
+    det = max(float(np.linalg.det(_gram(scale * B))), 0.0)
     return BasisQuality(b_h=b_h, b_bar=b_bar, kappa_n=kappa_n, kappa_a=kappa_a,
                         theta=theta, geo_mean_sq=geo, ari_mean_sq=ari,
                         tilde_volume=math.sqrt(det))
@@ -109,7 +114,7 @@ def _greedy_seed(B: np.ndarray, k: int) -> list:
         best, best_vol = None, -1.0
         for j in remaining:
             sub = B[:, chosen + [j]]
-            vol = float(np.linalg.det(sub.T @ sub))
+            vol = float(np.linalg.det(_gram(sub)))
             if vol > best_vol:
                 best, best_vol = j, vol
         chosen.append(best)

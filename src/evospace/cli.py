@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import derangement_sign_det, exen_ratio, pdg_bruteforce, pdg_closed
 from .basis import basis_quality, select_bstar
-from .engine import FAILURE_POLICIES
+from .engine import FAILURE_POLICIES, MAX_STEPS
 from .errors import ConfigError, ModelError
 from .experiments import (SCENARIOS, MeanEstimationModel, ScenarioConfig,
                           as_knobs, labels_problem, run_frontier_scaling,
@@ -74,7 +74,7 @@ def _evolve_table(dim=None) -> dict:
             "seed": ("int", 0),
             "f0": ("vector", None, dim),
             "m_override": ("int", None, ">= 1"),
-            "t_override": ("int", None, ">= 1"),
+            "t_override": ("int", None, f">= 1, <= {MAX_STEPS}"),
             "failure_policy": (FAILURE_POLICIES, "strict"),
             "renewal_period": ("int", None, ">= 1"),
             "record_path": ("bool", False),
@@ -261,8 +261,9 @@ _FRONTIER = {"gamma": ("matrix", ...), "delta": ("vector", ...),
 
 def _cmd_frontier(args) -> int:
     if args.scan:
-        if args.dim < 1:
-            raise ConfigError(f"--dim must be >= 1, got {args.dim}")
+        if args.dim < 2:
+            raise ConfigError(f"--dim must be >= 2 (a zero-sum residual "
+                              f"needs two dimensions), got {args.dim}")
         report = run_frontier_scaling(seed=args.seed, dim=args.dim)
         if args.out:
             write_json_report(os.path.join(ensure_dir(args.out),
@@ -301,8 +302,13 @@ def _cmd_oracle(args) -> int:
                               f"got {args.z!r}") from None
         closed = pdg_closed(args.dg, z)
         brute = pdg_bruteforce(args.dg, z)
+        try:
+            closed_float = float(closed)
+        except OverflowError:
+            raise ConfigError(f"--z {args.z} puts the closed form beyond the "
+                              f"float range") from None
         _emit({"dg": args.dg, "z": str(z), "closed": str(closed),
-               "bruteforce": str(brute), "closed_float": float(closed),
+               "bruteforce": str(brute), "closed_float": closed_float,
                "equal": closed == brute})
         return EXIT_OK
     if args.j is None:

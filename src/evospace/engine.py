@@ -11,15 +11,23 @@ policy) or picks uniformly from the whole neighborhood (forced policy).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from .errors import ConfigError, ModelError
+from .kernels import (compile_floats, dot, fold_source, quad_form,
+                      weighted_rows)
 from .model import (BregmanGenerator, ConditionSampler, DataColumnPanel,
                     GenePanel, MutationSet, Organism, Sample, rng_for)
 
 FAILURE_POLICIES = ("strict", "forced_uniform")
+# The longest run a trace records.  Its columns take 37 bytes a step, about
+# 80 GB at this bound; numpy refuses a column of 2**62 rows outright.
+MAX_STEPS = 2**31 - 1
+# Oracle scores are computed for up to this many steps at once.
+ORACLE_BLOCK = 4096
 
 
 def _signed_steps(mutations: MutationSet, alpha: float) -> np.ndarray:
@@ -30,13 +38,58 @@ def _signed_steps(mutations: MutationSet, alpha: float) -> np.ndarray:
     return steps
 
 
-def _classify(gains: np.ndarray, tol: float) -> tuple:
-    """Positional indices of the beneficial and neutral mutants.
+def _classify(gains, tol: float) -> tuple:
+    """Positional indices of the beneficial and neutral mutants, as two lists.
 
     Beneficial: gain >= tol (inclusive).  Neutral: |gain| < tol (strict).
-    A gain of exactly -tol lands in neither class.
+    A gain of exactly -tol lands in neither class, nor does a NaN gain.
     """
-    return (gains >= tol).nonzero()[0], (np.abs(gains) < tol).nonzero()[0]
+    bene, neut = [], []
+    for j, g in enumerate(gains):
+        if g >= tol:
+            bene.append(j)
+        elif g > -tol:
+            neut.append(j)
+    return bene, neut
+
+
+@lru_cache(maxsize=None)
+def _gain_scorer(d: int) -> tuple:
+    """``QuadraticPerfModel.score`` for d genes, as straight-line Python.
+
+    Two functions on lists of Python floats, every sum in ``kernels.fold``'s
+    order: ``premiums(quad_rows, step_rows)``, the list of
+    ``quad_form(s, quad)`` over the steps s, and ``scorer(quad_rows,
+    step_rows, premiums, f, cross, const)``, which returns (perf of f, list
+    of gains), perf bit for bit ``QuadraticPerfModel.perf`` and gain k
+    ``2 dot(s_k, cross - matvec(quad, f)) - premium_k``.  The source grows
+    linearly in d.
+    """
+    def dot_source(a, b):
+        terms = [f"{a.format(i)} * {b.format(i)}" for i in range(d)]
+        return f"({fold_source(terms)})"
+
+    def names(stem):
+        return "".join(f"{stem}{i}, " for i in range(d))
+
+    source = "\n".join([
+        "def premiums(quad_rows, step_rows):",
+        "    out = []",
+        "    for s in step_rows:",
+        f"        {names('qs')}= [{dot_source('r[{}]', 's[{}]')} for r in quad_rows]",
+        f"        out.append({dot_source('s[{}]', 'qs{}')})",
+        "    return out",
+        "",
+        "def scorer(quad_rows, step_rows, premiums, f, cross, const):",
+        f"    {names('f')}= f",
+        f"    {names('c')}= cross",
+        f"    {names('qf')}= [{dot_source('r[{}]', 'f{}')} for r in quad_rows]",
+        f"    perf = -({dot_source('f{}', 'qf{}')} - 2.0 * {dot_source('f{}', 'c{}')} + const)",
+        *(f"    g{i} = c{i} - qf{i}" for i in range(d)),
+        f"    return perf, [2.0 * {dot_source('s[{}]', 'g{}')} - p"
+        " for s, p in zip(step_rows, premiums)]", ""])
+    compiled = compile_floats("scorer", source)
+    return compiled["premiums"], compiled["scorer"]
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +97,15 @@ def _classify(gains: np.ndarray, tol: float) -> tuple:
 
 
 class PerformanceModel:
-    """Per-step scoring interface consumed by the mutator loop."""
+    """Per-step scoring interface consumed by the mutator loop.
+
+    ``true_perf(coords, step)`` is the oracle perf of the organism after
+    ``step`` steps, or None without an oracle; the loop calls it after every
+    step, while any state it reads is current.  A model may define
+    ``true_perf_rows(C)`` instead, as ``QuadraticPerfModel`` does: C[k] is
+    the organism after the k-th of the steps since the last call, and the
+    loop then scores a block of up to ``ORACLE_BLOCK`` steps in one call.
+    """
 
     def pre_step(self, step: int, coords: np.ndarray) -> None:
         """Called before each step's draw with the current coordinates."""
@@ -73,14 +134,17 @@ class QuadraticPerfModel(PerformanceModel):
     ``stats_fn(sample, step)`` maps a condition sample to a triple
     (quad, cross, const) with performance -(c^T quad c - 2 c . cross + const);
     ``true_stats`` provides the distribution counterpart for oracle scoring.
-    ``score`` uses the gain identity: the step s from f gains
-    2 s . (cross - quad f) - s^T quad s, a return less a premium.  Premiums
-    are reused while ``quad`` and ``steps`` are the same objects, so a
-    stats_fn must return a new ``quad`` array rather than edit one in place.
-    A stats_fn with a ``reduce_block(data, W)`` attribute, as
-    ``quadratic_stats_for`` gives a ``DataColumnPanel``, has the triples of
-    a whole block of multinomial weight rows W reduced at once; each step
-    reads its row, bit for bit what ``stats_fn`` returns for its sample.
+    Every product is a ``kernels`` one, so ``perf``, ``perf_batch``, the
+    oracle and ``score`` agree bit for bit on the same coordinates, whatever
+    the CPU.  ``score`` uses the gain identity: the step s from f gains
+    2 s . (cross - quad f) - s^T quad s, a return less a premium, in plain
+    Python floats.  Premiums are reused while ``quad`` and ``steps`` are the
+    same objects, so a stats_fn must return a new ``quad`` array rather than
+    edit one in place.  A stats_fn with a ``reduce_block(data, W)``
+    attribute, as ``quadratic_stats_for`` gives a ``DataColumnPanel``, has
+    the triples of a whole block of multinomial weight rows W reduced at
+    once; each step reads its row, bit for bit what ``stats_fn`` returns
+    for its sample.
     """
 
     def __init__(self, sampler: ConditionSampler, stats_fn: Callable,
@@ -100,31 +164,36 @@ class QuadraticPerfModel(PerformanceModel):
 
     @staticmethod
     def _eval(stats, C: np.ndarray) -> np.ndarray:
+        """Perf of each row of C; ``cross`` and ``const`` may be per-row too."""
         quad, cross, const = stats
-        q = np.einsum("ij,jk,ik->i", C, quad, C)
-        return -(q - 2.0 * (C @ cross) + const)
+        return -(quad_form(C, quad) - 2.0 * dot(C, cross) + const)
 
     def perf(self, stats, coords) -> float:
-        return float(self._eval(stats, np.asarray(coords, float)[None, :])[0])
+        return float(self._eval(stats, np.asarray(coords, float)))
 
     def perf_batch(self, stats, coords_matrix) -> np.ndarray:
         return self._eval(stats, np.asarray(coords_matrix, dtype=float))
 
     def score(self, stats, coords: np.ndarray, steps: np.ndarray) -> tuple:
+        """(perf of ``coords``, a list of the gain of each row of ``steps``)."""
         quad, cross, const = stats
+        premiums, scorer = _gain_scorer(len(coords))
         if self._premium_key[0] is not quad or self._premium_key[1] is not steps:
             # the key holds both arrays, so neither id can be reused meanwhile
             self._premium_key = (quad, steps)
-            self._premiums = np.einsum("ij,jk,ik->i", steps, quad, steps)
-        qf = quad @ coords
-        perf_f = -(coords @ qf - 2.0 * (coords @ cross) + const)
-        return float(perf_f), 2.0 * (steps @ (cross - qf)) - self._premiums
+            quad_rows = np.asarray(quad, dtype=float).tolist()
+            step_rows = steps.tolist()
+            self._rows = (quad_rows, step_rows, premiums(quad_rows, step_rows))
+        return scorer(*self._rows, coords.tolist(),
+                      np.asarray(cross, dtype=float).tolist(), const)
 
     def true_perf(self, coords, step: int) -> Optional[float]:
-        stats = self.true_stats
-        if stats is None:
+        if self.true_stats is None:
             return None
-        return float(self._eval(stats, np.asarray(coords, float)[None, :])[0])
+        return float(self._eval(self.true_stats, np.asarray(coords, float)))
+
+    def true_perf_rows(self, C: np.ndarray) -> np.ndarray:
+        return self._eval(self.true_stats, C)
 
 
 def quadratic_stats_for(panel: GenePanel, gen: BregmanGenerator,
@@ -135,22 +204,21 @@ def quadratic_stats_for(panel: GenePanel, gen: BregmanGenerator,
     of conditions.  The returned closure reduces a sample to the quadratic
     moments of the empirical performance.  For a ``DataColumnPanel`` it
     also carries ``reduce_block``, the same moments for a (K, n) stack of
-    weight rows over all the data, one stacked matmul per term.
+    weight rows over all the data, one stacked kernel call per term.
     """
     if not gen.is_quadratic:
         raise ConfigError("quadratic stats need a quadratic generator")
     M = gen.quadratic_matrix(panel.d)
 
     def moments(pts: np.ndarray, w: np.ndarray) -> tuple:
-        # w is one weight row or, for reduce_block, a stack of them; each
-        # row is reduced by its own matmul, so bit for bit alone
+        # w is one weight row or, for reduce_block, a stack of them; the
+        # kernels reduce each row alone, bit for bit
         t = np.asarray(target_fn(pts), dtype=float)
         if t.ndim == 1:
             t = t.reshape(-1, 1)
-        column = np.einsum("ij,jk,ik->i", t, M, t)
         return (panel.second_moment(pts, M=M, weights=w),
                 panel.cross_moment(pts, t, M=M, weights=w),
-                np.matmul(w[..., None, :], column)[..., 0])
+                weighted_rows(w, quad_form(t, M)[:, None])[..., 0])
 
     def stats_fn(sample: Sample, step: int):
         quad, cross, const = moments(sample.points, sample.weights)
@@ -187,6 +255,9 @@ class EvolutionConfig:
             raise ConfigError("alpha and tol must be positive")
         if self.m < 1 or self.t_steps < 1:
             raise ConfigError("m and t_steps must be >= 1")
+        if self.t_steps > MAX_STEPS:
+            raise ConfigError(f"t_steps must be <= {MAX_STEPS}, the longest "
+                              f"run a trace records, got {self.t_steps}")
         if (self.renewal_period is None) != (self.renewal_fn is None):
             raise ConfigError("renewal needs both a period and a callback")
         if self.renewal_period is not None and self.renewal_period < 1:
@@ -198,8 +269,9 @@ class Trace:
 
     ``j`` is the chosen index in the signed neighborhood (2 i for +b_i,
     2 i + 1 for -b_i); ``perf_true`` exists only when the model has an
-    oracle.  ``rows`` derives the written FIELDS from these.  A halted run
-    ends on its failed step, written with null choice and oracle fields.
+    oracle, and the loop fills it (see ``_OracleColumn``).  ``rows`` derives
+    the written FIELDS from these.  A halted run ends on its failed step,
+    written with null choice and oracle fields.
     """
 
     FIELDS = ("step", "perf_before", "perf_after", "bene_size", "neut_size",
@@ -227,20 +299,20 @@ class Trace:
         return len(self) - self.failed
 
     def record(self, t: int, perf_before: float, perf_after: float, bene_size: int,
-               neut_size: int, j: int, forced: bool, perf_true: Optional[float]) -> None:
-        """Store row ``t``; ``perf_true`` is dropped when there is no oracle."""
+               neut_size: int, j: int, forced: bool) -> None:
+        """Store row ``t`` of every column but ``perf_true``."""
         self.perf_before[t] = perf_before
         self.perf_after[t] = perf_after
         self.bene_size[t] = bene_size
         self.neut_size[t] = neut_size
         self.j[t] = j
         self.forced[t] = forced
-        if self.perf_true is not None:
-            self.perf_true[t] = perf_true
 
     def halt(self, t: int, perf: float) -> None:
         """Record the failed step ``t`` and cut every column after it."""
-        self.record(t, perf, perf, 0, 0, -1, False, np.nan)
+        self.record(t, perf, perf, 0, 0, -1, False)
+        if self.perf_true is not None:
+            self.perf_true[t] = np.nan
         self.failed = True
         for name, column in list(vars(self).items()):
             if isinstance(column, np.ndarray):
@@ -285,13 +357,49 @@ class EvolutionResult:
     path: Optional[np.ndarray] = None
 
 
+class _OracleColumn:
+    """Fills a trace's ``perf_true`` column with the model's oracle scores.
+
+    For a model with ``true_perf_rows`` the coordinates after each step are
+    kept and scored a block of up to ``ORACLE_BLOCK`` steps at once, in one
+    kernel call whose rows equal one-row ``true_perf`` calls bit for bit;
+    any other model's ``true_perf`` is called after every step.
+    """
+
+    def __init__(self, model: PerformanceModel, trace: Trace, dG: int):
+        self.model = model
+        self.column = trace.perf_true
+        self.score_rows = getattr(model, "true_perf_rows", None)
+        self.rows = None   # the coordinates after each step not yet scored
+        if self.column is not None and self.score_rows is not None:
+            self.rows = np.empty((min(ORACLE_BLOCK, len(trace)), dG))
+        self.first = 0     # the first step not yet scored
+
+    def add(self, step: int, coords: np.ndarray) -> None:
+        """Score, now or with its block, the organism ``coords`` after ``step``."""
+        if self.rows is not None:
+            self.rows[step - self.first] = coords
+            if step + 1 - self.first == len(self.rows):
+                self.flush(step + 1)
+        elif self.column is not None:
+            self.column[step] = self.model.true_perf(coords, step + 1)
+
+    def flush(self, stop: int) -> None:
+        """Score the kept steps before ``stop``."""
+        if self.rows is not None and stop > self.first:
+            self.column[self.first:stop] = self.score_rows(
+                self.rows[:stop - self.first])
+            self.first = stop
+
+
 def mutator_step(model: PerformanceModel, organism: Organism, config: EvolutionConfig,
                  step: int, selection_rng: np.random.Generator,
-                 steps_matrix: np.ndarray, trace: Trace) -> bool:
+                 steps_matrix: np.ndarray, trace: Trace,
+                 oracle: _OracleColumn) -> bool:
     """One selection round, recorded as row ``step`` of ``trace``.
 
-    Mutates ``organism`` in place and returns False, or returns True when a
-    strict run halts.
+    Mutates ``organism`` in place, hands its new coordinates to ``oracle``
+    and returns False, or returns True when a strict run halts.
     """
     model.pre_step(step, organism.coords)
     stats = model.draw(step, config.m)
@@ -299,20 +407,21 @@ def mutator_step(model: PerformanceModel, organism: Organism, config: EvolutionC
     bene, neut = _classify(gains, config.tol)
 
     forced = False
-    if bene.size:
-        j = int(bene[selection_rng.integers(0, bene.size)])
-    elif neut.size:
-        j = int(neut[selection_rng.integers(0, neut.size)])
+    if bene:
+        j = bene[selection_rng.integers(0, len(bene))]
+    elif neut:
+        j = neut[selection_rng.integers(0, len(neut))]
     elif config.failure_policy == "forced_uniform":
-        j = int(selection_rng.integers(0, gains.shape[0]))
+        j = int(selection_rng.integers(0, len(gains)))
         forced = True
     else:
         trace.halt(step, perf_f)
         return True
 
-    organism.apply(j // 2, +1 if j % 2 == 0 else -1)
-    trace.record(step, perf_f, perf_f + gains[j], bene.size, neut.size, j,
-                 forced, model.true_perf(organism.coords, step + 1))
+    organism.apply(j // 2, 1 - 2 * (j % 2), steps_matrix[j])
+    trace.record(step, perf_f, perf_f + gains[j], len(bene), len(neut), j,
+                 forced)
+    oracle.add(step, organism.coords)
     return False
 
 
@@ -334,6 +443,7 @@ def run_evolution(model: PerformanceModel, config: EvolutionConfig) -> Evolution
 
     initial_tp = model.true_perf(organism.coords, 0)
     trace = Trace(config.t_steps, initial_tp is not None, config.epsilon)
+    oracle = _OracleColumn(model, trace, mutations.dG)
     path = None
     if config.record_path:
         path = np.empty((config.t_steps + 1, mutations.dG))
@@ -347,10 +457,11 @@ def run_evolution(model: PerformanceModel, config: EvolutionConfig) -> Evolution
             organism.rebase(new_basis)
             steps_matrix = _signed_steps(new_basis, config.alpha)
         if mutator_step(model, organism, config, t, selection_rng, steps_matrix,
-                        trace):
+                        trace, oracle):
             break
         if path is not None:
             path[t + 1] = organism.coords
+    oracle.flush(trace.moves)
 
     final_tp = model.true_perf(organism.coords, len(trace))
     # a forced step has no beneficial mutant, and a halted row none

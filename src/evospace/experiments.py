@@ -19,12 +19,14 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .analysis import agnostic_projection_oracle, projection_from_moments
-from .engine import (EvolutionConfig, EvolutionResult, PerformanceModel,
-                     QuadraticPerfModel, quadratic_stats_for, run_evolution)
+from .engine import (MAX_STEPS, EvolutionConfig, EvolutionResult,
+                     PerformanceModel, QuadraticPerfModel, quadratic_stats_for,
+                     run_evolution)
 from .errors import ConfigError, ModelError
 from .frontier import FrontierProblem, efficient_frontier
 from .io import (ensure_dir, read_config, write_json_report, write_path_csv,
                  write_trace_csv, write_trace_jsonl)
+from .kernels import dot, dot_floats, fold
 from .model import (BregmanGenerator, ConditionSampler, DataColumnPanel,
                     IdentityPanel, MutationSet, rng_for)
 from .schedule import (DEFAULT_KNOBS, KnobTriple, ModelConstants, Schedule,
@@ -82,7 +84,7 @@ def _sizing(c_t: float, m_override=None, t_override=None,
             "c_m": ("number", 1.0, "> 0"),
             "m_cap": ("int", 50000, ">= 1"),
             "m_override": ("int", m_override, ">= 1"),
-            "t_override": ("int", t_override, ">= 1"),
+            "t_override": ("int", t_override, f">= 1, <= {MAX_STEPS}"),
             "trace_limit": ("int", trace_limit, ">= 0")}
 
 
@@ -229,7 +231,9 @@ class MeanEstimationModel(QuadraticPerfModel):
     Empirical performance of a batch is the negated squared distance to the
     batch mean (shifted by the accumulated target drift); the oracle scores
     against the current true target.  With ``nu = 0`` this is the plain
-    stationary scenario.
+    stationary scenario.  Adversarial drift makes the target depend on the
+    path, so the model keeps each step's target until the loop scores the
+    step's oracle row (``true_perf_rows``).
     """
 
     def __init__(self, sampler: ConditionSampler, mu0: np.ndarray, *,
@@ -244,17 +248,14 @@ class MeanEstimationModel(QuadraticPerfModel):
         self.policy = policy
         self._drift_seed = drift_seed
         self._eye = np.eye(self.mu0.shape[0])
-        self._oracle0 = self._oracle_stats(self.mu0)
         self._restart()
-
-    def _oracle_stats(self, t: np.ndarray) -> tuple:
-        return (self._eye, t, float(t @ t))
 
     def _restart(self) -> None:
         self.t_cur = self.mu0.copy()
-        self._oracle = self._oracle0
+        self._shift = self.t_cur - self.mu0
         self.drift_steps = 0
         self._rng = rng_for((self._drift_seed, "drift"))
+        self._targets = []   # the target of each step not yet scored
 
     def pre_step(self, step: int, coords: np.ndarray) -> None:
         # The target holds still for the first evaluation and moves between
@@ -262,30 +263,36 @@ class MeanEstimationModel(QuadraticPerfModel):
         # target and drift stream over, so an instance can be run again.
         if step == 0:
             self._restart()
-            return
-        if self.nu == 0.0:
-            return
-        if self.policy == "random":
-            d = self._rng.standard_normal(self.mu0.shape[0])
-        else:
-            d = self.t_cur - coords
-        nrm = float(np.linalg.norm(d))
-        d = np.eye(self.mu0.shape[0])[0] if nrm < 1e-15 else d / nrm
-        self.t_cur = self.t_cur + self.nu * d
-        self._oracle = self._oracle_stats(self.t_cur)
-        self.drift_steps += 1
+        elif self.nu != 0.0:
+            if self.policy == "random":
+                d = self._rng.standard_normal(self.mu0.shape[0])
+            else:
+                d = self.t_cur - coords
+            nrm = float(np.sqrt(dot(d, d)))
+            d = np.eye(self.mu0.shape[0])[0] if nrm < 1e-15 else d / nrm
+            self.t_cur = self.t_cur + self.nu * d
+            self._shift = self.t_cur - self.mu0
+            self.drift_steps += 1
+        self._targets.append(self.t_cur)
 
     def draw(self, step: int, m: int):
         mean = self.sampler._block_mean(step, m)
         if mean is None:
             mean = self.sampler.draw(step, m).mean_point()
-        center = mean + (self.t_cur - self.mu0)
-        return (self._eye, center, float(center @ center))
+        center = mean + self._shift
+        c = center.tolist()
+        return (self._eye, center, dot_floats(c, c))
 
     def true_perf(self, coords, step: int) -> float:
         # step 0 is scored before pre_step(0) restarts the target
-        stats = self._oracle0 if step == 0 else self._oracle
-        return float(self._eval(stats, np.asarray(coords, float)[None, :])[0])
+        t = self.mu0 if step == 0 else self.t_cur
+        return float(self._eval((self._eye, t, dot(t, t)),
+                                np.asarray(coords, float)))
+
+    def true_perf_rows(self, C: np.ndarray) -> np.ndarray:
+        targets = np.array(self._targets[:len(C)])
+        del self._targets[:len(C)]
+        return self._eval((self._eye, targets, dot(targets, targets)), C)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +326,7 @@ def _mean_problem(cfg: ScenarioConfig, opts: dict, knobs: KnobTriple) -> tuple:
 def _pair_renewal(X: np.ndarray, det_min: float, norm_min: float) -> Callable:
     """Mutation pairs drawn from the 2-D condition rows, conditioned to generate R^2."""
     n = X.shape[0]
-    norms = np.linalg.norm(X, axis=1)
+    norms = np.sqrt(dot(X, X))
 
     def renew(rng, step):
         for _ in range(500):
@@ -347,16 +354,16 @@ def labels_problem(X: np.ndarray, y: np.ndarray, seed: int,
     adds the data-pair ``renew`` callback and its ``first_basis`` (k = 2).
     """
     n, k = X.shape
-    A = X.T @ X / n
-    c = X.T @ y / n
-    w_star, baseline = projection_from_moments(A, c, float(y @ y) / n)
+    panel = DataColumnPanel(k, columns=tuple(range(k)))
+    A, c = panel.second_moment(X), panel.cross_moment(X, y)
+    w_star, baseline = projection_from_moments(
+        A, c, float(dot(np.full(n, 1.0 / n), y * y)))
     gen = gen or BregmanGenerator.squared_euclidean()
     scale = float(gen.quadratic_matrix(1).reshape(()))
-    panel = DataColumnPanel(k, columns=tuple(range(k)))
     sampler = ConditionSampler.empirical(np.column_stack([X, y]), seed=seed)
     model = QuadraticPerfModel(
         sampler, quadratic_stats_for(panel, gen, lambda P: P[:, k:k + 1]),
-        true_stats=(scale * A, scale * c, scale * float(c @ w_star)))
+        true_stats=(scale * A, scale * c, scale * float(dot(c, w_star))))
     renew = first_basis = None
     if pairs is not None:
         if k != 2:
@@ -444,7 +451,8 @@ def _unsupervised_mean(cfg, opts, knobs, trace_to) -> dict:
         before, after = _oracle_steps(result)
         far = (result.trace.bene_size[:after.size] > 0) & (before < -eps)
         far_ok = far & (after - before >= margin)
-        cov = np.cov(pts.T, bias=True)
+        centered = (pts - mu).T
+        spread = float(fold(dot(centered, centered) / pts.shape[0]))
         return {
             "seed": seed, "data_tries": tries, "mu": [float(v) for v in mu],
             "success": bool(result.final_true_perf >= -eps),
@@ -453,7 +461,7 @@ def _unsupervised_mean(cfg, opts, knobs, trace_to) -> dict:
             "failed": result.failed, "bene_steps": result.bene_steps,
             "neut_steps": result.neut_steps,
             "far_bene_steps": int(far.sum()), "far_bene_margin_ok": int(far_ok.sum()),
-            "mu_hat_variance_m5": float(np.trace(cov)) / 5.0,
+            "mu_hat_variance_m5": spread / 5.0,
         }
 
     rows = [row(pos, seed) for pos, seed in enumerate(cfg.seeds)]
@@ -527,13 +535,12 @@ def _agnostic(cfg, opts, knobs, trace_to) -> dict:
                                     c_m=opts["c_m"], m_cap=opts["m_cap"])
 
         true_stats = (np.eye(2), t_star,
-                      float(t_star @ t_star) + 2.0 * sigma * sigma)
+                      float(dot(t_star, t_star)) + 2.0 * sigma * sigma)
         model = QuadraticPerfModel(
             sampler,
             lambda sample, step: (np.eye(2), sample.mean_point(),
-                                  float(np.einsum(
-                                      "i,ij,ij->", sample.weights,
-                                      sample.points, sample.points))),
+                                  float(dot(sample.weights, dot(
+                                      sample.points, sample.points)))),
             true_stats=true_stats)
         trace = trace_to(pos, seed)
         result, config = run_seed(
@@ -542,15 +549,15 @@ def _agnostic(cfg, opts, knobs, trace_to) -> dict:
             f0=np.zeros(2), record_path=trace is not None, trace_to=trace)
 
         f_final = result.organism.coords
-        rel_perf = -float((f_final - t_in) @ (f_final - t_in))
+        gap = f_final - t_in
+        rel_perf = -float(dot(gap, gap))
         # orthogonal decomposition check on a fresh draw: total divergence
         # splits into in-span distance plus the span-to-target remainder
         check = sampler.draw(-3, int(opts["check_samples"]))
-        d_tot = float(np.mean(
-            np.einsum("ij,ij->i", check.points - f_final, check.points - f_final)))
-        d_rem = float(np.mean(
-            np.einsum("ij,ij->i", check.points - t_in, check.points - t_in)))
-        pyth_residual = d_tot - (float((f_final - t_in) @ (f_final - t_in)) + d_rem)
+        to_final, to_in = check.points - f_final, check.points - t_in
+        d_tot = float(np.mean(dot(to_final, to_final)))
+        d_rem = float(np.mean(dot(to_in, to_in)))
+        pyth_residual = d_tot - (float(dot(gap, gap)) + d_rem)
         return {
             "seed": seed, "success": bool(rel_perf >= -eps),
             "relative_perf": rel_perf, "span_optimum": span_opt,
@@ -649,7 +656,7 @@ def _supervised_linear(cfg, opts, knobs, trace_to) -> dict:
             "success": bool(result.final_true_perf >= -eps),
             "final_relative_perf": result.final_true_perf,
             "baseline_perf": prob.baseline,
-            "w_star_norm": float(np.linalg.norm(prob.w_star)),
+            "w_star_norm": float(np.sqrt(dot(prob.w_star, prob.w_star))),
             "crossing_step": int(crossed[0]) if crossed.size else None,
             "forced_steps": result.forced_steps,
             "bene_steps": result.bene_steps, "neut_steps": result.neut_steps,
@@ -737,7 +744,7 @@ def _stability(cfg, opts, knobs, trace_to) -> dict:
             pts, _, tries = data[seed]
             mu = pts.mean(axis=0)
             direction = rng_for((seed, "f0")).standard_normal(2)
-            direction /= np.linalg.norm(direction)
+            direction /= np.sqrt(dot(direction, direction))
             f0 = mu + dist * direction
             schedule = compute_schedule(
                 eps, knobs, constants, f0=f0, t_coords=mu, c_t=opts["c_t"],
@@ -827,12 +834,12 @@ def _drift(cfg, opts, knobs, trace_to) -> dict:
             result, _ = run_seed(model, MutationSet.orthonormal(2), schedule,
                                  seed, eps, m_override=m, t_override=t_steps,
                                  f0=np.zeros(2), trace_to=trace)
+            shift = model.t_cur - model.mu0
             return {
                 "seed": seed, "data_tries": tries,
                 "success": bool(result.final_true_perf >= -eps),
                 "final_true_perf": result.final_true_perf,
-                "target_displacement":
-                    float(np.linalg.norm(model.t_cur - model.mu0)),
+                "target_displacement": float(np.sqrt(dot(shift, shift))),
                 "drift_steps": model.drift_steps,
             }
 
@@ -885,11 +892,14 @@ def run_frontier_scaling(eps_list: Sequence[float] = (0.2, 0.1, 0.05, 0.025),
     """
     if len(eps_list) < 2:
         raise ConfigError("scaling sweep needs at least two epsilon values")
+    if dim < 2:
+        raise ConfigError(f"scaling sweep needs dim >= 2 (a zero-sum residual "
+                          f"needs two dimensions), got {dim}")
     if xi_level <= 1.0:
         raise ConfigError("the concentration level must exceed 1")
     rng = rng_for((seed, "frontier"))
     root = rng.standard_normal((dim, dim))
-    gamma = root @ root.T + 0.5 * np.eye(dim)
+    gamma = dot(root[:, None, :], root[None, :, :]) + 0.5 * np.eye(dim)
     delta = rng.standard_normal(dim)
     delta_zero = delta - delta.mean()
 

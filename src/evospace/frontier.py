@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ModelError
+from .kernels import dot, matvec, quad_form
 
 _DEGEN_REL = 1e-10
 
@@ -51,9 +52,9 @@ class FrontierProblem:
 
         ones = np.ones(G.shape[0])
         self.gamma_inv_one = np.linalg.solve(self.gamma, ones)
-        self.s = float(ones @ self.gamma_inv_one)
-        self.cap_delta = float(ones @ d)
-        self.delta_quad = float(d @ self.gamma @ d)
+        self.s = float(dot(ones, self.gamma_inv_one))
+        self.cap_delta = float(dot(ones, d))
+        self.delta_quad = float(quad_form(d, self.gamma))
         self.p_delta = 0.5 * self.alpha * self.delta_quad
         # the closed forms square these, and a float square past 1e154 raises
         if not np.isfinite(np.square([self.n, self.cap_delta,
@@ -85,11 +86,11 @@ def xi(u, gamma) -> float:
     if eig[0] <= 0:
         raise ModelError("gamma must be positive definite")
     ones = np.ones(v.shape[0])
-    tot = float(ones @ v)
-    if abs(tot) <= 1e-12 * np.linalg.norm(v):
+    tot = float(dot(ones, v))
+    if abs(tot) <= 1e-12 * np.sqrt(dot(v, v)):
         raise ModelError("xi is undefined for vectors with (near-)zero sum")
-    s = float(ones @ np.linalg.solve(G, ones))
-    return s * float(v @ G @ v) / tot ** 2
+    s = float(dot(ones, np.linalg.solve(G, ones)))
+    return s * float(quad_form(v, G)) / tot ** 2
 
 
 def kkt_oracle(problem: FrontierProblem, r: float) -> FrontierPoint:
@@ -111,11 +112,11 @@ def kkt_oracle(problem: FrontierProblem, r: float) -> FrontierPoint:
         lam_n = p.alpha * (p.delta_quad * p.n - p.cap_delta * r) / det
     b = (lam_r / p.alpha) * p.delta + (lam_n / p.alpha) * p.gamma_inv_one
     if not p.is_degenerate:
-        res_r = abs(float(b @ p.gamma @ p.delta) - r)
+        res_r = abs(float(dot(b, matvec(p.gamma, p.delta))) - r)
         res_n = abs(float(np.sum(b)) - p.n)
         if res_r > 1e-10 * scale * max(1.0, p.delta_quad) or res_n > 1e-10 * scale:
             raise ModelError("KKT solution failed the constraint residual check")
-    premium = 0.5 * p.alpha * float(b @ p.gamma @ b)
+    premium = 0.5 * p.alpha * float(quad_form(b, p.gamma))
     return FrontierPoint(r=float(r), premium=premium, b=b,
                          lambda_r=lam_r, lambda_n=lam_n)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 from contextlib import contextmanager
 from typing import Optional
@@ -100,7 +101,8 @@ def read_config(cfg, table: dict, where: str = "") -> dict:
     reads as empty) or to ``(kind, default[, extra])``.  An absent key, or a
     null one whose default is None, reads as its default; a key whose
     default is ``...`` must be given.  Kinds: "int" (int64) and "number"
-    (finite), each with an optional bound ``extra`` such as ">= 1"; "bool",
+    (finite), each with optional bounds ``extra`` such as ">= 1" or
+    ">= 1, <= 10" (operators >, >= and <=); "bool",
     "str", "object" (kept as given) and "ints"; a tuple of choices, strings
     or nested tables; "vector" and "matrix" (float arrays; ``extra`` is the
     vector's or each row's length); "knobs" (three floats).  Bools are never
@@ -143,6 +145,9 @@ def _floats(value) -> Optional[np.ndarray]:
     return arr if np.isfinite(arr).all() else None
 
 
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
 def _leaf(key: str, value, kind, extra=None):
     """``value`` of the dotted config ``key`` read as ``kind`` (see read_config)."""
     if isinstance(kind, tuple):
@@ -163,10 +168,10 @@ def _leaf(key: str, value, kind, extra=None):
                 else None
         if extra:
             expected = ("an integer " if kind == "int" else "a number ") + extra
-            op, limit = extra.split()
-            if out is not None and not (out > float(limit) if op == ">"
-                                        else out >= float(limit)):
-                out = None
+            for clause in extra.split(", "):
+                op, limit = clause.split()
+                if out is not None and not _BOUNDS[op](out, float(limit)):
+                    out = None
     elif kind == "ints":
         out = [_leaf(key, v, "int") for v in value] if isinstance(value, list) else None
     elif kind in ("vector", "knobs"):

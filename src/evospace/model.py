@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ModelError
+from .kernels import dot, matvec, quad_form, weighted_rows
 
 # Sample sizes above this multiple of the dataset size are drawn as
 # multinomial counts instead of explicit index lists.  The empirical mean of
@@ -297,9 +298,9 @@ class BregmanGenerator:
     def value(self, u) -> float:
         u = np.asarray(u, dtype=float)
         if self.kind == "squared_euclidean":
-            return float(u @ u)
+            return float(dot(u, u))
         if self.kind == "mahalanobis":
-            return float(u @ self.matrix @ u)
+            return float(quad_form(u, self.matrix))
         return float(self._value(u))
 
     def gradient(self, u) -> np.ndarray:
@@ -307,7 +308,7 @@ class BregmanGenerator:
         if self.kind == "squared_euclidean":
             return 2.0 * u
         if self.kind == "mahalanobis":
-            return 2.0 * (self.matrix @ u)
+            return 2.0 * matvec(self.matrix, u)
         return np.asarray(self._gradient(u), dtype=float)
 
     def divergence(self, u, v) -> float:
@@ -316,22 +317,20 @@ class BregmanGenerator:
         if u.shape != v.shape:
             raise ModelError("divergence arguments must share a shape")
         w = u - v
-        if self.kind == "squared_euclidean":
-            return float(w @ w)
-        if self.kind == "mahalanobis":
-            return float(w @ self.matrix @ w)
-        out = self.value(u) - self.value(v) - float(self.gradient(v) @ w)
+        if self.kind in ("squared_euclidean", "mahalanobis"):
+            return float(self.divergence_rows(u, v))
+        out = self.value(u) - self.value(v) - float(dot(self.gradient(v), w))
         if not math.isfinite(out):
             raise ModelError("custom divergence evaluated to a non-finite value")
         return out
 
     def divergence_rows(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Row-wise divergences for (n, d) stacks of outputs."""
-        W = U - V
+        W = np.subtract(U, V)
         if self.kind == "squared_euclidean":
-            return np.einsum("ij,ij->i", W, W)
+            return dot(W, W)
         if self.kind == "mahalanobis":
-            return np.einsum("ij,jk,ik->i", W, self.matrix, W)
+            return quad_form(W, self.matrix)
         return np.array([self.divergence(u, v) for u, v in zip(U, V)])
 
     # declared-bound validation ---------------------------------------------
@@ -348,7 +347,7 @@ class BregmanGenerator:
             p = _as_vector(np.atleast_1d(p), "check point")
             for _ in range(4):
                 direc = rng.standard_normal(p.shape[0])
-                direc /= np.linalg.norm(direc)
+                direc /= np.sqrt(dot(direc, direc))
                 second = (self.value(p + eps * direc) - 2.0 * self.value(p)
                           + self.value(p - eps * direc)) / (eps * eps)
                 if not (lo <= second <= hi):
@@ -411,8 +410,8 @@ class IdentityPanel(GenePanel):
     def cross_moment(self, X, targets, M=None, weights=None):
         n = np.asarray(X).shape[0]
         w = np.full(n, 1.0 / n) if weights is None else weights
-        tbar = w @ np.asarray(targets, dtype=float)
-        return self.scale * (tbar if M is None else M @ tbar)
+        tbar = weighted_rows(w, targets)
+        return self.scale * (tbar if M is None else matvec(M, tbar))
 
 
 class DataColumnPanel(GenePanel):
@@ -425,7 +424,7 @@ class DataColumnPanel(GenePanel):
     whole dataset passed every step is selected once; X must not be edited
     in place between calls.  The moments also take a (K, n) stack of
     weight rows and return the K moments stacked, each bit for bit the
-    moment of its row alone.
+    moment of its row alone (``kernels.weighted_rows``).
     """
 
     def __init__(self, dG: int, columns=None):
@@ -448,19 +447,16 @@ class DataColumnPanel(GenePanel):
 
     def express(self, X, coords):
         X = self._take(np.asarray(X, dtype=float))
-        return (X @ np.asarray(coords, dtype=float)).reshape(-1, 1)
+        return matvec(X, coords).reshape(-1, 1)
 
     def second_moment(self, X, M=None, weights=None):
         X = self._take(np.asarray(X, dtype=float))
         n = X.shape[0]
         w = np.full(n, 1.0 / n) if weights is None else weights
         scale = 1.0 if M is None else float(np.asarray(M).reshape(()))
-        # scaled in place, so a stack of weight rows makes one (K, dG, n)
-        # temporary; then one matmul per row, since a plain (K, n) @ (n, dG)
-        # product would round differently from the one-row product
-        weighted = X.T * w[..., None, :]
-        weighted *= scale
-        return np.matmul(weighted, X)
+        # the weighted sum of the rows' (dG * dG) outer products
+        quad = weighted_rows(w, (X[:, :, None] * X[:, None, :]).reshape(n, -1))
+        return (scale * quad).reshape(quad.shape[:-1] + (self.dG, self.dG))
 
     def cross_moment(self, X, targets, M=None, weights=None):
         X = self._take(np.asarray(X, dtype=float))
@@ -468,7 +464,7 @@ class DataColumnPanel(GenePanel):
         n = X.shape[0]
         w = np.full(n, 1.0 / n) if weights is None else weights
         scale = 1.0 if M is None else float(np.asarray(M).reshape(()))
-        return scale * np.matmul(X.T, (w * t)[..., None])[..., 0]
+        return scale * weighted_rows(w, X * t[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +485,7 @@ class Sample:
     size: int
 
     def mean_point(self) -> np.ndarray:
-        return self.weights @ self.points
+        return weighted_rows(self.weights, self.points)
 
 
 class ConditionSampler:
@@ -507,7 +503,7 @@ class ConditionSampler:
 
     A block also gives each of its steps the sample mean (``_block_mean``)
     and any stacked reduction of its weights (``_block_reduce``) from one
-    stacked matmul.  Other draws hash the seeds of a block of indices at
+    stacked kernel call.  Other draws hash the seeds of a block of indices at
     once and move one reused generator to the index's seeded state, so the
     ``rng`` handed to a ``from_callable`` callback is valid only during that
     call.  A sampler must not be shared between threads.
@@ -659,16 +655,16 @@ class ConditionSampler:
             return None
         first, block = block
         if self._means is None:
-            # a matmul per step gives each step of the block the same mean,
-            # bit for bit, as its own sample's mean_point
+            # the kernel reduces each step's row alone, so each step of the
+            # block gets the same mean, bit for bit, as its sample's mean_point
             if block.dtype != np.int64:
-                self._means = np.matmul(block[:, None, :], self.data)[:, 0]
+                self._means = weighted_rows(block, self.data)
             else:
                 # slices of about 2**14 gathered values keep the
                 # temporaries small
                 w, dim = self._uniform_weights(m), self.data.shape[1]
                 step = max(1, _CHUNK_INDICES // (m * max(dim, 1)))
-                self._means = np.concatenate([np.matmul(w, self.data[block[k:k + step]])
+                self._means = np.concatenate([weighted_rows(w, self.data[block[k:k + step]])
                                               for k in range(0, len(block), step)])
         return self._means[index - first]
 
@@ -729,7 +725,7 @@ class MutationSet:
         B = _as_matrix(vectors, "mutation vectors")
         self.vectors = B
         self.dG, self.dF = B.shape
-        norms = np.linalg.norm(B, axis=0)
+        norms = np.sqrt(dot(B.T, B.T))
         if np.any(norms == 0.0):
             raise ModelError("mutation vectors must be nonzero")
         self.norms = norms
@@ -773,12 +769,19 @@ class Organism:
             self.coords = self.recompute_coords()
 
     def recompute_coords(self) -> np.ndarray:
-        return self.base + self.alpha * (self.basis.vectors @ self.counts.astype(float))
+        return self.base + self.alpha * matvec(self.basis.vectors,
+                                               self.counts.astype(float))
 
-    def apply(self, index: int, polarity: int) -> None:
-        """Commit one mutation step in place."""
+    def apply(self, index: int, polarity: int, step: Optional[np.ndarray] = None) -> None:
+        """Commit one mutation step in place.
+
+        ``step`` is the signed step row ``(polarity * alpha) * column(index)``
+        when the caller has it, as the mutator loop does.
+        """
         self.counts[index] += polarity
-        self.coords = self.coords + (polarity * self.alpha) * self.basis.column(index)
+        if step is None:
+            step = (polarity * self.alpha) * self.basis.column(index)
+        self.coords = self.coords + step
 
     def rebase(self, basis: MutationSet) -> None:
         """Adopt a new mutation set, zeroing counts at the current position."""
@@ -813,4 +816,4 @@ def empirical_performance(coords, target_outputs, panel: GenePanel,
         raise ModelError("target outputs have non-finite entries")
     outputs = panel.express(sample.points, coords)
     divs = gen.divergence_rows(outputs, t)
-    return float(-(sample.weights @ divs))
+    return float(-dot(sample.weights, divs))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ModelError
 from .basis import select_bstar
+from .kernels import dot, matvec
 from .model import BregmanGenerator, ConditionSampler, GenePanel, MutationSet
 
 
@@ -148,7 +149,8 @@ def estimate_model_constants(panel: GenePanel, mutations: MutationSet,
         if span_projector is None:
             q, _ = np.linalg.qr(mutations.vectors[:, list(sel.indices)])
             span_projector = q[:, :len(sel.indices)]
-        gamma_eff = span_projector.T @ gamma @ span_projector
+        P = np.asarray(span_projector, dtype=float).T
+        gamma_eff = dot(P[:, None, :], matvec(gamma, P)[None, :, :])
     else:
         gamma_eff = gamma
     eig = np.linalg.eigvalsh(0.5 * (gamma_eff + gamma_eff.T))
@@ -160,8 +162,8 @@ def estimate_model_constants(panel: GenePanel, mutations: MutationSet,
     lam = np.zeros(pts.shape[0])
     for i in range(mutations.dF):
         out = panel.express(pts, mutations.column(i))
-        sq = np.einsum("ij,ij->i", out, out)
-        e_out[i] = float(w @ sq)
+        sq = dot(out, out)
+        e_out[i] = float(dot(w, sq))
         if i in sel.indices:
             lam += sq
     live = w > 0
@@ -246,7 +248,8 @@ def compute_schedule(epsilon: float, knobs: KnobTriple, constants: ModelConstant
     if horizon is None:
         if f0 is None or t_coords is None:
             raise ConfigError("need either an explicit horizon or both f0 and t_coords")
-        dist = float(np.linalg.norm(np.asarray(t_coords, float) - np.asarray(f0, float)))
+        gap = np.asarray(t_coords, float) - np.asarray(f0, float)
+        dist = float(np.sqrt(dot(gap, gap)))
         if not math.isfinite(dist / constants.max_b_norm):
             raise ConfigError(f"the horizon from f0 to the target is not finite ({dist})")
         horizon = max(1, math.ceil(dist / constants.max_b_norm))

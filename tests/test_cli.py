@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through main(argv)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from evospace.cli import _evolve_table, main
+from evospace.engine import MAX_STEPS
 from evospace.model import rng_for
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -298,6 +300,7 @@ class TestEvolve:
         ("run", "renewal_period", 0), ("run", "m_override", 10**30),
         ("schedule", "c_t", 1e308), ("schedule", "c_m", 1e308),
         ("run", "t_override", 0), ("run", "record_path", "no"),
+        ("run", "t_override", 2**62), ("run", "t_override", MAX_STEPS + 1),
         ("run", "seed", 1.5), ("model", "dataset", True)])
     def test_out_of_range_values_name_their_key(self, tmp_path, capsys,
                                                 mean_csv, section, key, value):
@@ -383,8 +386,10 @@ def test_readme_run_config_lists_the_read_keys():
     (["diagnose", "exen", "--coords", "0.1,0.2,0.3"], "--coords"),
     (["frontier", "--scan", "--dim", "0"], "--dim"),
     (["frontier", "--scan", "--dim", "-2"], "--dim"),
+    (["frontier", "--scan", "--dim", "1"], "--dim"),
     (["oracle", "pdg", "--dg", "4", "--z", "abc"], "--z"),
     (["oracle", "pdg", "--dg", "4", "--z", "1/0"], "--z"),
+    (["oracle", "pdg", "--dg", "4", "--z", "1e400"], "--z"),
 ])
 def test_malformed_flag_values_name_their_flag(tmp_path, capsys, mean_csv,
                                                argv, flag):
@@ -476,6 +481,18 @@ class TestFrontier:
         assert payload["slope_generic"] == pytest.approx(1.0, abs=1e-6)
         assert payload["slope_zero_sum"] == pytest.approx(1.0, abs=1e-6)
         assert (out / "frontier_scan.json").exists()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 7])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_every_scan_prints_json(self, capsys, dim, seed):
+        # json.loads accepts NaN and Infinity, which are not JSON
+        assert main(["frontier", "--scan", "--dim", str(dim),
+                     "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(
+            f"--scan --dim {dim} printed {name}: {out}"))
+        assert all(math.isfinite(v) for v in (payload["slope_generic"],
+                                               payload["slope_zero_sum"]))
 
     def test_single_level_hand_instance(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
@@ -628,6 +645,8 @@ class TestExperiment:
     @pytest.mark.parametrize("scenario, key, value", [
         ("drift", "mean_window", [0.4, 0.8, 0.9]), ("drift", "mean_window", [0.4]),
         ("drift", "extended_seed_count", 0), ("stability", "t_override", 10**30),
+        ("stability", "t_override", 2**62),
+        ("unsupervised_mean", "t_override", MAX_STEPS + 1),
         ("stability", "m_override", 1e300), ("stability", "dwell", 2.5),
         ("unsupervised_mean", "t_override", 0), ("drift", "policy", 3)])
     def test_out_of_range_overrides_name_their_key(self, tmp_path, capsys,

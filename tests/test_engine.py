@@ -8,7 +8,9 @@ from scipy import stats as sps
 from evospace import (BregmanGenerator, ConditionSampler, EvolutionConfig,
                       IdentityPanel, MutationSet, QuadraticPerfModel,
                       quadratic_stats_for, rng_for, run_evolution)
-from evospace.engine import PerformanceModel, _classify, _signed_steps
+from evospace.engine import (MAX_STEPS, PerformanceModel, _classify,
+                             _signed_steps)
+from evospace.experiments import MeanEstimationModel
 from evospace.errors import ConfigError
 from evospace.model import Sample, empirical_performance
 
@@ -106,9 +108,9 @@ class TestClassify:
         ties = [tol, -tol, np.nextafter(tol, 0.0), -np.nextafter(tol, 0.0)]
         g = np.array(gains + ties)
         bene, neut = _classify(g, tol)
-        assert not set(bene.tolist()) & set(neut.tolist())
-        assert bene.tolist() == [i for i, v in enumerate(g) if v >= tol]
-        assert neut.tolist() == [i for i, v in enumerate(g) if abs(v) < tol]
+        assert not set(bene) & set(neut)
+        assert bene == [i for i, v in enumerate(g) if v >= tol]
+        assert neut == [i for i, v in enumerate(g) if abs(v) < tol]
         at_tol, at_minus_tol, below, above_minus = range(len(gains), len(g))
         assert at_tol in bene                             # beneficial
         assert at_minus_tol not in np.r_[bene, neut]      # neither
@@ -304,6 +306,59 @@ class TestRenewal:
             EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
                             tol=0.1, m=1, t_steps=1,
                             renewal_fn=lambda rng, step: MutationSet.orthonormal(2))
+
+
+class TestBlockOracle:
+    """The oracle column scored a block of steps at once against
+    ``true_perf`` called after every step (a model without ``true_perf_rows``)."""
+
+    @staticmethod
+    def per_step(model):
+        model.true_perf_rows = None
+        return model
+
+    def run_pair(self, make, **config):
+        cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2), **config)
+        block, step = run_evolution(make(), cfg), run_evolution(
+            self.per_step(make()), cfg)
+        assert np.array_equal(block.trace.perf_true, step.trace.perf_true,
+                              equal_nan=True)
+        assert block.trace.rows() == step.trace.rows()
+        assert block.final_true_perf == step.final_true_perf
+        return block
+
+    @pytest.mark.parametrize("t_steps", [1, 4095, 4096, 8192, 9001])
+    def test_drifting_target_across_block_edges(self, t_steps):
+        data = rng_for(("oracle-blocks", 0)).standard_normal((50, 2)) * 0.2
+        res = self.run_pair(
+            lambda: MeanEstimationModel(
+                ConditionSampler.empirical(data, seed=4), data.mean(axis=0),
+                nu=0.002, policy="adversarial", drift_seed=4),
+            alpha=0.05, tol=1e-3, m=5, t_steps=t_steps, seed=4,
+            failure_policy="forced_uniform", epsilon=0.1,
+            f0=np.array([0.3, -0.2]))
+        assert len(res.trace) == t_steps
+
+    def test_halted_run(self):
+        data = rng_for(("golden-null", 0)).normal(0.0, 0.3, (40, 2)) + [0.3, -0.2]
+        mu = data.mean(axis=0)
+
+        def make():
+            return QuadraticPerfModel(
+                ConditionSampler.empirical(data, seed=2),
+                quadratic_stats_for(IdentityPanel(2),
+                                    BregmanGenerator.squared_euclidean(),
+                                    lambda pts: pts),
+                true_stats=(np.eye(2), mu, float(mu @ mu)))
+
+        res = self.run_pair(make, alpha=0.1, tol=0.005, m=20, t_steps=5000,
+                            seed=2, epsilon=0.02, f0=np.array([-0.2, 0.3]))
+        assert res.failed and np.isnan(res.trace.perf_true[-1])
+
+    def test_longest_run_is_bounded(self):
+        with pytest.raises(ConfigError, match="t_steps must be <="):
+            EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
+                            tol=0.1, m=1, t_steps=MAX_STEPS + 1)
 
 
 class TestQuadraticModel:

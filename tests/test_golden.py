@@ -20,25 +20,26 @@ from evospace import (BregmanGenerator, ConditionSampler, EvolutionConfig,
 from evospace.cli import main
 from evospace.experiments import ScenarioConfig, run_scenario
 from evospace.io import write_trace_csv, write_trace_jsonl
+from evospace.kernels import dot, matvec
 from evospace.model import rng_for
 
 CASES = {
     "unsupervised_mean": (
         [3, 0, 1], {"m_override": 40, "t_override": 300, "trace_limit": 2},
-        "a666f39ddc29de3389363a16d4f00bee363c37936e3fbbfe9d7e98098f959d39"),
+        "939c4d699baff15754c034458f69b5217fc2189eff5d502bada25f5022d72c4e"),
     "supervised_linear": (
         [3, 1], {"t_override": 300},
-        "e7ab3d3eff4cc34d0a18264dbaec573fca5c83ad9e9d455053d0d80196e1f8b0"),
+        "30813d25ca0107f7291db0b8ee07f12e480a56f2d5e4bb1bc54bfd8f57999d1b"),
     "drift": (
         [1, 0], {"multipliers": (0.0, 1.0), "extended_multipliers": (1e5,),
                  "extended_seed_count": 1, "t_override": 300},
-        "1f90c59d87a7188783f4c9efac6f598a9126221115497ea09ab5dc3fecab1004"),
+        "3b56452372e3bd52cd61b6cdf71b5c3c5527ed8a580cca2f8396538a6155c5ae"),
     "stability": (
         [1, 0], {"dwell": 5, "t_override": 300, "comparison_t_override": 200},
-        "0a686e3769b163ce27b0fbac5baefe652c45b9292aab7e545c94ee5a19bbe703"),
+        "a4f9fa805a332896deb5af73d87a3d085adc9231a2280a81c50db94a3acdc8c0"),
     "agnostic": (
         [5, 2], {"m_override": 200, "t_override": 300, "check_samples": 1000},
-        "11fc8922f25521e7d65d96749ea013f9c59b313cf06409f4bb48948c3b06b77e"),
+        "d87ce7572ea6ff06c22a5c2f3f41ea602d51ea21188030fc3f23d352655fb3e5"),
 }
 
 # files written by the unsupervised_mean case with out_dir set: the first
@@ -46,11 +47,11 @@ CASES = {
 UNSUP_FILES = {
     "path-0.csv": "043e3df3c824f946e5740fdb302a9abfff5c104026ee71a1f2a08e5903b19dd4",
     "path-3.csv": "c2810d81b9f93cabaf17108d71ccbf14b221cbecd0f49a7344f2103653409926",
-    "perf-0.csv": "7e377c8445d82a21df019de8e330f6e29e1c8b8ac1258bcd5984a3e760f8be6e",
-    "perf-3.csv": "88f9cb3117967961316b96073bc4095fb05691d83f6af4bf25f6fc1c842ddaca",
-    "report.json": "1e74e0c0e9297ff9d555a058a816bc055576a3cfde7a89a987ed56bc854e67cb",
-    "trace-0.jsonl": "996a222c6739fce197cd77886355e672094b0bf9a23b4601cf7e15119109d96c",
-    "trace-3.jsonl": "bfed07ba8d30c2b3b1fc983eb1cca46db44b1621b345220c2f0eee869d0aab1e",
+    "perf-0.csv": "21095bffb89551ca3e49505a7fdbafeee87131f4eb8fb36186908a4a34cba93b",
+    "perf-3.csv": "516f645552d191dba4b9c8f00c420bdc88366152971f64b1045276bb7e0b2bc5",
+    "report.json": "d3af92be2bbf30d8124cf1eac75323c5545101cd9b70eb60b76a02f061f54745",
+    "trace-0.jsonl": "8ddfc8aaf0330529919827ac8ee61ed7a878f8298aad40fa8b00fd6387c5b0c7",
+    "trace-3.jsonl": "61c9ad41e4e72352ead2be470e5788e96ffed85bc63ffd3574ea700d19326931",
 }
 
 # files written by the other cases with out_dir set; drift and stability
@@ -59,42 +60,42 @@ CASE_FILES = {
     "supervised_linear": {
         "path-1.csv": "abe8eced1edd1f100637ae78cbbf1e01cf778f4326b5a7aaec87312d6eb41fb0",
         "path-3.csv": "8c54bfe7a3e4209a37cfe99d711566a44aabaa1ef437621629e63766fbd07d36",
-        "perf-1.csv": "f60eb04ed04bb43760faf9923a49ba23d15b41994384e476ac9c501b92443931",
-        "perf-3.csv": "e2e210015b9c237a5fa52629acd2f03dbbb1a3b30a5d4cef3ede3ddcbfd7b882",
-        "report.json": "d29cb9a36cb4785d5df9b7103449947b86892f78dfb0820927988eaeea069823",
-        "trace-1.jsonl": "361724fc2caf29c71f070e6d97b471c8cf3318ae6d6a5717f649228591464672",
-        "trace-3.jsonl": "a6e8cebe6e9b57abc0440ad58c64c3c6dd630e0b7d022c6d5cc85f4cb80f49df",
+        "perf-1.csv": "9eb66edcdf37577aa7a18cb7afbd651e165f801cda9ec2c2e1dbfbdb4885df50",
+        "perf-3.csv": "1f6bc5454f82f304178a920b0c2da71d6b4b498a39489ee97618a023af872f90",
+        "report.json": "f91dad6fabf44b1625acc5b6a3ac474985e61a7b286b29711d1a595e31b9dc11",
+        "trace-1.jsonl": "095c6ed52def82e7804324836f89f330c71181b54bce78a8e1a2e2de09666574",
+        "trace-3.jsonl": "21b98d2ef945eab3909d9db640649054288b3c9a4ac5cb1b0d28521347f6f132",
     },
     "drift": {
-        "perf-x0-0.csv": "da360de47c0a18e2e45d1eda5933cd076e5ee427074e4242f4874acc67a60729",
-        "perf-x0-1.csv": "e89d47fc548f2425e3b12143b21049a613c4beb637621438adbf8b7c017e2ebd",
-        "perf-x1-0.csv": "aaaa5331498f02c4dfae25c2761e594e30a3e8e04db9a14086663c30ab5263ab",
-        "perf-x1-1.csv": "db817fa77457bc8ffc4844f0774c86489ca66e65ca27f48ffa995a327b4cde1d",
-        "report.json": "8b3c194495d7f6f2fc361cd62fe7d10c43f22162ed4798a0614a1e13a5db6a01",
-        "trace-x0-0.jsonl": "53e42a1c53a94da9ac59fbfb71ebbd2f934ec025230a9f1907f2c6f5e96e4846",
-        "trace-x0-1.jsonl": "69590d527fbc31f8a5397850aa865ae820153b30c88170562c629f77bd644fa9",
-        "trace-x1-0.jsonl": "4cb9c85372b97857b31224e8825d5dbba95e03fbbd14a6f4f43127772fe4a213",
-        "trace-x1-1.jsonl": "8587997abf28cf51fe1696b7db2971d7c405f2d82309fe1bf3505c8e3fee082f",
+        "perf-x0-0.csv": "c0b6bad8107ba7f32a0a20e34c9c40ce675ef0d0057fd0cea8e95e24b751b510",
+        "perf-x0-1.csv": "d0d90b87fb60cd2c7fe38cba715694e3f827a1842d2e01379eafbdfa333ca017",
+        "perf-x1-0.csv": "bb8701c642314145f99da510b35b93a81baecd505fa9420d097fdc96b175b0ca",
+        "perf-x1-1.csv": "0568f457f51ff7f07ad15e7b2e16ac3df32af06eec7f0f80dc4b344149f50271",
+        "report.json": "9e71a980ac11b84c9902f11f7a66b935477dd187bad333defb11f697cb973d85",
+        "trace-x0-0.jsonl": "f08484dc2230c2a62a78e4b5739badda62dba319f6bd0ea2d3fc0cdbbb63033d",
+        "trace-x0-1.jsonl": "fba2b8671920e0b5ccae8cb13eb79f46d2b4660c6b89b7a6c33f36d480673acd",
+        "trace-x1-0.jsonl": "97667f37543900b53ed8ef3b39f30abbbc59154cbde461552a2f5aa3e1fdce79",
+        "trace-x1-1.jsonl": "8f9eec789791a6bccff9243cdcc8e306fe3c564348ef179db23e3020a3f4b761",
     },
     "stability": {
-        "perf-default-0.csv": "e355b6aeb74480108e03a60e82a0ac2f58aa971659742be4988057bc299145ab",
-        "perf-default-1.csv": "ee3a052191dccd9dedee57b44bc95ed27064bd06d38177e192558a6a831950d1",
-        "perf-stable-0.csv": "d76b64fdde3c2d97aaeffcabbdc702659b76e120f5bcf0abcc996207ea285665",
-        "perf-stable-1.csv": "0488554a018b2db7fb6df0784734419b887974cb4a9b1d4da133a1ffee5a45d7",
-        "report.json": "29e8568a7034c317fa867f03dc896924e588acc7fa5a189ac8ae4065176fd179",
-        "trace-default-0.jsonl": "48a7c95cafe550def4d652448387e6febc0c568e95da0d6f029406695c0849c5",
-        "trace-default-1.jsonl": "c92d1b9bcd9fe04e536a12be0b02803222c9aaa6cbe5d47a6bc1f4f0847bad7a",
-        "trace-stable-0.jsonl": "3e866c23bbd75bbd00b7436dadcbb2be3afb7e1c704aafa98c0e641871e3ee88",
-        "trace-stable-1.jsonl": "1c0bbd88d8ea58d8df52affd9415060ec96f58893dab41d560d71ef7ba92b57a",
+        "perf-default-0.csv": "d13ac6b15b924d5216eae67ab02ada424ec51bad3f84f1565a1499d7cb02c51a",
+        "perf-default-1.csv": "5876dbec20880fb515821c8d2d552864fd9fe3b4a8e1a7259c52ea424ec08092",
+        "perf-stable-0.csv": "f9cb28e75be6dea83c8a078418dd23450bb1ca568fef2281e51e099bc07462f6",
+        "perf-stable-1.csv": "6d251b4904c8c025a12233d927540d669499f7a74cc8c46e81bcb005dd57b6a4",
+        "report.json": "84cfedae4d1b8c9b9b99f5f4ebe4c5780c82ca42fa1e6b20c24ee2eabfacea17",
+        "trace-default-0.jsonl": "d8534cddb4feb6e2a50f7b05e8fda28b31f2d3aec4d1002c3dd16328841175c4",
+        "trace-default-1.jsonl": "ae4d9a1720b716c536b0544e31ea76234343330e0b5e06bf6edf7333e0788516",
+        "trace-stable-0.jsonl": "4b561e08e36996362c2389944ac435e10abeccb36846f64fb1465eca591b60cd",
+        "trace-stable-1.jsonl": "9d00fd8b4e9de9c807ddbbbc8f804d77547f5773a7621b96e8f22a0407e14fbc",
     },
     "agnostic": {
-        "path-2.csv": "15fbce7b6a6f9188d96b0121861a549a9e82adb3e31cfa487c0d693057c7a034",
-        "path-5.csv": "2904c87c07ad128e83c828f0962e4b44f143403c78b17bcbf553c3c3fd39eaff",
-        "perf-2.csv": "2f0ff21b791c7eb5d09abb46342290cb79a369536d6f80a5eb7cd556ffe653f2",
-        "perf-5.csv": "f71cb467efc7a72be1e9a9aaa0cd05edee7301b53f56a1174d5b774dc0f05af5",
-        "report.json": "2b7f0f672ea4e46c1fecb770549986f55ec71e65a71071a924bc7a84c0aceea4",
-        "trace-2.jsonl": "99ad6d91c108d9a888fdd7ce417fa05321c1a581389ff4aa497f4c1adb9cc608",
-        "trace-5.jsonl": "66a933c7b4ad3f5c55d022662f0ec773b6085058a3809799d5a1037ad72740a9",
+        "path-2.csv": "12ac7aea905e4b7fdee4d5b75cebb04452b761f535ec8e2f298127e06fbf099d",
+        "path-5.csv": "3eafa8a7e3c38634fc11e1d097ef7a4f153e96423d8c504beacd273f6014a282",
+        "perf-2.csv": "c70af60b7a162733d81f283dbc2d26441c6d2675ae7f9e32fad4c8d5424758c5",
+        "perf-5.csv": "3b8d1f8341cb0ca1e2db071ea32ece5f9a3a802447f766cc4ef7fc6c8a542cee",
+        "report.json": "e4b34ab0d75aa2630fbbd0f00afc5691b067b404900a82623b20ab2996fbb83b",
+        "trace-2.jsonl": "8f33d19e1cc6adcd15fd47ddaee627d58ea701ef6e3b948551cccda3dcdff3a2",
+        "trace-5.jsonl": "a3f0b3bdd7c559824f8a9957732a28d6d3c5ae2612bffe7d6b47245ddcfebf33",
     },
 }
 
@@ -115,7 +116,7 @@ EVOLVE_CASES = {
             "organism.json": "8c9943ff814d708fa08ef8e2bea9b9bab07e9fb0140d971401d5dfd33c275354",
             "path.csv": "ff4c123b03188110c4e9581c769e7fff57db9d04590563ee48e7b07da447bd90",
             "schedule.json": "afe19f4cf6199b92f728541cf6e834b58ccf3c94cff9667ebb77ad8ac0e07085",
-            "trace.csv": "465271fa117904a71285bd04ae92c8a16198cb02ef3a7bbbfed830d41f29a200",
+            "trace.csv": "9aa7b19c268c32b844284545431464dc1e0812c80fe4d652487bffc489c28e4b",
         }),
     "mean_blocks": (
         {"model": {"target": "mean"},
@@ -127,7 +128,7 @@ EVOLVE_CASES = {
             "organism.json": "1f570076153ba1b0c3850eb3a6207ecd551daed187f09e3e5784874abe70fd78",
             "path.csv": "48d1e35ca1f9612b7b52a0538a7c66d29f67358e467155baac0de639b82e8505",
             "schedule.json": "22f5e1f96b59ab2f4ac1e1588335262e4213b9eb541dfac2ef153b9df358ae0a",
-            "trace.jsonl": "b198fe8583a9ada302cfaa27997f8c96291e862455e747c8b56748595566efa1",
+            "trace.jsonl": "49d77270e0f069f1619dc77bf5e38d38cae1ce03c4ab1f0dfba558f986a82f7a",
         }),
     "mean_multinomial": (
         {"model": {"target": "mean"},
@@ -139,7 +140,7 @@ EVOLVE_CASES = {
             "organism.json": "459362a3eea97f7ed9115c32d2043b693294683ae5d7f814ee389a839ca035a2",
             "path.csv": "5d5cb1fc8f36c984c4a141195920c91ccfda10501050492716920a8103c8d3a0",
             "schedule.json": "327a1f3b0c0192ead960c16aad9aec28fcf00e2ab7208c917f26d7ceddb70f8a",
-            "trace.jsonl": "708ce321d8ebffd1ff925527370faa723946eb98c90bd4f89df5c004682ee5b8",
+            "trace.jsonl": "46b260a531ee8da80623d2c1c7e0609d0fb3c9be20ccec7a3c30a32ee0174e30",
         }),
     "labels": (
         {"model": {"target": "labels"},
@@ -150,10 +151,10 @@ EVOLVE_CASES = {
                  "renewal_period": 50, "record_path": True}},
         [],
         {
-            "organism.json": "3b56ee0c503763ca4e96fee47c26da53590a429b3893114216afb799370f705d",
+            "organism.json": "63459d23ecb33f4ae93d5fd52611bff8629cc248f1e7688fc664034145835f15",
             "path.csv": "d8ad05b168e732c4f52196ee7a11492d3e3860e9fbe3cf05a9aa78f3f6e36aa2",
-            "schedule.json": "27b2caf4a236f6f0ce451e77287699d946394cc331a781065a9bccbaf86bbacd",
-            "trace.jsonl": "63050b8f9c763d04dd9a16ec7872344240f1add9319d80cc6b111d0040a17092",
+            "schedule.json": "67b9e4fcabd679c6c7f98e5aa129f33f6e6d4e9a1bf9cb268f5decc40d57a5b2",
+            "trace.jsonl": "d9a9793901d069dd2c41619d673067e15ee22f23017afd9e541679be9f981dac",
         }),
 }
 
@@ -201,7 +202,8 @@ def write_dataset(path, target: str) -> None:
         X = 0.5 * X + np.array([0.4, 0.2])
         header, rows = "x1,x2", X
     else:
-        y = X @ np.array([0.8, -0.5]) + 0.05 * rng.standard_normal(50)
+        # a kernels product: `X @ w` rounds by the CPU's BLAS kernel
+        y = matvec(X, [0.8, -0.5]) + 0.05 * rng.standard_normal(50)
         header, rows = "x1,x2,y", np.column_stack([X, y])
     lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
@@ -231,18 +233,18 @@ NULL_FIELD_CASES = {
     "halted": (
         {"oracle": True, "alpha": 0.1, "tol": 0.005, "seed": 2,
          "epsilon": 0.02, "failure_policy": "strict"},
-        {"trace.jsonl": "c726e0a0ab4133653352542e0ec0130e4eff2ddc680565766e8f87848a1f9154",
-         "trace.csv": "feb44163091da748e417ded66de1a6b9dd06c2a2bc8ff5ab338c09eaf869a821"}),
+        {"trace.jsonl": "e1323415042edec580cd02865de4c3135da1818fbc3a3c9fbf6f125b3f7b1d80",
+         "trace.csv": "d425a4ae5e7722df94dd530ef1e93400ad936fa04644d13084eace22195349a8"}),
     "no_oracle": (
         {"oracle": False, "alpha": 0.15, "tol": 0.01, "seed": 1,
          "epsilon": 0.02, "failure_policy": "forced_uniform"},
-        {"trace.jsonl": "999d8bbb18abe2030f58a4811de2911096c1e41d87d70a66f92c2bcee1fc8d84",
-         "trace.csv": "33a84153e9f30271bb686aaac554362be3a39cb518163db97984942ea3d7636a"}),
+        {"trace.jsonl": "b67ef50f97c794f73bb0230356fee74f800d36568ed07e3dae677ffc13a995fa",
+         "trace.csv": "8ca64f5f2bfac2f9026f27b49e01d41a8f934e93e62b521a8ad2abe682c5eefc"}),
     "no_epsilon": (
         {"oracle": True, "alpha": 0.15, "tol": 0.01, "seed": 3,
          "epsilon": None, "failure_policy": "forced_uniform"},
-        {"trace.jsonl": "fd03c21b80b6a81e2ed030aa44cdc4d8d2ec9ff1b3c629e2f3c23683685f1586",
-         "trace.csv": "b861388272f329234f6cdf8440767d4f9dae33b10d3ac07023950e435b43c3bc"}),
+        {"trace.jsonl": "f8a97e2f7da8086055fac13b835e9a4c7926e34b996e575ef575bf0c1b85399a",
+         "trace.csv": "f340c5ba92d58c1b3afeba8d3a9ab6da53e37e441642bbb1a5d89cbb7b6c297d"}),
 }
 
 
@@ -255,7 +257,7 @@ def null_field_run(oracle, alpha, tol, seed, epsilon, failure_policy):
                                    lambda pts: pts)
     model = QuadraticPerfModel(ConditionSampler.empirical(data, seed=seed),
                                stats_fn,
-                               true_stats=(np.eye(2), mu, float(mu @ mu))
+                               true_stats=(np.eye(2), mu, float(dot(mu, mu)))
                                if oracle else None)
     return run_evolution(model, EvolutionConfig(
         mutations=MutationSet.orthonormal(2), alpha=alpha, tol=tol, m=20,

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from evospace.io import (load_config, load_dataset_csv, read_config,
 def steps_fixture():
     """A step that took the first +1 mutant, then a halted step."""
     trace = Trace(5, oracle=True, epsilon=0.1)
-    trace.record(0, -1.0, -0.9, 2, 1, 0, False, -0.95)
+    trace.record(0, -1.0, -0.9, 2, 1, 0, False)
+    trace.perf_true[0] = -0.95   # the loop's oracle column fills it
     trace.halt(1, -0.9)
     return trace
 
@@ -209,6 +211,16 @@ class TestReadConfig:
         assert out["pick"]["m"].shape == (2, 2)
         assert out["sub"]["seeds"] == [-1, 2**63 - 1]
         assert type(read_config({"x": 2, "sub": {"name": ""}}, self.TABLE)["x"]) is float
+
+    def test_two_sided_bound(self):
+        table = {"t": ("int", None, ">= 1, <= 10"), "r": ("number", 1.0, "> 0, <= 2")}
+        assert read_config({"t": 10, "r": 2}, table) == {"t": 10, "r": 2.0}
+        for cfg, shown in (({"t": 11}, "t must be an integer >= 1, <= 10, got 11"),
+                           ({"t": 0}, "t must be an integer >= 1, <= 10, got 0"),
+                           ({"r": 0}, "r must be a number > 0, <= 2, got 0"),
+                           ({"r": 2.5}, "r must be a number > 0, <= 2, got 2.5")):
+            with pytest.raises(ConfigError, match=re.escape(shown)):
+                read_config(cfg, table)
 
     @pytest.mark.parametrize("cfg, shown", [
         ({"n": True}, "n must be an integer >= 1, got True"),

@@ -254,16 +254,25 @@ class TestSamplerStreams:
                   RngForSampler.empirical(data, seed=seed)),
                  (ConditionSampler.from_callable(fn, seed=seed),
                   RngForSampler.from_callable(fn, seed=seed))]
-        # out of order and repeated indices on one sampler
-        for index in indices + indices[::-1]:
+
+        def check(index, m):
             for sampler, reference in pairs:
-                # rows from 4,096- and 2,340-step blocks (m <= 4n), and
-                # multinomial counts
-                for m in (3, 28, 40):
-                    got, want = sampler.draw(index, m), reference.draw(index, m)
-                    assert np.array_equal(got.points, want.points)
-                    assert np.array_equal(got.weights, want.weights)
-                    assert got.size == want.size == m
+                got, want = sampler.draw(index, m), reference.draw(index, m)
+                assert np.array_equal(got.points, want.points)
+                assert np.array_equal(got.weights, want.weights)
+                assert got.size == want.size == m
+
+        # out of order and repeated indices on one sampler; m outermost, so
+        # a block is rebuilt only when the index leaves it.  Rows come from
+        # 4,096- and 2,340-step blocks (m <= 4n), then multinomial counts.
+        draws = indices + indices[::-1]
+        for m in (3, 28, 40):
+            for index in draws:
+                check(index, m)
+        # a short interleaved pass: each change of m evicts the cached block
+        for index in draws[:2]:
+            for m in (3, 28, 40, 3):
+                check(index, m)
 
 
 def index_sampler(seed, n):
@@ -374,6 +383,18 @@ def _weight_steps(draw):
     return n, m, indices
 
 
+def pairwise_sum(values):
+    """Sum in ``kernels.fold``'s order: term i + half onto term i, then an
+    odd last term onto term 0, until one is left."""
+    while len(values) > 1:
+        half, odd = divmod(len(values), 2)
+        out = [values[i] + values[i + half] for i in range(half)]
+        if odd:
+            out[0] += values[-1]
+        values = out
+    return values[0]
+
+
 def labels_data(n, dG):
     return rng_for(("weight-data", n, dG)).standard_normal((n, dG + 1))
 
@@ -417,22 +438,26 @@ class TestWeightBlocks:
         model = QuadraticPerfModel(ConditionSampler.empirical(data, seed=seed),
                                    stats_fn)
         reference = RngForSampler.empirical(data, seed=seed)
-        # the one-sample reduction as written before blocks existed
-        X, t = data[:, list(range(dG))], data[:, dG]
-        M = gen.quadratic_matrix(1)
-        s = float(M.reshape(()))
-        column = np.einsum("ij,jk,ik->i", t[:, None], M, t[:, None])
+        # the one-sample reduction written out on Python floats, each sum
+        # over the rows in the kernels' pairwise order
+        X, t = data[:, :dG].tolist(), data[:, dG].tolist()
+        s = float(gen.quadratic_matrix(1).reshape(()))
         for index in indices + indices[::-1]:
             sample = reference.draw(index, m)
-            w = sample.weights
+            w = sample.weights.tolist()
             quad, cross, const = model.draw(index, m)
             want = stats_fn(sample, index)
             assert np.array_equal(quad, want[0])
-            assert np.array_equal(quad, s * (X.T * w) @ X)
+            assert quad.tolist() == [
+                [s * pairwise_sum([wk * (x[a] * x[b]) for wk, x in zip(w, X)])
+                 for b in range(dG)] for a in range(dG)]
             assert np.array_equal(cross, want[1])
-            assert np.array_equal(cross, s * (X.T @ (w * t)))
+            assert cross.tolist() == [
+                s * pairwise_sum([wk * (x[a] * tk) for wk, x, tk in zip(w, X, t)])
+                for a in range(dG)]
             assert type(const) is float
-            assert const == want[2] == float(w @ column)
+            assert const == want[2] == pairwise_sum(
+                [wk * (tk * (s * tk)) for wk, tk in zip(w, t)])
             mean = model.sampler._block_mean(index, m)
             if 0 <= index < 2**32:
                 assert np.array_equal(mean, sample.mean_point())
