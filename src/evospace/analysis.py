@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ModelError
-from .kernels import dot, matvec, quad_form
+from .kernels import cholesky_solve, dot, matvec, quad_form
 from .model import (BregmanGenerator, ConditionSampler, GenePanel, MutationSet,
                     Sample)
 
@@ -109,15 +109,15 @@ def projection_from_moments(quad: np.ndarray, cross: np.ndarray,
     """Optimal in-span coordinates and performance from quadratic moments.
 
     For performance -(c^T quad c - 2 c^T cross + target_sq) over coordinates
-    c, the maximiser solves quad c = cross and the optimum performance is
-    -(target_sq - cross^T c).
+    c, the maximiser solves sym(quad) c = cross and the optimum performance
+    is -(target_sq - cross^T c).
     """
     quad = np.asarray(quad, dtype=float)
-    cross = np.asarray(cross, dtype=float)
-    eig = np.linalg.eigvalsh(0.5 * (quad + quad.T))
+    sym = 0.5 * (quad + quad.T)
+    eig = np.linalg.eigvalsh(sym)
     if eig[0] <= 1e-14 * max(1.0, eig[-1]):
         raise ModelError("projection moment matrix is singular")
-    c = np.linalg.solve(quad, cross)
+    c = cholesky_solve(sym, cross)
     return c, float(-(target_sq - dot(cross, c)))
 
 

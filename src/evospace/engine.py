@@ -193,6 +193,8 @@ class QuadraticPerfModel(PerformanceModel):
         return float(self._eval(self.true_stats, np.asarray(coords, float)))
 
     def true_perf_rows(self, C: np.ndarray) -> np.ndarray:
+        # scores against the fixed true_stats: a subclass whose true_perf
+        # reads per-step state overrides this too, or sets it to None
         return self._eval(self.true_stats, C)
 
 

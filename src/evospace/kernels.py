@@ -10,13 +10,16 @@ by the length of the summed axis alone.  numpy's elementwise multiply and add
 round each result once, as IEEE 754 prescribes, at every SIMD width; so each
 row's result is the same sequence of rounded operations whatever the CPU,
 and the same alone as stacked with any number of other rows.
-``fold_source`` writes the same order as straight-line Python, which is how
+``cholesky_solve`` builds a small linear solve from them, since LAPACK's
+``solve`` rounds by kernel too.  ``fold_source`` writes the same order as
+straight-line Python, which is how
 ``dot_floats`` and the mutator loop's scorer get the same results on Python
 floats without a numpy call.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable
 
@@ -78,6 +81,26 @@ def weighted_rows(w, X) -> np.ndarray:
         return np.concatenate([weighted_rows(w[k:k + rows], X)
                                for k in range(0, len(w), rows)])
     return fold(np.swapaxes(X, -1, -2) * w[..., None, :])
+
+
+def cholesky_solve(A, b) -> np.ndarray:
+    """x with A x = b for a symmetric positive definite A (its lower triangle).
+
+    A = L L^T, then L y = b and L^T x = y, every sum a ``dot``, so the
+    result does not depend on the BLAS kernel under LAPACK's ``solve``.
+    """
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    n = b.shape[0]
+    L, y, x = np.zeros((n, n)), np.zeros(n), np.zeros(n)
+    for j in range(n):
+        L[j, j] = math.sqrt(A[j, j] - dot(L[j, :j], L[j, :j]))
+        for i in range(j + 1, n):
+            L[i, j] = (A[i, j] - dot(L[i, :j], L[j, :j])) / L[j, j]
+    for i in range(n):
+        y[i] = (b[i] - dot(L[i, :i], y[:i])) / L[i, i]
+    for i in reversed(range(n)):
+        x[i] = (y[i] - dot(L[i + 1:, i], x[i + 1:])) / L[i, i]
+    return x
 
 
 def fold_source(terms: list) -> str:

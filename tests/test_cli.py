@@ -386,9 +386,9 @@ def test_readme_run_config_lists_the_read_keys():
     (["diagnose", "exen", "--coords", "0.1,0.2,0.3"], "--coords"),
     (["frontier", "--scan", "--dim", "0"], "--dim"),
     (["frontier", "--scan", "--dim", "-2"], "--dim"),
-    (["frontier", "--scan", "--dim", "1"], "--dim"),
     (["oracle", "pdg", "--dg", "4", "--z", "abc"], "--z"),
     (["oracle", "pdg", "--dg", "4", "--z", "1/0"], "--z"),
+    (["frontier", "--scan", "--dim", "1"], "--dim"),
     (["oracle", "pdg", "--dg", "4", "--z", "1e400"], "--z"),
 ])
 def test_malformed_flag_values_name_their_flag(tmp_path, capsys, mean_csv,

@@ -29,7 +29,7 @@ CASES = {
         "939c4d699baff15754c034458f69b5217fc2189eff5d502bada25f5022d72c4e"),
     "supervised_linear": (
         [3, 1], {"t_override": 300},
-        "30813d25ca0107f7291db0b8ee07f12e480a56f2d5e4bb1bc54bfd8f57999d1b"),
+        "321742ac5fcea49c417a031f81662eb654a72248f7306d4b93799e8036f2a666"),
     "drift": (
         [1, 0], {"multipliers": (0.0, 1.0), "extended_multipliers": (1e5,),
                  "extended_seed_count": 1, "t_override": 300},
@@ -62,7 +62,7 @@ CASE_FILES = {
         "path-3.csv": "8c54bfe7a3e4209a37cfe99d711566a44aabaa1ef437621629e63766fbd07d36",
         "perf-1.csv": "9eb66edcdf37577aa7a18cb7afbd651e165f801cda9ec2c2e1dbfbdb4885df50",
         "perf-3.csv": "1f6bc5454f82f304178a920b0c2da71d6b4b498a39489ee97618a023af872f90",
-        "report.json": "f91dad6fabf44b1625acc5b6a3ac474985e61a7b286b29711d1a595e31b9dc11",
+        "report.json": "4d535e578aedc56a4562ed60b9b942e38b618888e1a4a95c38cb58eb19ae7f43",
         "trace-1.jsonl": "095c6ed52def82e7804324836f89f330c71181b54bce78a8e1a2e2de09666574",
         "trace-3.jsonl": "21b98d2ef945eab3909d9db640649054288b3c9a4ac5cb1b0d28521347f6f132",
     },
@@ -154,7 +154,7 @@ EVOLVE_CASES = {
             "organism.json": "63459d23ecb33f4ae93d5fd52611bff8629cc248f1e7688fc664034145835f15",
             "path.csv": "d8ad05b168e732c4f52196ee7a11492d3e3860e9fbe3cf05a9aa78f3f6e36aa2",
             "schedule.json": "67b9e4fcabd679c6c7f98e5aa129f33f6e6d4e9a1bf9cb268f5decc40d57a5b2",
-            "trace.jsonl": "d9a9793901d069dd2c41619d673067e15ee22f23017afd9e541679be9f981dac",
+            "trace.jsonl": "a33669c6a8ced384982635dd7b332b85a52764a67d338f7f3ddc96a5116b3a79",
         }),
 }
 

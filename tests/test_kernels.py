@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from evospace import kernels
 from evospace.engine import QuadraticPerfModel
-from evospace.kernels import (dot, dot_floats, fold, fold_source, matvec,
-                              quad_form, weighted_rows)
+from evospace.kernels import (cholesky_solve, dot, dot_floats, fold,
+                              fold_source, matvec, quad_form, weighted_rows)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -117,6 +117,19 @@ class TestStackedEqualsOneRow:
     def test_empty_sums_are_zero(self):
         assert fold(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
         assert eval(fold_source([])) == 0.0
+
+
+class TestCholeskySolve:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+    def test_solves_positive_definite_systems(self, seed, n):
+        rng = np.random.default_rng(seed)
+        R = rng.standard_normal((n, n))
+        A, b = R @ R.T + 0.1 * np.eye(n), rng.standard_normal(n)
+        x = cholesky_solve(A, b)
+        assert np.allclose(A @ x, b, rtol=0, atol=1e-9 * (1 + np.abs(b).max()) * np.linalg.cond(A))
+        # the upper triangle is never read
+        assert np.array_equal(cholesky_solve(np.tril(A), b), x)
 
 
 class TestPlainFloatScore:

@@ -57,8 +57,9 @@ def blas_products(tree) -> list:
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "kernels.py"],
                          ids=lambda p: p.name)
 def test_reported_products_use_the_kernels(path):
-    # LAPACK calls (np.linalg.solve, eigvalsh, qr, det, matrix_rank) stay:
-    # the golden digests hold under every OpenBLAS kernel with them in place
+    # LAPACK calls (eigvalsh, qr, det, matrix_rank, and solve outside the
+    # projections) stay: the golden digests hold under every OpenBLAS
+    # kernel with them in place
     products = [(name, line, what) for name, line, what
                 in blas_products(ast.parse(path.read_text()))
                 if (path.name, name) not in BLAS_ALLOWED]
