@@ -23,9 +23,8 @@ from .analysis import (agnostic_projection_oracle, derangement_sign_det,
                        projection_from_moments, return_and_premium)
 from .frontier import FrontierProblem, efficient_frontier, kkt_oracle, xi
 from .experiments import (SCENARIOS, MeanEstimationModel, ScenarioConfig,
-                          gen_gaussian_mixture, run_agnostic, run_drift,
-                          run_frontier_scaling, run_scenario, run_stability,
-                          run_supervised_linear, run_unsupervised_mean)
+                          gen_gaussian_mixture, run_frontier_scaling,
+                          run_scenario)
 
 __version__ = "0.1.0"
 
@@ -41,8 +40,7 @@ __all__ = [
     "efficient_frontier", "empirical_performance", "estimate_model_constants",
     "exen_ratio", "gen_gaussian_mixture", "kkt_oracle", "knob_region_check",
     "make_drift_plan", "pdg_bruteforce", "pdg_closed", "projection_from_moments",
-    "quadratic_stats_for", "return_and_premium", "rng_for", "run_agnostic",
-    "run_drift", "run_evolution", "run_frontier_scaling", "run_scenario",
-    "run_stability", "run_supervised_linear", "run_unsupervised_mean",
-    "select_bstar", "stable_knob_example", "xi",
+    "quadratic_stats_for", "return_and_premium", "rng_for", "run_evolution",
+    "run_frontier_scaling", "run_scenario", "select_bstar",
+    "stable_knob_example", "xi",
 ]

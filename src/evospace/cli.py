@@ -97,6 +97,13 @@ class _RunSetup:
             if isinstance(spec, dict) else BregmanGenerator.squared_euclidean()
         self.seed = self.run_cfg["seed"] if seed is None else seed
         source = mut_cfg["source"]
+        if source != "explicit" and mut_cfg["vectors"] is not None:
+            raise ConfigError(f"mutations.vectors is used only with "
+                              f"mutations.source 'explicit', got {source!r}")
+        if source != "data_pairs" and self.run_cfg["renewal_period"] is not None:
+            raise ConfigError(f"run.renewal_period renews data-pair mutations "
+                              f"and needs mutations.source 'data_pairs', "
+                              f"got {source!r}")
         self.renewal_fn = None
 
         if model["target"] == "mean":

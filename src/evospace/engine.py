@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ConfigError, ModelError
 from .kernels import (compile_floats, dot, fold_source, quad_form,
                       weighted_rows)
-from .model import (BregmanGenerator, ConditionSampler, DataColumnPanel,
-                    GenePanel, MutationSet, Organism, Sample, rng_for)
+from .model import (BregmanGenerator, ConditionSampler, GenePanel,
+                    MutationSet, Organism, rng_for)
 
 FAILURE_POLICIES = ("strict", "forced_uniform")
 # The longest run a trace records.  Its columns take 37 bytes a step, about
@@ -131,20 +131,19 @@ class PerformanceModel:
 class QuadraticPerfModel(PerformanceModel):
     """Model whose empirical performance is an exact quadratic in the genome.
 
-    ``stats_fn(sample, step)`` maps a condition sample to a triple
+    ``stats_fn(points, weights)`` maps a condition sample to a triple
     (quad, cross, const) with performance -(c^T quad c - 2 c . cross + const);
     ``true_stats`` provides the distribution counterpart for oracle scoring.
-    Every product is a ``kernels`` one, so ``perf``, ``perf_batch``, the
-    oracle and ``score`` agree bit for bit on the same coordinates, whatever
-    the CPU.  ``score`` uses the gain identity: the step s from f gains
-    2 s . (cross - quad f) - s^T quad s, a return less a premium, in plain
-    Python floats.  Premiums are reused while ``quad`` and ``steps`` are the
-    same objects, so a stats_fn must return a new ``quad`` array rather than
-    edit one in place.  A stats_fn with a ``reduce_block(data, W)``
-    attribute, as ``quadratic_stats_for`` gives a ``DataColumnPanel``, has
-    the triples of a whole block of multinomial weight rows W reduced at
-    once; each step reads its row, bit for bit what ``stats_fn`` returns
-    for its sample.
+    Each step's triple is ``sampler.reduce(step, m, stats_fn)``, so from a
+    cached block of steps stats_fn reduces the whole block at once, and it
+    must reduce each stacked batch or weight row alone
+    (``ConditionSampler.reduce``).  Every product is a ``kernels`` one, so
+    ``perf``, ``perf_batch``, the oracle and ``score`` agree bit for bit on
+    the same coordinates, whatever the CPU.  ``score`` uses the gain
+    identity: the step s from f gains 2 s . (cross - quad f) - s^T quad s, a
+    return less a premium, in plain Python floats.  Premiums are reused
+    while ``quad`` and ``steps`` are the same objects, so a stats_fn must
+    return a new ``quad`` array rather than edit one in place.
     """
 
     def __init__(self, sampler: ConditionSampler, stats_fn: Callable,
@@ -155,11 +154,7 @@ class QuadraticPerfModel(PerformanceModel):
         self._premium_key = (None, None)
 
     def draw(self, step: int, m: int):
-        reduce = getattr(self.stats_fn, "reduce_block", None)
-        stats = reduce and self.sampler._block_reduce(step, m, reduce)
-        if stats is None:
-            return self.stats_fn(self.sampler.draw(step, m), step)
-        quad, cross, const = stats
+        quad, cross, const = self.sampler.reduce(step, m, self.stats_fn)
         return quad, cross, float(const)
 
     @staticmethod
@@ -202,33 +197,25 @@ def quadratic_stats_for(panel: GenePanel, gen: BregmanGenerator,
                         target_fn: Callable) -> Callable:
     """stats_fn for a quadratic generator and per-condition target outputs.
 
-    ``target_fn(points) -> (n, d)`` supplies the target outputs for a batch
-    of conditions.  The returned closure reduces a sample to the quadratic
-    moments of the empirical performance.  For a ``DataColumnPanel`` it
-    also carries ``reduce_block``, the same moments for a (K, n) stack of
-    weight rows over all the data, one stacked kernel call per term.
+    ``target_fn(points)`` supplies the (..., n, d) target outputs of a batch
+    of conditions or of a stack of them.  The returned ``moments(points,
+    weights)`` reduces a sample, or a stack of batches or of weight rows, to
+    the quadratic moments of the empirical performance, one stacked kernel
+    call per term; each batch's moments are bit for bit its moments alone.
     """
     if not gen.is_quadratic:
         raise ConfigError("quadratic stats need a quadratic generator")
     M = gen.quadratic_matrix(panel.d)
 
-    def moments(pts: np.ndarray, w: np.ndarray) -> tuple:
-        # w is one weight row or, for reduce_block, a stack of them; the
-        # kernels reduce each row alone, bit for bit
-        t = np.asarray(target_fn(pts), dtype=float)
-        if t.ndim == 1:
-            t = t.reshape(-1, 1)
-        return (panel.second_moment(pts, M=M, weights=w),
-                panel.cross_moment(pts, t, M=M, weights=w),
-                weighted_rows(w, quad_form(t, M)[:, None])[..., 0])
+    def moments(points: np.ndarray, weights: np.ndarray) -> tuple:
+        t = np.asarray(target_fn(points), dtype=float)
+        if t.ndim < np.ndim(points):
+            t = t[..., None]
+        return (panel.second_moment(points, M=M, weights=weights),
+                panel.cross_moment(points, t, M=M, weights=weights),
+                weighted_rows(weights, quad_form(t, M)[..., None])[..., 0])
 
-    def stats_fn(sample: Sample, step: int):
-        quad, cross, const = moments(sample.points, sample.weights)
-        return (quad, cross, float(const))
-
-    if isinstance(panel, DataColumnPanel):
-        stats_fn.reduce_block = moments
-    return stats_fn
+    return moments
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .errors import ConfigError, ModelError
 from .frontier import FrontierProblem, efficient_frontier
 from .io import (ensure_dir, read_config, write_json_report, write_path_csv,
                  write_trace_csv, write_trace_jsonl)
-from .kernels import dot, dot_floats, fold
+from .kernels import dot, dot_floats, fold, weighted_rows
 from .model import (BregmanGenerator, ConditionSampler, DataColumnPanel,
                     IdentityPanel, MutationSet, rng_for)
 from .schedule import (DEFAULT_KNOBS, KnobTriple, ModelConstants, Schedule,
@@ -225,6 +225,10 @@ def _mean_window(lo: float, hi: float, balance: Optional[float]) -> Callable:
 # performance models shared by the mean-estimation scenarios
 
 
+def _sample_mean(points: np.ndarray, weights: np.ndarray) -> tuple:
+    return (weighted_rows(weights, points),)
+
+
 class MeanEstimationModel(QuadraticPerfModel):
     """Sample-mean target with an optional per-step target drift.
 
@@ -276,9 +280,7 @@ class MeanEstimationModel(QuadraticPerfModel):
         self._targets.append(self.t_cur)
 
     def draw(self, step: int, m: int):
-        mean = self.sampler._block_mean(step, m)
-        if mean is None:
-            mean = self.sampler.draw(step, m).mean_point()
+        (mean,) = self.sampler.reduce(step, m, _sample_mean)
         center = mean + self._shift
         c = center.tolist()
         return (self._eye, center, dot_floats(c, c))
@@ -362,7 +364,7 @@ def labels_problem(X: np.ndarray, y: np.ndarray, seed: int,
     scale = float(gen.quadratic_matrix(1).reshape(()))
     sampler = ConditionSampler.empirical(np.column_stack([X, y]), seed=seed)
     model = QuadraticPerfModel(
-        sampler, quadratic_stats_for(panel, gen, lambda P: P[:, k:k + 1]),
+        sampler, quadratic_stats_for(panel, gen, lambda P: P[..., k:k + 1]),
         true_stats=(scale * A, scale * c, scale * float(dot(c, w_star))))
     renew = first_basis = None
     if pairs is not None:
@@ -434,6 +436,14 @@ _UNSUP = {
 
 
 def _unsupervised_mean(cfg, opts, knobs, trace_to) -> dict:
+    """Mean estimation over seeded mixture datasets; strict failure policy.
+
+    Per seed: draw a dataset whose mean sits in the configured window, evolve
+    from the origin with an orthonormal mutation pair under the resolved
+    schedule, and score against the exact dataset mean.  The report carries
+    the success fraction at the accuracy target and pooled far-regime
+    monotonicity statistics for beneficial selections.
+    """
     eps = cfg.epsilon
     data, schedule, m, t_steps = _mean_problem(cfg, opts, knobs)
     margin = schedule.margin
@@ -481,18 +491,6 @@ def _unsupervised_mean(cfg, opts, knobs, trace_to) -> dict:
     }
 
 
-def run_unsupervised_mean(cfg: ScenarioConfig) -> dict:
-    """Mean estimation over seeded mixture datasets; strict failure policy.
-
-    Per seed: draw a dataset whose mean sits in the configured window, evolve
-    from the origin with an orthonormal mutation pair under the resolved
-    schedule, and score against the exact dataset mean.  The report carries
-    the success fraction at the accuracy target and pooled far-regime
-    monotonicity statistics for beneficial selections.
-    """
-    return _run_as("unsupervised_mean", cfg)
-
-
 # ---------------------------------------------------------------------------
 # scenario: agnostic line
 
@@ -508,6 +506,13 @@ _AGNOSTIC = {
 
 
 def _agnostic(cfg, opts, knobs, trace_to) -> dict:
+    """Single-direction mutation set chasing a target off its span.
+
+    Conditions are noisy copies of a fixed point t* lying off the mutation
+    line; the best reachable performance is the metric projection of t* onto
+    the line.  Success means finishing within epsilon of that optimum, and
+    the report carries the orthogonal performance decomposition residual.
+    """
     eps = cfg.epsilon
     panel = IdentityPanel(2)
     gen = BregmanGenerator.squared_euclidean()
@@ -538,9 +543,7 @@ def _agnostic(cfg, opts, knobs, trace_to) -> dict:
                       float(dot(t_star, t_star)) + 2.0 * sigma * sigma)
         model = QuadraticPerfModel(
             sampler,
-            lambda sample, step: (np.eye(2), sample.mean_point(),
-                                  float(dot(sample.weights, dot(
-                                      sample.points, sample.points)))),
+            lambda P, w: (np.eye(2), weighted_rows(w, P), dot(w, dot(P, P))),
             true_stats=true_stats)
         trace = trace_to(pos, seed)
         result, config = run_seed(
@@ -579,17 +582,6 @@ def _agnostic(cfg, opts, knobs, trace_to) -> dict:
     }
 
 
-def run_agnostic(cfg: ScenarioConfig) -> dict:
-    """Single-direction mutation set chasing a target off its span.
-
-    Conditions are noisy copies of a fixed point t* lying off the mutation
-    line; the best reachable performance is the metric projection of t* onto
-    the line.  Success means finishing within epsilon of that optimum, and
-    the report carries the orthogonal performance decomposition residual.
-    """
-    return _run_as("agnostic", cfg)
-
-
 # ---------------------------------------------------------------------------
 # scenario: supervised linear labels
 
@@ -624,6 +616,14 @@ def _supervised_accept(min_eig: float, max_w: float, norm_floor: float) -> Calla
 
 
 def _supervised_linear(cfg, opts, knobs, trace_to) -> dict:
+    """Label regression with data-derived mutation pairs and renewal.
+
+    Scores are squared-error performances relative to the least-squares
+    optimal linear map, so zero is the reachable optimum.  The mutation pair
+    is redrawn from the data every renewal period, exhausted steps fall back
+    to a uniform forced mutation, and the report cross-references performance
+    drops against forced/neutral selections.
+    """
     eps = cfg.epsilon
     accept = _supervised_accept(opts["min_gram_eig"], opts["max_w_star"],
                                 opts["pair_norm_min"])
@@ -684,18 +684,6 @@ def _supervised_linear(cfg, opts, knobs, trace_to) -> dict:
     }
 
 
-def run_supervised_linear(cfg: ScenarioConfig) -> dict:
-    """Label regression with data-derived mutation pairs and renewal.
-
-    Scores are squared-error performances relative to the least-squares
-    optimal linear map, so zero is the reachable optimum.  The mutation pair
-    is redrawn from the data every renewal period, exhausted steps fall back
-    to a uniform forced mutation, and the report cross-references performance
-    drops against forced/neutral selections.
-    """
-    return _run_as("supervised_linear", cfg)
-
-
 # ---------------------------------------------------------------------------
 # scenario: stability of the target set
 
@@ -722,6 +710,15 @@ def _dwell_stats(flags: np.ndarray, dwell: int) -> dict:
 
 
 def _stability(cfg, opts, knobs, trace_to) -> dict:
+    """Post-hit dwell lengths under dwell-aware knobs vs the plain triple.
+
+    Runs start a fixed distance outside the target set with deliberately
+    small per-step samples.  The dwell-aware arm derives its knob triple from
+    the requested dwell length; the comparison arm uses the default triple,
+    which fails the sharpened region test.  Reported per arm: fraction of
+    seeds whose organisms stay in the target set for the full window after
+    first entry.
+    """
     eps = cfg.epsilon
     dwell = int(opts["dwell"])
     dist = float(opts["f0_distance"])
@@ -786,19 +783,6 @@ def _stability(cfg, opts, knobs, trace_to) -> dict:
     }
 
 
-def run_stability(cfg: ScenarioConfig) -> dict:
-    """Post-hit dwell lengths under dwell-aware knobs vs the plain triple.
-
-    Runs start a fixed distance outside the target set with deliberately
-    small per-step samples.  The dwell-aware arm derives its knob triple from
-    the requested dwell length; the comparison arm uses the default triple,
-    which fails the sharpened region test.  Reported per arm: fraction of
-    seeds whose organisms stay in the target set for the full window after
-    first entry.
-    """
-    return _run_as("stability", cfg)
-
-
 # ---------------------------------------------------------------------------
 # scenario: drifting target
 
@@ -816,6 +800,13 @@ _DRIFT = {
 
 
 def _drift(cfg, opts, knobs, trace_to) -> dict:
+    """Mean estimation under per-step target drift at multiples of the bound.
+
+    The per-step drift magnitude is the theory's admissible bound times each
+    configured multiplier; the extended multipliers chart where convergence
+    actually breaks, on a reduced seed set.  Success per run is final true
+    performance against the final target position.
+    """
     eps = cfg.epsilon
     data, schedule, m, t_steps = _mean_problem(cfg, opts, knobs)
     bound = drift_bound(schedule)
@@ -863,17 +854,6 @@ def _drift(cfg, opts, knobs, trace_to) -> dict:
         "extended_arms": [run_arm(mult, ext_seeds)
                           for mult in opts["extended_multipliers"]],
     }
-
-
-def run_drift(cfg: ScenarioConfig) -> dict:
-    """Mean estimation under per-step target drift at multiples of the bound.
-
-    The per-step drift magnitude is the theory's admissible bound times each
-    configured multiplier; the extended multipliers chart where convergence
-    actually breaks, on a reduced seed set.  Success per run is final true
-    performance against the final target position.
-    """
-    return _run_as("drift", cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -970,10 +950,3 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     if out_dir:
         write_json_report(os.path.join(out_dir, "report.json"), report)
     return report
-
-
-def _run_as(name: str, cfg: ScenarioConfig) -> dict:
-    if cfg.scenario != name:
-        raise ConfigError(f"run_{name} needs a {name!r} config, "
-                          f"got {cfg.scenario!r}")
-    return run_scenario(cfg)

@@ -367,7 +367,11 @@ class BregmanGenerator:
 class GenePanel:
     """Gene panel mapping a condition x to the d x dG output matrix G_x.
 
-    Subclasses compute the three batch reductions below in closed form.
+    Subclasses compute the three batch reductions below in closed form.  The
+    two moments also take a stack of K batches, as (K, n, k) conditions with
+    n weights or as (n, k) conditions with (K, n) weight rows, and return
+    the K moments stacked, each bit for bit the moment of its batch alone
+    (``kernels.weighted_rows``).
     """
 
     d: int
@@ -405,10 +409,12 @@ class IdentityPanel(GenePanel):
 
     def second_moment(self, X, M=None, weights=None):
         base = np.eye(self.d) if M is None else np.asarray(M, dtype=float)
-        return (self.scale ** 2) * base
+        # one copy per batch of a stack of conditions or of weight rows
+        stack = np.shape(X)[:-2] + np.shape(weights)[:-1]
+        return np.broadcast_to((self.scale ** 2) * base, stack + base.shape)
 
     def cross_moment(self, X, targets, M=None, weights=None):
-        n = np.asarray(X).shape[0]
+        n = np.shape(X)[-2]
         w = np.full(n, 1.0 / n) if weights is None else weights
         tbar = weighted_rows(w, targets)
         return self.scale * (tbar if M is None else matvec(M, tbar))
@@ -422,9 +428,7 @@ class DataColumnPanel(GenePanel):
     genes read (conditions may carry extra columns, e.g. labels).  The
     selected copy of the last X is kept while X is the same object, so a
     whole dataset passed every step is selected once; X must not be edited
-    in place between calls.  The moments also take a (K, n) stack of
-    weight rows and return the K moments stacked, each bit for bit the
-    moment of its row alone (``kernels.weighted_rows``).
+    in place between calls.
     """
 
     def __init__(self, dG: int, columns=None):
@@ -451,20 +455,21 @@ class DataColumnPanel(GenePanel):
 
     def second_moment(self, X, M=None, weights=None):
         X = self._take(np.asarray(X, dtype=float))
-        n = X.shape[0]
+        n = X.shape[-2]
         w = np.full(n, 1.0 / n) if weights is None else weights
         scale = 1.0 if M is None else float(np.asarray(M).reshape(()))
         # the weighted sum of the rows' (dG * dG) outer products
-        quad = weighted_rows(w, (X[:, :, None] * X[:, None, :]).reshape(n, -1))
+        outer = X[..., :, None] * X[..., None, :]
+        quad = weighted_rows(w, outer.reshape(X.shape[:-1] + (-1,)))
         return (scale * quad).reshape(quad.shape[:-1] + (self.dG, self.dG))
 
     def cross_moment(self, X, targets, M=None, weights=None):
         X = self._take(np.asarray(X, dtype=float))
-        t = np.asarray(targets, dtype=float).reshape(-1)
-        n = X.shape[0]
+        t = np.asarray(targets, dtype=float).reshape(X.shape[:-1])
+        n = X.shape[-2]
         w = np.full(n, 1.0 / n) if weights is None else weights
         scale = 1.0 if M is None else float(np.asarray(M).reshape(()))
-        return scale * weighted_rows(w, X * t[:, None])
+        return scale * weighted_rows(w, X * t[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +489,6 @@ class Sample:
     weights: np.ndarray
     size: int
 
-    def mean_point(self) -> np.ndarray:
-        return weighted_rows(self.weights, self.points)
-
 
 class ConditionSampler:
     """Draws per-step condition batches, deterministically in (seed, index).
@@ -501,12 +503,12 @@ class ConditionSampler:
     * multinomial weights (m > 4n), each step's counts drawn on its own
       seeded stream (``_weight_rows``).
 
-    A block also gives each of its steps the sample mean (``_block_mean``)
-    and any stacked reduction of its weights (``_block_reduce``) from one
-    stacked kernel call.  Other draws hash the seeds of a block of indices at
-    once and move one reused generator to the index's seeded state, so the
-    ``rng`` handed to a ``from_callable`` callback is valid only during that
-    call.  A sampler must not be shared between threads.
+    ``reduce(index, m, fn)`` gives a step the statistics ``fn`` computes
+    from its sample, computed once for a whole block (see there).  Other
+    draws hash the seeds of a block of indices at once and move one reused
+    generator to the index's seeded state, so the ``rng`` handed to a
+    ``from_callable`` callback is valid only during that call.  A sampler
+    must not be shared between threads.
     """
 
     def __init__(self, kind: str, *, data=None, fn=None, seed=0):
@@ -530,7 +532,6 @@ class ConditionSampler:
         self._block_start = -1
         self._block = None
         self._steps = (0, 0, np.empty((0, 0)))
-        self._means = None
         self._reduced = (None, None)
 
     def _uniform_weights(self, m: int) -> np.ndarray:
@@ -641,51 +642,47 @@ class ConditionSampler:
         count = min(count, (1 << 32) - first)
         # free the old block and its reductions first
         self._steps = (0, 0, np.empty((0, 0)))
-        self._means, self._reduced = None, (None, None)
+        self._reduced = (None, None)
         del block
         block = (self._weight_rows(range(first, first + count), m) if weighted
                  else self._index_rows(first, count, m))
         self._steps = (first, m, block)
         return first, block
 
-    def _block_mean(self, index, m: int) -> Optional[np.ndarray]:
-        """``draw(index, m).mean_point()`` from the cached block, or None if it has none."""
-        block = self._step_block(index, m)
+    def reduce(self, index, m: int, fn: Callable) -> tuple:
+        """``fn(points, weights)`` of the sample ``draw(index, m)``: a tuple of arrays.
+
+        When the step comes from a cached block, ``fn`` runs once for the
+        whole block and the step reads its row of each array, read-only:
+        ``fn(data, W)`` on the (K, n) multinomial weight rows W, and
+        ``fn(data[rows], uniform)`` on the (K', m, k) points of K' index
+        rows at a time, in slices of about 2**14 gathered values.  So ``fn``
+        must reduce each weight row or stacked batch alone, as the gene
+        panels' moments and the ``kernels`` do, and must depend on nothing
+        else: the rows of the last ``fn`` are kept for the block.
+        """
+        # draw rejects m < 1
+        block = self._step_block(index, m) if m >= 1 else None
         if block is None:
-            return None
+            sample = self.draw(index, m)
+            return fn(sample.points, sample.weights)
         first, block = block
-        if self._means is None:
-            # the kernel reduces each step's row alone, so each step of the
-            # block gets the same mean, bit for bit, as its sample's mean_point
+        if self._reduced[0] is not fn:
             if block.dtype != np.int64:
-                self._means = weighted_rows(block, self.data)
+                parts = [fn(self.data, block)]
             else:
-                # slices of about 2**14 gathered values keep the
-                # temporaries small
                 w, dim = self._uniform_weights(m), self.data.shape[1]
                 step = max(1, _CHUNK_INDICES // (m * max(dim, 1)))
-                self._means = np.concatenate([weighted_rows(w, self.data[block[k:k + step]])
-                                              for k in range(0, len(block), step)])
-        return self._means[index - first]
-
-    def _block_reduce(self, index, m: int, reduce: Callable) -> Optional[tuple]:
-        """Step ``index``'s row of each array of ``reduce(data, W)``, or None.
-
-        W is the cached block of multinomial weights holding the step, and
-        ``reduce`` returns a tuple of arrays with one row per row of W.  The
-        result of the last ``reduce`` is kept, read-only, for the block.
-        None when the step does not draw multinomial weights from a block.
-        """
-        block = self._step_block(index, m)
-        if block is None or block[1].dtype == np.int64:
-            return None
-        first, weights = block
-        if self._reduced[0] is not reduce:
-            reduced = reduce(self.data, weights)
-            for a in reduced:
-                a.flags.writeable = False
-            self._reduced = (reduce, reduced)
-        return tuple(a[index - first] for a in self._reduced[1])
+                parts = [fn(self.data[block[k:k + step]], w)
+                         for k in range(0, len(block), step)]
+            # a tuple per step, so that a step reads its row by one list index
+            rows = []
+            for part in parts:
+                for a in part:
+                    a.flags.writeable = False
+                rows += zip(*part)
+            self._reduced = (fn, rows)
+        return self._reduced[1][index - first]
 
     def draw(self, index: int, m: int) -> Sample:
         """Sample m conditions i.i.d. (with replacement for empirical data)."""

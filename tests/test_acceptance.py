@@ -21,10 +21,8 @@ from evospace import (BregmanGenerator, ConditionSampler, DataColumnPanel,
                       empirical_performance, kkt_oracle, pdg_bruteforce,
                       pdg_closed, return_and_premium, rng_for, select_bstar)
 from evospace.errors import ModelError
-from evospace.experiments import (ScenarioConfig, run_agnostic, run_drift,
-                                  run_frontier_scaling, run_scenario,
-                                  run_stability, run_supervised_linear,
-                                  run_unsupervised_mean)
+from evospace.experiments import (ScenarioConfig, run_frontier_scaling,
+                                  run_scenario)
 from evospace.model import Sample
 from evospace.schedule import (DEFAULT_KNOBS, KnobTriple, conditioning_scale,
                                estimate_model_constants, knob_region_check,
@@ -46,25 +44,25 @@ def _line(n: int, ok: bool, detail: str, t0: float) -> None:
 
 @pytest.fixture(scope="module")
 def unsup_report():
-    return run_unsupervised_mean(
+    return run_scenario(
         ScenarioConfig("unsupervised_mean", seeds=SEEDS_100, epsilon=0.1))
 
 
 @pytest.fixture(scope="module")
 def agnostic_report():
-    return run_agnostic(
+    return run_scenario(
         ScenarioConfig("agnostic", seeds=SEEDS_100, epsilon=0.1))
 
 
 @pytest.fixture(scope="module")
 def supervised_report():
-    return run_supervised_linear(
+    return run_scenario(
         ScenarioConfig("supervised_linear", seeds=SEEDS_100, epsilon=0.1))
 
 
 @pytest.fixture(scope="module")
 def stability_report():
-    return run_stability(
+    return run_scenario(
         ScenarioConfig("stability", seeds=SEEDS_100, epsilon=0.1))
 
 
@@ -72,7 +70,7 @@ def stability_report():
 def drift_report():
     # 1x and 10x the admissible bound on the full seed set, plus reduced
     # far-out arms bracketing where convergence actually degrades
-    return run_drift(ScenarioConfig(
+    return run_scenario(ScenarioConfig(
         "drift", seeds=SEEDS_100, epsilon=0.1,
         overrides={"multipliers": (1.0, 10.0),
                    "extended_multipliers": (1e5, 2.5e5),

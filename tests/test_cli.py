@@ -301,7 +301,9 @@ class TestEvolve:
         ("schedule", "c_t", 1e308), ("schedule", "c_m", 1e308),
         ("run", "t_override", 0), ("run", "record_path", "no"),
         ("run", "t_override", 2**62), ("run", "t_override", MAX_STEPS + 1),
-        ("run", "seed", 1.5), ("model", "dataset", True)])
+        ("run", "seed", 1.5), ("model", "dataset", True),
+        # keys that the mean config's orthonormal source would ignore
+        ("run", "renewal_period", 5), ("mutations", "vectors", [[1, 0], [0, 1]])])
     def test_out_of_range_values_name_their_key(self, tmp_path, capsys,
                                                 mean_csv, section, key, value):
         cfg = mean_config(mean_csv)

@@ -1,5 +1,7 @@
 """Mutator loop: neighborhoods, scoring, classification, selection, renewal."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ def constant_stats_model(dim, cross=None, const=0.0):
         lambda rng, m: rng.standard_normal((m, dim)), seed=0)
     cross = np.zeros(dim) if cross is None else np.asarray(cross, float)
     stats = (np.eye(dim), cross, const)
-    return QuadraticPerfModel(sampler, lambda sample, step: stats,
+    return QuadraticPerfModel(sampler, lambda points, weights: stats,
                               true_stats=stats)
 
 
@@ -130,7 +132,7 @@ class TestClassify:
                                                              lambda P: P))
         c = np.array([0.2, -0.4])
         steps = _signed_steps(MutationSet.orthonormal(2), alpha=0.3)
-        perf_f, gains = model.score(model.stats_fn(sample, 0), c, steps)
+        perf_f, gains = model.score(model.stats_fn(pts, sample.weights), c, steps)
 
         def perf(coords):
             return empirical_performance(coords, sample.points, panel, sample, gen)
@@ -177,9 +179,12 @@ class TestScore:
                  np.array([[0.7, -0.2], [-0.2, 1.5]])]
         cross = np.array([0.4, -0.3])
 
-        def stats_fn(sample, step):
-            # the same quad object for three steps, then the other one
-            return (quads[(step // 3) % 2], cross, 0.5)
+        def stats_fn():
+            # the same quad object for three steps, then the other one; a
+            # callable sampler reduces each step's sample in step order
+            steps = itertools.count()
+            return lambda points, weights: (quads[(next(steps) // 3) % 2],
+                                            cross, 0.5)
 
         def renew(rng, step):
             return MutationSet(rng.uniform(-1.0, 1.0, (2, 2)) + np.eye(2))
@@ -190,8 +195,8 @@ class TestScore:
                               tol=1e-4, m=1, t_steps=40, seed=9,
                               failure_policy="forced_uniform",
                               renewal_period=4, renewal_fn=renew)
-        cached = run_evolution(QuadraticPerfModel(sampler, stats_fn), cfg)
-        fresh = run_evolution(UncachedQuadratic(sampler, stats_fn), cfg)
+        cached = run_evolution(QuadraticPerfModel(sampler, stats_fn()), cfg)
+        fresh = run_evolution(UncachedQuadratic(sampler, stats_fn()), cfg)
         assert cached.trace.rows() == fresh.trace.rows()
         assert np.array_equal(cached.organism.coords, fresh.organism.coords)
 
@@ -370,7 +375,7 @@ class TestQuadraticModel:
         stats_fn = quadratic_stats_for(panel, gen, lambda pts: pts)
         model = QuadraticPerfModel(sampler, stats_fn)
         sample = sampler.draw(0, 40)
-        stats = stats_fn(sample, 0)
+        stats = stats_fn(sample.points, sample.weights)
         for coords in (np.zeros(2), np.array([0.3, -0.1])):
             direct = empirical_performance(coords, sample.points, panel,
                                            sample, gen)

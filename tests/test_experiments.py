@@ -22,14 +22,9 @@ from evospace.experiments import (
     _mixture_for,
     _perceptron_separable,
     gen_gaussian_mixture,
-    run_drift,
     run_frontier_scaling,
     run_scenario,
     run_seed,
-    run_stability,
-    run_supervised_linear,
-    run_agnostic,
-    run_unsupervised_mean,
 )
 from evospace.model import ConditionSampler, MutationSet, rng_for
 from evospace.schedule import DEFAULT_KNOBS
@@ -102,12 +97,7 @@ class TestScenarioConfig:
         cfg = ScenarioConfig("unsupervised_mean", seeds=[0],
                              overrides={"bogus_knob": 1})
         with pytest.raises(ConfigError, match="bogus_knob"):
-            run_unsupervised_mean(cfg)
-
-    def test_named_runner_rejects_other_scenarios(self):
-        cfg = ScenarioConfig("agnostic", seeds=[0])
-        with pytest.raises(ConfigError, match="run_drift needs a 'drift' config"):
-            run_drift(cfg)
+            run_scenario(cfg)
 
     def test_zero_overrides_do_not_fall_back_to_the_schedule(self):
         cfg = ScenarioConfig("unsupervised_mean", seeds=[0], epsilon=0.25)
@@ -316,7 +306,8 @@ class TestMeanEstimationModel:
         twin = ConditionSampler.empirical(data, seed=0)
         A, center, const = model.draw(0, 3)
         assert np.array_equal(A, np.eye(2))
-        assert np.allclose(center, twin.draw(0, 3).mean_point(), atol=1e-15)
+        assert np.allclose(center, twin.draw(0, 3).points.mean(axis=0),
+                           atol=1e-15)
         assert const == pytest.approx(float(center @ center), rel=1e-12)
 
         drifted = self.make([0.5, 0.2], nu=0.2)
@@ -369,7 +360,6 @@ class TestMeanBlocks:
         # (<= 4n) draw per step
         model, reference = self.models(rows=10_000, dim=3)
         for step, m in ((0, 256), (1, 257), (2, 40_000), (255, 256), (1, 40_000)):
-            assert (model.sampler._step_block(step, m) is None) == (m > 256)
             assert np.array_equal(model.draw(step, m)[1],
                                   reference.draw(step, m)[1])
 
@@ -443,8 +433,8 @@ class TestUnsupervisedScenario:
     def test_report_shape_and_determinism(self):
         cfg = lambda: ScenarioConfig("unsupervised_mean", seeds=[0, 1],
                                      overrides=dict(SMALL_UNSUP))
-        first = run_unsupervised_mean(cfg())
-        second = run_unsupervised_mean(cfg())
+        first = run_scenario(cfg())
+        second = run_scenario(cfg())
         assert dumps(first) == dumps(second)
 
         assert first["m"] == 40 and first["t_steps"] == 250
@@ -467,7 +457,7 @@ class TestUnsupervisedScenario:
             cfg = ScenarioConfig("unsupervised_mean", seeds=[kept, dropped],
                                  overrides={**SMALL_UNSUP, "trace_limit": 1},
                                  out_dir=str(out))
-            report = run_unsupervised_mean(cfg)
+            report = run_scenario(cfg)
             assert (out / "report.json").exists()
             assert (out / f"trace-{kept}.jsonl").exists()
             assert (out / f"perf-{kept}.csv").exists()
@@ -480,7 +470,7 @@ class TestUnsupervisedScenario:
     def test_far_beneficial_counts_match_the_trace_rows(self, tmp_path):
         # the per-row loop the column version replaced, run over the written
         # trace, kept as the reference
-        report = run_unsupervised_mean(ScenarioConfig(
+        report = run_scenario(ScenarioConfig(
             "unsupervised_mean", seeds=[0, 1], overrides=dict(SMALL_UNSUP),
             out_dir=str(tmp_path)))
         for row in report["per_seed"]:
@@ -505,11 +495,11 @@ class TestDriftScenario:
         seeds = [11]
         unsup_dir = tmp_path / "unsup"
         drift_dir = tmp_path / "drift"
-        unsup = run_unsupervised_mean(ScenarioConfig(
+        unsup = run_scenario(ScenarioConfig(
             "unsupervised_mean", seeds=seeds,
             overrides={"m_override": 5, "trace_limit": 1},
             out_dir=str(unsup_dir)))
-        drift = run_drift(ScenarioConfig(
+        drift = run_scenario(ScenarioConfig(
             "drift", seeds=seeds,
             overrides={"multipliers": (0.0,), "extended_multipliers": (),
                        "trace_limit": 1},
@@ -533,7 +523,7 @@ class TestDriftScenario:
         assert drift["drift_plan"]["paper_compliant"] is True
 
     def test_displacement_scales_with_multiplier(self):
-        report = run_drift(ScenarioConfig(
+        report = run_scenario(ScenarioConfig(
             "drift", seeds=[3],
             overrides={"multipliers": (1.0, 4.0), "extended_multipliers": (),
                        "t_override": 200}))
@@ -553,17 +543,17 @@ class TestDriftScenario:
 class TestStabilityScenario:
     def test_dwell_validated(self):
         with pytest.raises(ConfigError, match="dwell"):
-            run_stability(ScenarioConfig("stability", seeds=[0],
+            run_scenario(ScenarioConfig("stability", seeds=[0],
                                          overrides={"dwell": 0}))
 
     def test_start_must_be_outside_target_set(self):
         with pytest.raises(ConfigError, match="outside"):
-            run_stability(ScenarioConfig(
+            run_scenario(ScenarioConfig(
                 "stability", seeds=[0], epsilon=0.1,
                 overrides={"f0_distance": 0.2}))
 
     def test_two_arm_report(self):
-        report = run_stability(ScenarioConfig(
+        report = run_scenario(ScenarioConfig(
             "stability", seeds=[0, 1], epsilon=0.1,
             overrides={"dwell": 5, "t_override": 400,
                        "comparison_t_override": 200}))
@@ -585,7 +575,7 @@ class TestStabilityScenario:
 
 class TestAgnosticScenario:
     def test_projection_decomposition_in_report(self):
-        report = run_agnostic(ScenarioConfig(
+        report = run_scenario(ScenarioConfig(
             "agnostic", seeds=[5],
             overrides={"m_override": 200, "t_override": 150,
                        "check_samples": 4000}))
@@ -604,12 +594,12 @@ class TestAgnosticScenario:
             "agnostic", seeds=[5],
             overrides={"m_override": 200, "t_override": 60,
                        "check_samples": 1000})
-        assert dumps(run_agnostic(cfg())) == dumps(run_agnostic(cfg()))
+        assert dumps(run_scenario(cfg())) == dumps(run_scenario(cfg()))
 
 
 class TestSupervisedScenario:
     def test_report_cross_references_drops(self):
-        report = run_supervised_linear(ScenarioConfig(
+        report = run_scenario(ScenarioConfig(
             "supervised_linear", seeds=[3],
             overrides={"t_override": 400}))
         assert report["knobs"] == [0.02, 0.94, 0.02]

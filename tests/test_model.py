@@ -9,6 +9,7 @@ from evospace import (BregmanGenerator, ConditionSampler, DataColumnPanel,
                       Sample, empirical_performance, quadratic_stats_for,
                       rng_for)
 from evospace.errors import ConfigError, ModelError
+from evospace.kernels import weighted_rows
 
 
 def quartic_gen():
@@ -359,7 +360,7 @@ class TestIndexRows:
             if m == 256:
                 assert block[0] == 256 and block[1].shape == (256, 256)
             else:
-                assert block is None and sampler._block_mean(index, m) is None
+                assert block is None
             assert np.array_equal(sampler.draw(index, m).points,
                                   reference.draw(index, m).points)
 
@@ -446,7 +447,7 @@ class TestWeightBlocks:
             sample = reference.draw(index, m)
             w = sample.weights.tolist()
             quad, cross, const = model.draw(index, m)
-            want = stats_fn(sample, index)
+            want = stats_fn(sample.points, sample.weights)
             assert np.array_equal(quad, want[0])
             assert quad.tolist() == [
                 [s * pairwise_sum([wk * (x[a] * x[b]) for wk, x in zip(w, X)])
@@ -458,15 +459,11 @@ class TestWeightBlocks:
             assert type(const) is float
             assert const == want[2] == pairwise_sum(
                 [wk * (tk * (s * tk)) for wk, tk in zip(w, t)])
-            mean = model.sampler._block_mean(index, m)
-            if 0 <= index < 2**32:
-                assert np.array_equal(mean, sample.mean_point())
-                # rows of the cached block reduction
-                assert not (quad.flags.writeable or cross.flags.writeable)
-            else:
-                assert mean is None
-            assert (model.sampler._block_reduce(index, m, stats_fn.reduce_block)
-                    is None) == (mean is None)
+            # the same sampler serves another function's block rows too
+            (mean,) = model.sampler.reduce(index, m, sample_mean)
+            assert mean.tolist() == [
+                pairwise_sum([wk * x[a] for wk, x in zip(w, data.tolist())])
+                for a in range(dG + 1)]
 
     def test_numpy_integer_steps_read_the_cached_block(self):
         data = labels_data(30, 1)
@@ -481,17 +478,110 @@ class TestWeightBlocks:
                 assert np.array_equal(got.weights, want.weights)
                 assert sampler._steps[2] is block
 
-    def test_panels_without_a_block_reduction_draw_per_step(self):
-        # the identity panel's stats keep the per-step reduction, and index
-        # rows (m <= 4n) are never reduced a block at a time
+    def test_stats_are_reduced_once_per_block(self):
+        # both panels' stats, on index rows (m <= 256) and on multinomial
+        # weights (m > 4n), reduce a whole block at once; rows of more than
+        # 256 conditions reduce each step's sample
         gen = BregmanGenerator.squared_euclidean()
-        assert not hasattr(quadratic_stats_for(IdentityPanel(2), gen,
-                                               lambda P: P), "reduce_block")
-        stats_fn = quadratic_stats_for(DataColumnPanel(1, columns=(0,)), gen,
-                                       lambda P: P[:, 1:])
-        sampler = ConditionSampler.empirical(labels_data(30, 1), seed=2)
-        assert sampler._block_reduce(3, 120, stats_fn.reduce_block) is None
-        assert sampler._block_reduce(3, 121, stats_fn.reduce_block) is not None
+        data = labels_data(70, 1)
+        for panel, target in ((IdentityPanel(2), lambda P: P),
+                              (DataColumnPanel(1, columns=(0,)),
+                               lambda P: P[..., 1:])):
+            moments = quadratic_stats_for(panel, gen, target)
+            calls = []
+
+            def stats_fn(points, weights):
+                calls.append(points.shape)
+                return moments(points, weights)
+
+            sampler = ConditionSampler.empirical(data, seed=2)
+            for m, blocked in ((20, True), (281, True), (257, False)):
+                sampler.reduce(0, m, stats_fn)
+                before = len(calls)
+                for index in range(1, 10):
+                    sampler.reduce(index, m, stats_fn)
+                assert len(calls) - before == (0 if blocked else 9)
+
+
+def sample_mean(points, weights):
+    return (weighted_rows(weights, points),)
+
+
+_REDUCE_KINDS = ("rows", "per_step", "weights", "callable")
+
+
+@st.composite
+def _reduce_runs(draw):
+    """(kinds, n, k, steps): (index, m) steps of two sample sizes, interleaved.
+
+    The first size draws index rows from a block (m <= 256), rows per step
+    (256 < m <= 4n), multinomial weights from a block (m > 4n) or a
+    callable sampler's points (then the second does too); the second size
+    is any kind on the same sampler.  Indices sit around the first size's
+    block edges, below 20,000, near 2**32 or outside [0, 2**32), out of
+    order, and the second size comes in between.
+    """
+    n, k = draw(st.integers(65, 80)), draw(st.integers(2, 3))
+    first = draw(st.sampled_from(_REDUCE_KINDS))
+    second = "callable" if first == "callable" else \
+        draw(st.sampled_from(_REDUCE_KINDS[:3]))
+
+    def size(kind):
+        return draw({"rows": st.integers(1, 256),
+                     "per_step": st.integers(257, 4 * n),
+                     "weights": st.integers(4 * n + 1, 4 * n + 300),
+                     "callable": st.integers(1, 300)}[kind])
+
+    m1, m2 = size(first), size(second)
+    K = {"rows": min(4096, 2**16 // m1), "weights": 2**14 // n}.get(first, 4096)
+    edge = draw(st.sampled_from([K, 2 * K, 2**32 - 2**32 % K]))
+    indices = draw(st.lists(st.one_of(
+        st.integers(edge - 2, edge + 1).filter(lambda i: i < 2**32),
+        st.integers(0, 20_000),
+        st.sampled_from([2**32 - 1, -1, -7, 2**32, 2**40])),
+        min_size=1, max_size=4))
+    steps = ([(i, m1) for i in indices] + [(indices[0], m2)]
+             + [(i, m1) for i in indices[::-1]])
+    return (first, second), n, k, steps
+
+
+class TestReduce:
+    """``ConditionSampler.reduce`` against its definition, ``fn(points, weights)`` of the draw."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, run=_reduce_runs(), mahalanobis=st.booleans())
+    def test_reduce_equals_fn_of_the_draw(self, seed, run, mahalanobis):
+        kinds, n, k, steps = run
+        if kinds[0] == "callable":
+            sampler = ConditionSampler.from_callable(
+                lambda rng, m: rng.standard_normal((m, k)), seed=seed)
+        else:
+            sampler = ConditionSampler.empirical(
+                rng_for(("reduce-data", n, k)).standard_normal((n, k)), seed=seed)
+        if mahalanobis:
+            gen_k = BregmanGenerator.mahalanobis(np.eye(k) + 0.3)
+            gen_1 = BregmanGenerator.mahalanobis([[0.7]])
+        else:
+            gen_k = gen_1 = BregmanGenerator.squared_euclidean()
+        fns = [sample_mean,
+               quadratic_stats_for(IdentityPanel(k), gen_k, lambda P: P),
+               quadratic_stats_for(DataColumnPanel(k - 1, columns=range(k - 1)),
+                                   gen_1, lambda P: P[..., k - 1:])]
+        for fn in fns:
+            for index, m in steps:
+                got = sampler.reduce(index, m, fn)
+                sample = sampler.draw(index, m)
+                want = fn(sample.points, sample.weights)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    g, w = np.asarray(g), np.asarray(w)
+                    assert g.shape == w.shape and g.dtype == w.dtype
+                    assert g.tobytes() == w.tobytes()
+                blocked = (kinds[0] != "callable" and 0 <= index < 2**32
+                           and (m <= 256 or m > 4 * n))
+                assert (sampler._step_block(index, m) is not None) == blocked
+                if blocked:
+                    assert not any(a.flags.writeable for a in got)
 
 
 class TestMutationSet:

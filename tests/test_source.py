@@ -74,3 +74,43 @@ def test_the_product_check_finds_each_form():
     assert [(n, w) for n, _, w in blas_products(ast.parse(source))] == [
         ("f", "@"), ("g", "@"), ("g", "np.dot"), ("g", "a.dot"),
         ("H", "np.linalg.norm"), ("H", "np.einsum")]
+
+
+def private_reads(tree) -> list:
+    """(line, expression) of each ``obj._name`` the module reads but does not define.
+
+    ``self._name`` and ``cls._name`` are the object's own; any other
+    ``obj._name`` must name a function, class, variable or attribute that
+    the module itself defines, so that no module reaches into another's
+    internals.  Dunder names are public protocol.
+    """
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and node.attr.startswith("_") and not node.attr.startswith("__")
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id in ("self", "cls"))
+                  and node.attr not in defined)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_reads_across_modules(path):
+    assert private_reads(ast.parse(path.read_text())) == []
+
+
+def test_the_private_read_check_finds_each_form():
+    source = ("class A:\n    _own = 1\n    def f(self, b):\n"
+              "        self._x = b._own + self._y + A._own\n"
+              "        return b._x, b.sampler._reduce(), cls._z, b.__len__()\n"
+              "def _helper(m):\n    m._missing = 0\n"
+              "    return m._helper, m._missing, np.random._pcg\n")
+    assert [what for _, what in private_reads(ast.parse(source))] == [
+        "b.sampler._reduce", "np.random._pcg"]
