@@ -409,7 +409,7 @@ class IdentityPanel(GenePanel):
 
     def second_moment(self, X, M=None, weights=None):
         base = np.eye(self.d) if M is None else np.asarray(M, dtype=float)
-        # one copy per batch of a stack of conditions or of weight rows
+        # the same moment for each batch of a stack of conditions or weight rows
         stack = np.shape(X)[:-2] + np.shape(weights)[:-1]
         return np.broadcast_to((self.scale ** 2) * base, stack + base.shape)
 
@@ -658,8 +658,9 @@ class ConditionSampler:
         ``fn(data[rows], uniform)`` on the (K', m, k) points of K' index
         rows at a time, in slices of about 2**14 gathered values.  So ``fn``
         must reduce each weight row or stacked batch alone, as the gene
-        panels' moments and the ``kernels`` do, and must depend on nothing
-        else: the rows of the last ``fn`` are kept for the block.
+        panels' moments and the ``kernels`` do, into arrays with one row per
+        step (a ``ModelError`` otherwise), and must depend on nothing else:
+        the rows of the last ``fn`` are kept for the block.
         """
         # draw rejects m < 1
         block = self._step_block(index, m) if m >= 1 else None
@@ -668,17 +669,21 @@ class ConditionSampler:
             return fn(sample.points, sample.weights)
         first, block = block
         if self._reduced[0] is not fn:
-            if block.dtype != np.int64:
-                parts = [fn(self.data, block)]
-            else:
-                w, dim = self._uniform_weights(m), self.data.shape[1]
-                step = max(1, _CHUNK_INDICES // (m * max(dim, 1)))
-                parts = [fn(self.data[block[k:k + step]], w)
-                         for k in range(0, len(block), step)]
+            weighted = block.dtype != np.int64
+            step = len(block) if weighted else \
+                max(1, _CHUNK_INDICES // (m * max(self.data.shape[1], 1)))
             # a tuple per step, so that a step reads its row by one list index
             rows = []
-            for part in parts:
+            for k in range(0, len(block), step):
+                steps = block[k:k + step]
+                part = (fn(self.data, steps) if weighted
+                        else fn(self.data[steps], self._uniform_weights(m)))
                 for a in part:
+                    if np.shape(a)[:1] != (len(steps),):
+                        raise ModelError(
+                            f"a block of {len(steps)} steps reduced to shape "
+                            f"{np.shape(a)}: the function must reduce each "
+                            f"stacked batch or weight row alone")
                     a.flags.writeable = False
                 rows += zip(*part)
             self._reduced = (fn, rows)

@@ -502,6 +502,15 @@ class TestWeightBlocks:
                     sampler.reduce(index, m, stats_fn)
                 assert len(calls) - before == (0 if blocked else 9)
 
+    @pytest.mark.parametrize("m", [20, 121])   # index rows, then weights
+    def test_a_reduction_without_a_row_per_step_is_rejected(self, m):
+        # written for one sample: the quad and const have no step axis
+        sampler = ConditionSampler.empirical(labels_data(30, 1), seed=2)
+        for fn in (lambda P, w: (np.eye(2), weighted_rows(w, P)),
+                   lambda P, w: (weighted_rows(w, P), 0.5)):
+            with pytest.raises(ModelError, match="reduce each stacked batch"):
+                sampler.reduce(0, m, fn)
+
 
 def sample_mean(points, weights):
     return (weighted_rows(weights, points),)
