@@ -97,13 +97,14 @@ class _RunSetup:
             if isinstance(spec, dict) else BregmanGenerator.squared_euclidean()
         self.seed = self.run_cfg["seed"] if seed is None else seed
         source = mut_cfg["source"]
-        if source != "explicit" and mut_cfg["vectors"] is not None:
-            raise ConfigError(f"mutations.vectors is used only with "
-                              f"mutations.source 'explicit', got {source!r}")
-        if source != "data_pairs" and self.run_cfg["renewal_period"] is not None:
-            raise ConfigError(f"run.renewal_period renews data-pair mutations "
-                              f"and needs mutations.source 'data_pairs', "
-                              f"got {source!r}")
+        # keys that only one mutation source reads
+        for section, key, needs in (("mutations", "vectors", "explicit"),
+                                    ("mutations", "det_min", "data_pairs"),
+                                    ("mutations", "norm_min", "data_pairs"),
+                                    ("run", "renewal_period", "data_pairs")):
+            if source != needs and raw.get(section, {}).get(key) is not None:
+                raise ConfigError(f"{section}.{key} is used only with "
+                                  f"mutations.source {needs!r}, got {source!r}")
         self.renewal_fn = None
 
         if model["target"] == "mean":

@@ -303,7 +303,8 @@ class TestEvolve:
         ("run", "t_override", 2**62), ("run", "t_override", MAX_STEPS + 1),
         ("run", "seed", 1.5), ("model", "dataset", True),
         # keys that the mean config's orthonormal source would ignore
-        ("run", "renewal_period", 5), ("mutations", "vectors", [[1, 0], [0, 1]])])
+        ("run", "renewal_period", 5), ("mutations", "vectors", [[1, 0], [0, 1]]),
+        ("mutations", "det_min", 0.1), ("mutations", "norm_min", 0.3)])
     def test_out_of_range_values_name_their_key(self, tmp_path, capsys,
                                                 mean_csv, section, key, value):
         cfg = mean_config(mean_csv)
