@@ -624,13 +624,14 @@ class ConditionSampler:
         ``_weight_rows`` block of max(1, 2**14 // n) steps, else an
         ``_index_rows`` block of min(4096, 2**16 // m) steps.  None when the
         step is not drawn from a block: a callable sampler, index rows of
-        more than 256 conditions, or an index outside [0, 2**32).
+        more than 256 conditions, an index outside [0, 2**32), or m < 1
+        (which ``draw`` rejects).
         """
         first, size, block = self._steps
         integer = isinstance(index, (int, np.integer))
         if size == m and integer and 0 <= index - first < len(block):
             return first, block
-        if self.data is None or not (integer and 0 <= index < 1 << 32):
+        if self.data is None or m < 1 or not (integer and 0 <= index < 1 << 32):
             return None
         n = self.data.shape[0]
         weighted = m > _WEIGHTED_DRAW_FACTOR * n
@@ -662,8 +663,7 @@ class ConditionSampler:
         step (a ``ModelError`` otherwise), and must depend on nothing else:
         the rows of the last ``fn`` are kept for the block.
         """
-        # draw rejects m < 1
-        block = self._step_block(index, m) if m >= 1 else None
+        block = self._step_block(index, m)
         if block is None:
             sample = self.draw(index, m)
             return fn(sample.points, sample.weights)

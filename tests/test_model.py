@@ -555,7 +555,15 @@ def _reduce_runs(draw):
 
 
 class TestReduce:
-    """``ConditionSampler.reduce`` against its definition, ``fn(points, weights)`` of the draw."""
+    """``ConditionSampler.reduce`` against ``fn(points, weights)`` of the draw."""
+
+    def test_sample_sizes_below_one_are_rejected(self):
+        for sampler in (ConditionSampler.empirical(labels_data(30, 1), seed=2),
+                        ConditionSampler.from_callable(
+                            lambda rng, m: rng.standard_normal((m, 2)), seed=2)):
+            for m in (0, -3):
+                with pytest.raises(ConfigError, match="sample size"):
+                    sampler.reduce(0, m, sample_mean)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=_SEEDS, run=_reduce_runs(), mahalanobis=st.booleans())
