@@ -11,8 +11,8 @@ from .model import (BregmanGenerator, ConditionSampler, DataColumnPanel,
                     GenePanel, IdentityPanel, MutationSet, Organism, Sample,
                     empirical_performance, rng_for)
 from .engine import (FAILURE_POLICIES, EvolutionConfig, EvolutionResult,
-                     PerformanceModel, QuadraticPerfModel, Trace,
-                     quadratic_stats_for, run_evolution)
+                     QuadraticPerfModel, Trace, quadratic_stats_for,
+                     run_evolution)
 from .schedule import (DEFAULT_KNOBS, KnobTriple, ModelConstants, Schedule,
                        compute_schedule, conditioning_scale, drift_bound,
                        estimate_model_constants, knob_region_check,
@@ -33,7 +33,7 @@ __all__ = [
     "DataColumnPanel", "EvolutionConfig", "EvolutionResult", "FAILURE_POLICIES",
     "FrontierProblem", "GenePanel", "IdentityPanel",
     "KnobTriple", "MeanEstimationModel", "ModelConstants", "ModelError",
-    "MutationSet", "Organism", "PerformanceModel", "QuadraticPerfModel",
+    "MutationSet", "Organism", "QuadraticPerfModel",
     "SCENARIOS", "Sample", "Schedule", "ScenarioConfig", "Trace",
     "agnostic_projection_oracle", "basis_quality", "compute_schedule",
     "conditioning_scale", "derangement_sign_det", "drift_bound",

@@ -6,6 +6,8 @@ Each step draws a fresh condition sample, scores the current organism and all
 below tol).  Offspring are drawn uniformly from the beneficial set when it is
 nonempty, else from the neutral set, else the run either halts (strict
 policy) or picks uniformly from the whole neighborhood (forced policy).
+The model is a ``QuadraticPerfModel``, which gives each step's statistics,
+the gains and the oracle scores.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _gain_scorer(d: int) -> tuple:
     order: ``premiums(quad_rows, step_rows)``, the list of
     ``quad_form(s, quad)`` over the steps s, and ``scorer(quad_rows,
     step_rows, premiums, f, cross, const)``, which returns (perf of f, list
-    of gains), perf bit for bit ``QuadraticPerfModel.perf`` and gain k
+    of gains), perf bit for bit ``QuadraticPerfModel._eval`` of f and gain k
     ``2 dot(s_k, cross - matvec(quad, f)) - premium_k``.  The source grows
     linearly in d.
     """
@@ -96,40 +98,17 @@ def _gain_scorer(d: int) -> tuple:
 # performance models
 
 
-class PerformanceModel:
-    """Per-step scoring interface consumed by the mutator loop.
+class QuadraticPerfModel:
+    """The loop's model: empirical performance exact quadratic in the genome.
 
-    ``true_perf(coords, step)`` is the oracle perf of the organism after
-    ``step`` steps, or None without an oracle; the loop calls it after every
-    step, while any state it reads is current.  A model may define
-    ``true_perf_rows(C)`` instead, as ``QuadraticPerfModel`` does: C[k] is
-    the organism after the k-th of the steps since the last call, and the
-    loop then scores a block of up to ``ORACLE_BLOCK`` steps in one call.
-    """
-
-    def pre_step(self, step: int, coords: np.ndarray) -> None:
-        """Called before each step's draw with the current coordinates."""
-
-    def draw(self, step: int, m: int):
-        raise NotImplementedError
-
-    def perf(self, stats, coords) -> float:
-        raise NotImplementedError
-
-    def perf_batch(self, stats, coords_matrix) -> np.ndarray:
-        return np.array([self.perf(stats, c) for c in coords_matrix])
-
-    def score(self, stats, coords: np.ndarray, steps: np.ndarray) -> tuple:
-        """(perf of ``coords``, gain of each row of ``steps`` added to it)."""
-        perf_f = self.perf(stats, coords)
-        return perf_f, self.perf_batch(stats, coords[None, :] + steps) - perf_f
-
-    def true_perf(self, coords, step: int) -> Optional[float]:
-        return None
-
-
-class QuadraticPerfModel(PerformanceModel):
-    """Model whose empirical performance is an exact quadratic in the genome.
+    Each step the loop calls ``pre_step(step, coords)`` with the coordinates
+    before the step, ``draw(step, m)`` for the step's statistics and
+    ``score(stats, coords, steps)``.  ``true_perf(coords, step)`` is the
+    oracle perf of the organism after ``step`` steps, or None without
+    ``true_stats``; the loop calls it before the first step and after the
+    last.  Between them it keeps the coordinates after each step and calls
+    ``true_perf_rows(C)`` on a block of up to ``ORACLE_BLOCK`` of them, C[k]
+    the organism after the k-th step since the last call.
 
     ``stats_fn(points, weights)`` maps a condition sample to a triple
     (quad, cross, const) with performance -(c^T quad c - 2 c . cross + const);
@@ -138,12 +117,12 @@ class QuadraticPerfModel(PerformanceModel):
     cached block of steps stats_fn reduces the whole block at once, and it
     must reduce each stacked batch or weight row alone
     (``ConditionSampler.reduce``).  Every product is a ``kernels`` one, so
-    ``perf``, ``perf_batch``, the oracle and ``score`` agree bit for bit on
-    the same coordinates, whatever the CPU.  ``score`` uses the gain
-    identity: the step s from f gains 2 s . (cross - quad f) - s^T quad s, a
-    return less a premium, in plain Python floats.  Premiums are reused
-    while ``quad`` and ``steps`` are the same objects, so a stats_fn must
-    return a new ``quad`` array rather than edit one in place.
+    the oracle (``_eval``) and ``score`` agree bit for bit on the same
+    coordinates, whatever the CPU.  ``score`` uses the gain identity: the
+    step s from f gains 2 s . (cross - quad f) - s^T quad s, a return less a
+    premium, in plain Python floats.  Premiums are reused while ``quad`` and
+    ``steps`` are the same objects, so a stats_fn must return a new ``quad``
+    array rather than edit one in place.
     """
 
     def __init__(self, sampler: ConditionSampler, stats_fn: Callable,
@@ -152,6 +131,9 @@ class QuadraticPerfModel(PerformanceModel):
         self.stats_fn = stats_fn
         self.true_stats = true_stats
         self._premium_key = (None, None)
+
+    def pre_step(self, step: int, coords: np.ndarray) -> None:
+        """Called before each step's draw with the current coordinates."""
 
     def draw(self, step: int, m: int):
         quad, cross, const = self.sampler.reduce(step, m, self.stats_fn)
@@ -162,12 +144,6 @@ class QuadraticPerfModel(PerformanceModel):
         """Perf of each row of C; ``cross`` and ``const`` may be per-row too."""
         quad, cross, const = stats
         return -(quad_form(C, quad) - 2.0 * dot(C, cross) + const)
-
-    def perf(self, stats, coords) -> float:
-        return float(self._eval(stats, np.asarray(coords, float)))
-
-    def perf_batch(self, stats, coords_matrix) -> np.ndarray:
-        return self._eval(stats, np.asarray(coords_matrix, dtype=float))
 
     def score(self, stats, coords: np.ndarray, steps: np.ndarray) -> tuple:
         """(perf of ``coords``, a list of the gain of each row of ``steps``)."""
@@ -189,7 +165,7 @@ class QuadraticPerfModel(PerformanceModel):
 
     def true_perf_rows(self, C: np.ndarray) -> np.ndarray:
         # scores against the fixed true_stats: a subclass whose true_perf
-        # reads per-step state overrides this too, or sets it to None
+        # reads per-step state overrides this too
         return self._eval(self.true_stats, C)
 
 
@@ -211,6 +187,11 @@ def quadratic_stats_for(panel: GenePanel, gen: BregmanGenerator,
         t = np.asarray(target_fn(points), dtype=float)
         if t.ndim < np.ndim(points):
             t = t[..., None]
+        if t.shape[:-1] != np.shape(points)[:-1]:
+            raise ModelError(
+                f"target_fn mapped points of shape {np.shape(points)} to "
+                f"shape {t.shape}: it must map (..., n, k) points to "
+                f"(..., n, d) targets, keeping the batch axes")
         return (panel.second_moment(points, M=M, weights=weights),
                 panel.cross_moment(points, t, M=M, weights=weights),
                 weighted_rows(weights, quad_form(t, M)[..., None])[..., 0])
@@ -349,39 +330,34 @@ class EvolutionResult:
 class _OracleColumn:
     """Fills a trace's ``perf_true`` column with the model's oracle scores.
 
-    For a model with ``true_perf_rows`` the coordinates after each step are
-    kept and scored a block of up to ``ORACLE_BLOCK`` steps at once, in one
-    kernel call whose rows equal one-row ``true_perf`` calls bit for bit;
-    any other model's ``true_perf`` is called after every step.
+    The coordinates after each step are kept and scored a block of up to
+    ``ORACLE_BLOCK`` steps at once, by one ``true_perf_rows`` call.
     """
 
-    def __init__(self, model: PerformanceModel, trace: Trace, dG: int):
+    def __init__(self, model: QuadraticPerfModel, trace: Trace, dG: int):
         self.model = model
         self.column = trace.perf_true
-        self.score_rows = getattr(model, "true_perf_rows", None)
         self.rows = None   # the coordinates after each step not yet scored
-        if self.column is not None and self.score_rows is not None:
+        if self.column is not None:
             self.rows = np.empty((min(ORACLE_BLOCK, len(trace)), dG))
         self.first = 0     # the first step not yet scored
 
     def add(self, step: int, coords: np.ndarray) -> None:
-        """Score, now or with its block, the organism ``coords`` after ``step``."""
+        """Score, with its block, the organism ``coords`` after ``step``."""
         if self.rows is not None:
             self.rows[step - self.first] = coords
             if step + 1 - self.first == len(self.rows):
                 self.flush(step + 1)
-        elif self.column is not None:
-            self.column[step] = self.model.true_perf(coords, step + 1)
 
     def flush(self, stop: int) -> None:
         """Score the kept steps before ``stop``."""
         if self.rows is not None and stop > self.first:
-            self.column[self.first:stop] = self.score_rows(
+            self.column[self.first:stop] = self.model.true_perf_rows(
                 self.rows[:stop - self.first])
             self.first = stop
 
 
-def mutator_step(model: PerformanceModel, organism: Organism, config: EvolutionConfig,
+def mutator_step(model: QuadraticPerfModel, organism: Organism, config: EvolutionConfig,
                  step: int, selection_rng: np.random.Generator,
                  steps_matrix: np.ndarray, trace: Trace,
                  oracle: _OracleColumn) -> bool:
@@ -414,7 +390,7 @@ def mutator_step(model: PerformanceModel, organism: Organism, config: EvolutionC
     return False
 
 
-def run_evolution(model: PerformanceModel, config: EvolutionConfig) -> EvolutionResult:
+def run_evolution(model: QuadraticPerfModel, config: EvolutionConfig) -> EvolutionResult:
     """Run the full mutator loop for the configured number of steps.
 
     Randomness is split into independent per-purpose streams derived from the
@@ -422,6 +398,9 @@ def run_evolution(model: PerformanceModel, config: EvolutionConfig) -> Evolution
     inside the model's sampler (conventionally seeded with the same run seed
     by the caller).
     """
+    if not isinstance(model, QuadraticPerfModel):
+        raise ConfigError(f"the model must be a QuadraticPerfModel, got "
+                          f"{type(model).__name__}")
     selection_rng = rng_for((config.seed, "select"))
     renewal_rng = rng_for((config.seed, "renew"))
 

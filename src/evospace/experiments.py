@@ -20,8 +20,7 @@ import numpy as np
 
 from .analysis import agnostic_projection_oracle, projection_from_moments
 from .engine import (MAX_STEPS, EvolutionConfig, EvolutionResult,
-                     PerformanceModel, QuadraticPerfModel, quadratic_stats_for,
-                     run_evolution)
+                     QuadraticPerfModel, quadratic_stats_for, run_evolution)
 from .errors import ConfigError, ModelError
 from .frontier import FrontierProblem, efficient_frontier
 from .io import (ensure_dir, read_config, write_json_report, write_path_csv,
@@ -382,7 +381,7 @@ def labels_problem(X: np.ndarray, y: np.ndarray, seed: int,
 # one seed's run, shared by every scenario and the CLI
 
 
-def run_seed(model: PerformanceModel, mutations: MutationSet,
+def run_seed(model: QuadraticPerfModel, mutations: MutationSet,
              schedule: Schedule, seed: int, epsilon: float, *,
              m_override=None, t_override=None, f0=None,
              failure_policy: str = "strict", renewal: tuple = (None, None),

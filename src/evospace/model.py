@@ -493,22 +493,24 @@ class Sample:
 class ConditionSampler:
     """Draws per-step condition batches, deterministically in (seed, index).
 
-    ``draw(index, m)`` uses the stream ``rng_for(seed, index)``.  For
-    indices in [0, 2**32) the sampler gets there without building a
-    generator per draw, and an empirical sampler serves two kinds of draw
-    from a cached block of steps (``_step_block``):
+    ``draw(index, m)`` draws the one step ``index`` on the stream
+    ``rng_for(seed, index)``.  For indices in [0, 2**32) the sampler gets
+    there without building a generator per draw: it hashes the seeds of a
+    block of indices at once and moves one reused generator to the index's
+    seeded state, so the ``rng`` handed to a ``from_callable`` callback is
+    valid only during that call.
+
+    ``reduce(index, m, fn)`` gives a step the statistics ``fn`` computes
+    from its sample.  An empirical sampler computes them once for a cached
+    block of steps (``_step_block``) of one of two kinds:
 
     * index rows (m <= 4n) of at most 256 conditions, drawn at once by
       jumping each step's PCG64 ahead in numpy lanes (``_index_rows``);
     * multinomial weights (m > 4n), each step's counts drawn on its own
       seeded stream (``_weight_rows``).
 
-    ``reduce(index, m, fn)`` gives a step the statistics ``fn`` computes
-    from its sample, computed once for a whole block (see there).  Other
-    draws hash the seeds of a block of indices at once and move one reused
-    generator to the index's seeded state, so the ``rng`` handed to a
-    ``from_callable`` callback is valid only during that call.  A sampler
-    must not be shared between threads.
+    Block rows equal ``draw``'s samples bit for bit.  A sampler must not be
+    shared between threads.
     """
 
     def __init__(self, kind: str, *, data=None, fn=None, seed=0):
@@ -623,9 +625,9 @@ class ConditionSampler:
         Row ``index - first`` of the block is the step's draw: for m > 4n a
         ``_weight_rows`` block of max(1, 2**14 // n) steps, else an
         ``_index_rows`` block of min(4096, 2**16 // m) steps.  None when the
-        step is not drawn from a block: a callable sampler, index rows of
+        step is not reduced from a block: a callable sampler, index rows of
         more than 256 conditions, an index outside [0, 2**32), or m < 1
-        (which ``draw`` rejects).
+        (for which ``reduce`` falls back to ``draw``, which rejects it).
         """
         first, size, block = self._steps
         integer = isinstance(index, (int, np.integer))
@@ -701,15 +703,11 @@ class ConditionSampler:
             if not np.all(np.isfinite(pts)):
                 raise ModelError("sampler callback returned non-finite entries")
             return Sample(pts, self._uniform_weights(m), m)
-        block = self._step_block(index, m)
-        row = None if block is None else block[1][index - block[0]]
-        if m > _WEIGHTED_DRAW_FACTOR * self.data.shape[0]:
-            if row is None:
-                row = self._weight_rows([index], m)[0]
-            return Sample(self.data, row, m)
-        if row is None:
-            row = self._stream(index).integers(0, self.data.shape[0], size=m)
-        return Sample(self.data[row], self._uniform_weights(m), m)
+        n = self.data.shape[0]
+        if m > _WEIGHTED_DRAW_FACTOR * n:
+            return Sample(self.data, self._weight_rows([index], m)[0], m)
+        rows = self._stream(index).integers(0, n, size=m)
+        return Sample(self.data[rows], self._uniform_weights(m), m)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from evospace import (BregmanGenerator, ConditionSampler, EvolutionConfig,
-                      IdentityPanel, MutationSet, QuadraticPerfModel,
-                      quadratic_stats_for, rng_for, run_evolution)
-from evospace.engine import (MAX_STEPS, PerformanceModel, _classify,
-                             _signed_steps)
+from evospace import (BregmanGenerator, ConditionSampler, DataColumnPanel,
+                      EvolutionConfig, IdentityPanel, MutationSet,
+                      QuadraticPerfModel, quadratic_stats_for, rng_for,
+                      run_evolution)
+from evospace import engine
+from evospace.engine import MAX_STEPS, _classify, _signed_steps
 from evospace.experiments import MeanEstimationModel
-from evospace.errors import ConfigError
+from evospace.errors import ConfigError, ModelError
 from evospace.model import Sample, empirical_performance
 
 
@@ -27,27 +28,15 @@ def constant_stats_model(dim, cross=None, const=0.0):
                               true_stats=stats)
 
 
-class LinearModel(PerformanceModel):
-    """perf(c) = sum(c); every +1 mutant beneficial, every -1 harmful."""
+class LinearModel(QuadraticPerfModel):
+    """perf(c) = sum(c), stats (0, 1/2, 0); every +1 mutant beneficial,
+    every -1 harmful."""
 
-    def draw(self, step, m):
-        return None
-
-    def perf(self, stats, coords):
-        return float(np.sum(coords))
-
-    def perf_batch(self, stats, C):
-        return np.sum(np.asarray(C, float), axis=1)
-
-
-class QuarticModel(PerformanceModel):
-    """perf(c) = -sum(c^4): scored only through the default ``score``."""
-
-    def draw(self, step, m):
-        return None
-
-    def perf(self, stats, coords):
-        return -float(np.sum(np.asarray(coords, float) ** 4))
+    def __init__(self, dim):
+        stats = (np.zeros((dim, dim)), np.full(dim, 0.5), 0.0)
+        super().__init__(ConditionSampler.from_callable(
+            lambda rng, m: rng.standard_normal((m, dim)), seed=0),
+            lambda points, weights: stats)
 
 
 class UncachedQuadratic(QuadraticPerfModel):
@@ -77,7 +66,7 @@ class TestNeighborhood:
             for row, sign in ((2 * i, 1.0), (2 * i + 1, -1.0)):
                 mutant = c + sign * 0.05 * B.column(i)
                 assert gains[row] == pytest.approx(
-                    model.perf(stats, mutant) - perf_f, abs=1e-14)
+                    float(model._eval(stats, mutant)) - perf_f, abs=1e-14)
 
     def test_not_reflexive(self):
         steps = _signed_steps(MutationSet.orthonormal(3), alpha=0.01)
@@ -164,8 +153,8 @@ class TestScore:
         def bound(expected):
             return np.maximum(1e-9 * np.abs(expected), 1e-12)
 
-        direct_f = model.perf(stats, f)
-        direct = model.perf_batch(stats, f + steps) - direct_f
+        direct_f = float(model._eval(stats, f))
+        direct = model._eval(stats, f + steps) - direct_f
         assert abs(perf_f - direct_f) <= bound(direct_f)
         assert np.all(np.abs(gains - direct) <= bound(direct))
         clear = ((np.abs(direct - tol) > bound(direct))
@@ -200,20 +189,6 @@ class TestScore:
         assert cached.trace.rows() == fresh.trace.rows()
         assert np.array_equal(cached.organism.coords, fresh.organism.coords)
 
-    def test_default_score_serves_a_custom_model(self):
-        model = QuarticModel()
-        c = np.array([0.5, -0.25])
-        steps = _signed_steps(MutationSet.orthonormal(2), alpha=0.1)
-        perf_f, gains = model.score(None, c, steps)
-        assert perf_f == model.perf(None, c)
-        assert np.array_equal(gains, [model.perf(None, c + s) - perf_f
-                                      for s in steps])
-        cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
-                              tol=1e-3, m=1, t_steps=30, seed=2, f0=c)
-        res = run_evolution(model, cfg)
-        assert not res.failed and res.bene_steps > 0
-        assert model.perf(None, res.organism.coords) > perf_f
-
 
 class TestSelection:
     def test_uniform_over_beneficial(self):
@@ -221,7 +196,7 @@ class TestSelection:
         dim, steps = 4, 2000
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(dim),
                               alpha=0.1, tol=0.05, m=1, t_steps=steps, seed=3)
-        res = run_evolution(LinearModel(), cfg)
+        res = run_evolution(LinearModel(dim), cfg)
         assert res.bene_steps == steps
         rows = res.trace.rows()
         counts = np.bincount([r["chosen_index"] for r in rows], minlength=dim)
@@ -233,7 +208,7 @@ class TestSelection:
         dim = 3
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(dim),
                               alpha=0.01, tol=10.0, m=1, t_steps=50, seed=4)
-        res = run_evolution(LinearModel(), cfg)
+        res = run_evolution(LinearModel(dim), cfg)
         assert res.neut_steps == 50 and res.bene_steps == 0
         assert not res.failed
 
@@ -282,7 +257,7 @@ class TestRenewal:
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2),
                               alpha=0.1, tol=0.05, m=1, t_steps=5, seed=6,
                               renewal_period=2, renewal_fn=renew)
-        run_evolution(LinearModel(), cfg)
+        run_evolution(LinearModel(2), cfg)
         assert calls == [0, 2, 4]
 
     def test_counts_stay_small_after_renewal(self):
@@ -292,7 +267,7 @@ class TestRenewal:
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(3),
                               alpha=0.1, tol=0.05, m=1, t_steps=10, seed=7,
                               renewal_period=5, renewal_fn=renew)
-        res = run_evolution(LinearModel(), cfg)
+        res = run_evolution(LinearModel(3), cfg)
         # last renewal at t=5, so at most 5 steps of counts accumulate
         assert np.abs(res.organism.counts).sum() <= 5
 
@@ -314,18 +289,15 @@ class TestRenewal:
 
 
 class TestBlockOracle:
-    """The oracle column scored a block of steps at once against
-    ``true_perf`` called after every step (a model without ``true_perf_rows``)."""
+    """The oracle column scored a block of steps at once against one scored
+    a step at a time (blocks of one)."""
 
     @staticmethod
-    def per_step(model):
-        model.true_perf_rows = None
-        return model
-
-    def run_pair(self, make, **config):
+    def run_pair(monkeypatch, make, **config):
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2), **config)
-        block, step = run_evolution(make(), cfg), run_evolution(
-            self.per_step(make()), cfg)
+        block = run_evolution(make(), cfg)
+        monkeypatch.setattr(engine, "ORACLE_BLOCK", 1)
+        step = run_evolution(make(), cfg)
         assert np.array_equal(block.trace.perf_true, step.trace.perf_true,
                               equal_nan=True)
         assert block.trace.rows() == step.trace.rows()
@@ -333,10 +305,10 @@ class TestBlockOracle:
         return block
 
     @pytest.mark.parametrize("t_steps", [1, 4095, 4096, 8192, 9001])
-    def test_drifting_target_across_block_edges(self, t_steps):
+    def test_drifting_target_across_block_edges(self, monkeypatch, t_steps):
         data = rng_for(("oracle-blocks", 0)).standard_normal((50, 2)) * 0.2
         res = self.run_pair(
-            lambda: MeanEstimationModel(
+            monkeypatch, lambda: MeanEstimationModel(
                 ConditionSampler.empirical(data, seed=4), data.mean(axis=0),
                 nu=0.002, policy="adversarial", drift_seed=4),
             alpha=0.05, tol=1e-3, m=5, t_steps=t_steps, seed=4,
@@ -344,7 +316,7 @@ class TestBlockOracle:
             f0=np.array([0.3, -0.2]))
         assert len(res.trace) == t_steps
 
-    def test_halted_run(self):
+    def test_halted_run(self, monkeypatch):
         data = rng_for(("golden-null", 0)).normal(0.0, 0.3, (40, 2)) + [0.3, -0.2]
         mu = data.mean(axis=0)
 
@@ -356,7 +328,7 @@ class TestBlockOracle:
                                     lambda pts: pts),
                 true_stats=(np.eye(2), mu, float(mu @ mu)))
 
-        res = self.run_pair(make, alpha=0.1, tol=0.005, m=20, t_steps=5000,
+        res = self.run_pair(monkeypatch, make, alpha=0.1, tol=0.005, m=20, t_steps=5000,
                             seed=2, epsilon=0.02, f0=np.array([-0.2, 0.3]))
         assert res.failed and np.isnan(res.trace.perf_true[-1])
 
@@ -379,16 +351,53 @@ class TestQuadraticModel:
         for coords in (np.zeros(2), np.array([0.3, -0.1])):
             direct = empirical_performance(coords, sample.points, panel,
                                            sample, gen)
-            assert model.perf(stats, coords) == pytest.approx(direct, rel=1e-10)
+            assert float(model._eval(stats, coords)) == pytest.approx(
+                direct, rel=1e-10)
 
     def test_perf_batch_matches_scalar(self):
         model = constant_stats_model(3, cross=np.array([0.1, 0.2, -0.3]),
                                      const=0.7)
         stats = model.draw(0, 1)
         C = rng_for(43).standard_normal((6, 3))
-        batch = model.perf_batch(stats, C)
+        batch = model._eval(stats, C)
         for i in range(6):
-            assert batch[i] == pytest.approx(model.perf(stats, C[i]))
+            assert batch[i] == pytest.approx(float(model._eval(stats, C[i])))
+
+    @pytest.mark.parametrize("target_fn", [lambda P: P[:, 2:3],
+                                           lambda P: P[:, 2]])
+    def test_target_fn_must_keep_the_batch_axes(self, target_fn):
+        # written for one (n, k) batch: index rows (m = 20 <= 4n) reduce a
+        # (K, m, k) stack of them, multinomial weights (m = 200) the data
+        data = rng_for(46).standard_normal((40, 3))
+        panel = DataColumnPanel(2, columns=range(2))
+        gen = BregmanGenerator.squared_euclidean()
+        sampler = ConditionSampler.empirical(data, seed=3)
+        stats_fn = quadratic_stats_for(panel, gen, target_fn)
+        with pytest.raises(ModelError, match=r"\(\.\.\., n, k\) points"):
+            sampler.reduce(0, 20, stats_fn)
+        want = sampler.reduce(0, 200, quadratic_stats_for(
+            panel, gen, lambda P: P[..., 2:]))
+        got = sampler.reduce(0, 200, stats_fn)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_loop_rejects_a_model_of_another_type(self):
+        class DuckModel:
+            def pre_step(self, step, coords):
+                pass
+
+            def draw(self, step, m):
+                return None
+
+            def score(self, stats, coords, steps):
+                return 0.0, [1.0] * len(steps)
+
+            def true_perf(self, coords, step):
+                return 0.0
+
+        cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
+                              tol=0.05, m=1, t_steps=3)
+        with pytest.raises(ConfigError, match="got DuckModel"):
+            run_evolution(DuckModel(), cfg)
 
     def test_requires_quadratic_generator(self):
         gen = BregmanGenerator.custom(
@@ -445,7 +454,7 @@ class TestPreStepHook:
 
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2),
                               alpha=0.1, tol=0.05, m=1, t_steps=8, seed=13)
-        res = run_evolution(Hooked(), cfg)
+        res = run_evolution(Hooked(2), cfg)
         assert [s for s, _ in seen] == list(range(8))
         # hook sees pre-move coordinates: step k+1 sees the step-k offspring
         assert np.allclose(seen[0][1], 0.0)

@@ -143,11 +143,12 @@ class TestPlainFloatScore:
         f, steps = values(rng, d), values(rng, rows, d)
         model = QuadraticPerfModel(None, None)
         perf_f, gains = model.score((quad, cross, const), f, steps)
-        assert perf_f == model.perf((quad, cross, const), f)
+        assert perf_f == -(quad_form(f, quad) - 2.0 * dot(f, cross) + const)
         want = 2.0 * dot(steps, cross - matvec(quad, f)) - quad_form(steps, quad)
         assert gains == want.tolist()
         # the one-row and stacked oracle agree with perf
         C = np.vstack([f, steps])
+        assert model._eval((quad, cross, const), f) == perf_f
         assert model._eval((quad, cross, const), C)[0] == perf_f
 
 

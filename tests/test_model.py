@@ -263,17 +263,30 @@ class TestSamplerStreams:
                 assert np.array_equal(got.weights, want.weights)
                 assert got.size == want.size == m
 
-        # out of order and repeated indices on one sampler; m outermost, so
-        # a block is rebuilt only when the index leaves it.  Rows come from
-        # 4,096- and 2,340-step blocks (m <= 4n), then multinomial counts.
+        # out of order and repeated indices on one sampler: index rows
+        # (m <= 4n = 28), then multinomial counts
         draws = indices + indices[::-1]
         for m in (3, 28, 40):
             for index in draws:
                 check(index, m)
-        # a short interleaved pass: each change of m evicts the cached block
+        # a short interleaved pass, m changing between draws of one index
         for index in draws[:2]:
             for m in (3, 28, 40, 3):
                 check(index, m)
+
+    def test_draw_builds_no_block(self, monkeypatch):
+        def no_block(self, index, m):
+            raise AssertionError("draw built a block")
+
+        data = rng_for(("stream-data", 1)).standard_normal((7, 2))
+        sampler = ConditionSampler.empirical(data, seed=5)
+        reference = RngForSampler.empirical(data, seed=5)
+        monkeypatch.setattr(ConditionSampler, "_step_block", no_block)
+        # index rows of at most 256 conditions, then multinomial counts
+        for index, m in ((0, 20), (5000, 3), (9, 29), (2**32 - 1, 40)):
+            got, want = sampler.draw(index, m), reference.draw(index, m)
+            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.weights, want.weights)
 
 
 def index_sampler(seed, n):
