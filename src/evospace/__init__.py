@@ -21,10 +21,9 @@ from .basis import basis_quality, select_bstar
 from .analysis import (agnostic_projection_oracle, derangement_sign_det,
                        exen_ratio, pdg_bruteforce, pdg_closed,
                        projection_from_moments, return_and_premium)
-from .frontier import FrontierProblem, efficient_frontier, kkt_oracle, xi
+from .frontier import FrontierProblem, efficient_frontier, kkt_oracle
 from .experiments import (SCENARIOS, MeanEstimationModel, ScenarioConfig,
-                          gen_gaussian_mixture, run_frontier_scaling,
-                          run_scenario)
+                          run_frontier_scaling, run_scenario)
 
 __version__ = "0.1.0"
 
@@ -38,9 +37,8 @@ __all__ = [
     "agnostic_projection_oracle", "basis_quality", "compute_schedule",
     "conditioning_scale", "derangement_sign_det", "drift_bound",
     "efficient_frontier", "empirical_performance", "estimate_model_constants",
-    "exen_ratio", "gen_gaussian_mixture", "kkt_oracle", "knob_region_check",
-    "make_drift_plan", "pdg_bruteforce", "pdg_closed", "projection_from_moments",
+    "exen_ratio", "kkt_oracle", "knob_region_check", "make_drift_plan",
+    "pdg_bruteforce", "pdg_closed", "projection_from_moments",
     "quadratic_stats_for", "return_and_premium", "rng_for", "run_evolution",
-    "run_frontier_scaling", "run_scenario", "select_bstar",
-    "stable_knob_example", "xi",
+    "run_frontier_scaling", "run_scenario", "select_bstar", "stable_knob_example",
 ]

@@ -30,30 +30,24 @@ class ExenReport:
     rho: float              # mean squared expressed output over encoding norm
     mean_expression: float  # mean expressed output norm
     var_expression: float   # variance of the expressed output norm
-    encoding_norm: float    # gene-coordinate norm of the (difference) vector
+    encoding_norm: float    # gene-coordinate norm of the vector
 
     def to_dict(self) -> dict:
-        return {"rho": self.rho, "mean_expression": self.mean_expression,
-                "var_expression": self.var_expression,
-                "encoding_norm": self.encoding_norm}
+        return dict(vars(self))
 
 
-def exen_ratio(f_coords, panel: GenePanel, sampler: ConditionSampler,
-               g_coords=None, *, n_samples: int = 2000,
-               draw_index: int = -2) -> ExenReport:
-    """Expression-to-encoding ratio of ``f`` (or of ``f - g`` when given).
+def exen_ratio(f_coords, panel: GenePanel, sampler: ConditionSampler) -> ExenReport:
+    """Expression-to-encoding ratio of ``f``.
 
-    rho = E ||(f - g)(x)||^2 / ||f - g||, estimated over a fresh condition
-    draw.  The numerator equals the variance of the expressed norm plus the
-    squared mean, which the report breaks out.
+    rho = E ||f(x)||^2 / ||f||, estimated over 2,000 fresh conditions (draw
+    index -2).  The numerator equals the variance of the expressed norm plus
+    the squared mean, which the report breaks out.
     """
     f = np.asarray(f_coords, dtype=float)
-    if g_coords is not None:
-        f = f - np.asarray(g_coords, dtype=float)
     enc = float(np.sqrt(dot(f, f)))
     if enc == 0.0:
         raise ModelError("expression ratio is undefined for a zero encoding")
-    sample = sampler.draw(draw_index, n_samples)
+    sample = sampler.draw(-2, 2000)
     out = panel.express(sample.points, f)
     norms = np.sqrt(dot(out, out))
     mean = float(dot(sample.weights, norms))

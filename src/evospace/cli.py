@@ -253,6 +253,9 @@ def _cmd_diagnose(args) -> int:
         if coords is None or coords.shape != (setup.dim,) or not np.isfinite(coords).all():
             raise ConfigError(f"--coords must be {setup.dim} comma-separated "
                               f"finite numbers, got {args.coords!r}")
+        if not coords.any():
+            raise ConfigError("the expression ratio of a zero vector is undefined: "
+                              "pass nonzero --coords or set a nonzero run.f0")
         rep = exen_ratio(coords, setup.panel, setup.sampler)
         _emit(rep.to_dict())
         return EXIT_OK
@@ -356,9 +359,10 @@ def build_parser() -> _Parser:
     p_diag.set_defaults(fn=_cmd_diagnose)
 
     p_front = sub.add_parser("frontier", help="efficient-frontier analytics")
-    p_front.add_argument("--config", default=None)
-    p_front.add_argument("--scan", action="store_true",
-                         help="accuracy-scaling sweep instead of one level")
+    source = p_front.add_mutually_exclusive_group()
+    source.add_argument("--config", default=None)
+    source.add_argument("--scan", action="store_true",
+                        help="accuracy-scaling sweep instead of one level")
     p_front.add_argument("--seed", type=int, default=0)
     p_front.add_argument("--dim", type=int, default=4)
     p_front.add_argument("--out", default=None)

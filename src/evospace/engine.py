@@ -221,8 +221,9 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.failure_policy not in FAILURE_POLICIES:
             raise ConfigError(f"failure policy must be one of {FAILURE_POLICIES}")
-        if self.alpha <= 0 or self.tol <= 0:
-            raise ConfigError("alpha and tol must be positive")
+        for name, value in (("alpha", self.alpha), ("tol", self.tol)):
+            if not 0 < value < np.inf:   # NaN fails both comparisons
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.m < 1 or self.t_steps < 1:
             raise ConfigError("m and t_steps must be >= 1")
         if self.t_steps > MAX_STEPS:

@@ -133,9 +133,8 @@ def _hulls_overlap(X: np.ndarray, y: np.ndarray) -> bool:
     return bool(np.all(overlap > 1e-9 * float(np.abs(X).max())))
 
 
-def _perceptron_separable(X: np.ndarray, y: np.ndarray,
-                          max_updates: int = 4000) -> bool:
-    """Linear separability check (with bias) by perceptron updates.
+def _perceptron_separable(X: np.ndarray, y: np.ndarray) -> bool:
+    """Linear separability check (with bias) by up to 4,000 perceptron updates.
 
     Finding a zero-error separator proves separability; exhausting the update
     budget is treated as non-separable, which is the conservative direction
@@ -147,7 +146,7 @@ def _perceptron_separable(X: np.ndarray, y: np.ndarray,
         return False
     Xa = np.column_stack([X, np.ones(X.shape[0])])
     w = np.zeros(Xa.shape[1])
-    for _ in range(max_updates):
+    for _ in range(4000):
         bad = np.nonzero((Xa @ w) * y <= 0)[0]
         if bad.size == 0:
             return True
@@ -155,30 +154,28 @@ def _perceptron_separable(X: np.ndarray, y: np.ndarray,
     return False
 
 
-def gen_gaussian_mixture(rng: np.random.Generator, n_clusters: int,
-                         dim: int = 2, size_range: tuple = (30, 120),
-                         var_range: tuple = (0.01, 0.1),
-                         max_tries: int = 10) -> tuple:
-    """Random spherical Gaussian mixture with cluster-level +/-1 labels.
+def gen_gaussian_mixture(rng: np.random.Generator, n_clusters: int) -> tuple:
+    """Random spherical 2-D Gaussian mixture with cluster-level +/-1 labels.
 
-    Cluster sizes and variances are drawn uniformly from the given ranges and
-    the pooled points are rescaled to fit inside the unit disk.  Draws whose
-    labels are all one sign, or that a perceptron proves linearly separable,
-    are regenerated up to ``max_tries`` times; the last draw is returned
-    as-is, so non-separability is likely but not guaranteed.  Most 2-D draws
-    are certified non-separable by their class hulls, without a perceptron.
+    Cluster sizes are drawn uniformly from 30..120 and variances from
+    [0.01, 0.1], and the pooled points are rescaled to fit inside the unit
+    disk.  Draws whose labels are all one sign, or that a perceptron proves
+    linearly separable, are regenerated up to 10 times; the last draw is
+    returned as-is, so non-separability is likely but not guaranteed.  Most
+    draws are certified non-separable by their class hulls, without a
+    perceptron.
     """
     if n_clusters < 2:
         raise ConfigError("mixture needs at least 2 clusters")
     pts = labels = None
-    for _ in range(max_tries):
-        centers = rng.uniform(-1.0, 1.0, (n_clusters, dim))
-        sizes = rng.integers(size_range[0], size_range[1] + 1, n_clusters)
-        sigmas = np.sqrt(rng.uniform(var_range[0], var_range[1], n_clusters))
+    for _ in range(10):
+        centers = rng.uniform(-1.0, 1.0, (n_clusters, 2))
+        sizes = rng.integers(30, 121, n_clusters)
+        sigmas = np.sqrt(rng.uniform(0.01, 0.1, n_clusters))
         signs = rng.choice([-1.0, 1.0], n_clusters)
         chunks, labs = [], []
         for k in range(n_clusters):
-            chunks.append(centers[k] + sigmas[k] * rng.standard_normal((sizes[k], dim)))
+            chunks.append(centers[k] + sigmas[k] * rng.standard_normal((sizes[k], 2)))
             labs.append(np.full(sizes[k], signs[k]))
         pts = np.vstack(chunks)
         labels = np.concatenate(labs)
@@ -860,22 +857,21 @@ def _drift(cfg, opts, knobs, trace_to) -> dict:
 
 
 def run_frontier_scaling(eps_list: Sequence[float] = (0.2, 0.1, 0.05, 0.025),
-                         seed: int = 0, dim: int = 4, alpha_coef: float = 0.3,
-                         xi_level: float = 4.0) -> dict:
+                         seed: int = 0, dim: int = 4) -> dict:
     """Extreme frontier returns across accuracy levels with budget = step size.
 
-    Both the step size and the mutation budget scale linearly with epsilon
-    while the concentration level is held fixed, so the attainable extreme
-    returns contract linearly; the report fits log-log slopes for a generic
-    residual direction and for a zero-sum one.
+    Both the step size (0.3 epsilon) and the mutation budget scale linearly
+    with epsilon while the concentration level is held at 4 (the premium is
+    4 times the minimum), so the attainable extreme returns contract
+    linearly; the report fits log-log slopes for a generic residual
+    direction and for a zero-sum one.
     """
     if len(eps_list) < 2:
         raise ConfigError("scaling sweep needs at least two epsilon values")
     if dim < 2:
         raise ConfigError(f"scaling sweep needs dim >= 2 (a zero-sum residual "
                           f"needs two dimensions), got {dim}")
-    if xi_level <= 1.0:
-        raise ConfigError("the concentration level must exceed 1")
+    alpha_coef, xi_level = 0.3, 4.0
     rng = rng_for((seed, "frontier"))
     root = rng.standard_normal((dim, dim))
     gamma = dot(root[:, None, :], root[None, :, :]) + 0.5 * np.eye(dim)

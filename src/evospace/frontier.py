@@ -78,21 +78,6 @@ class FrontierProblem:
         return self.alpha * self.n ** 2 / (2.0 * self.s)
 
 
-def xi(u, gamma) -> float:
-    """Concentration factor s <u, gamma u> / <1, u>^2; always >= 1."""
-    G = np.asarray(gamma, dtype=float)
-    v = np.asarray(u, dtype=float)
-    eig = np.linalg.eigvalsh(0.5 * (G + G.T))
-    if eig[0] <= 0:
-        raise ModelError("gamma must be positive definite")
-    ones = np.ones(v.shape[0])
-    tot = float(dot(ones, v))
-    if abs(tot) <= 1e-12 * np.sqrt(dot(v, v)):
-        raise ModelError("xi is undefined for vectors with (near-)zero sum")
-    s = float(dot(ones, np.linalg.solve(G, ones)))
-    return s * float(quad_form(v, G)) / tot ** 2
-
-
 def kkt_oracle(problem: FrontierProblem, r: float) -> FrontierPoint:
     """Premium minimiser at fixed return r and budget n, via the multiplier
     system; independent of the closed-form frontier."""

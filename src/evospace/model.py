@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -228,8 +228,7 @@ class BregmanGenerator:
     * ``mahalanobis``: phi(u) = <u, M u> for symmetric positive definite M,
       so D(u || v) = <u - v, M (u - v)> with constant Hessian 2 M.
     * ``custom``: caller supplies value and gradient callbacks together with
-      declared Hessian eigenvalue bounds (h_min, h_max); the declaration is
-      spot-checked by finite differences when check points are given.
+      declared Hessian eigenvalue bounds (h_min, h_max).
     """
 
     def __init__(self, kind: str, *, matrix=None, value=None, gradient=None,
@@ -270,12 +269,8 @@ class BregmanGenerator:
 
     @classmethod
     def custom(cls, value: Callable, gradient: Callable, h_min: float,
-               h_max: float, check_points: Optional[Sequence] = None,
-               rel_margin: float = 0.01) -> "BregmanGenerator":
-        gen = cls("custom", value=value, gradient=gradient, h_min=h_min, h_max=h_max)
-        if check_points is not None:
-            gen._check_hessian_bounds(check_points, rel_margin)
-        return gen
+               h_max: float) -> "BregmanGenerator":
+        return cls("custom", value=value, gradient=gradient, h_min=h_min, h_max=h_max)
 
     # properties -----------------------------------------------------------
 
@@ -333,32 +328,6 @@ class BregmanGenerator:
             return quad_form(W, self.matrix)
         return np.array([self.divergence(u, v) for u, v in zip(U, V)])
 
-    # declared-bound validation ---------------------------------------------
-
-    def _check_hessian_bounds(self, points, rel_margin: float) -> None:
-        # Rayleigh quotients of the Hessian via second central differences of
-        # phi along random directions; declared bounds must hold within the
-        # relative margin at every check point.
-        rng = rng_for("hessian-check")
-        eps = 1e-4
-        lo = self.h_min * (1.0 - rel_margin)
-        hi = self.h_max * (1.0 + rel_margin)
-        for p in points:
-            p = _as_vector(np.atleast_1d(p), "check point")
-            for _ in range(4):
-                direc = rng.standard_normal(p.shape[0])
-                direc /= np.sqrt(dot(direc, direc))
-                second = (self.value(p + eps * direc) - 2.0 * self.value(p)
-                          + self.value(p - eps * direc)) / (eps * eps)
-                if not (lo <= second <= hi):
-                    raise ModelError(
-                        "declared Hessian bounds (%g, %g) violated at a check "
-                        "point: observed curvature %g" % (self.h_min, self.h_max, second))
-            # strict convexity spot check
-            q = p + eps * np.ones_like(p)
-            if self.divergence(q, p) <= 0:
-                raise ModelError("custom generator is not strictly convex at a check point")
-
 
 # ---------------------------------------------------------------------------
 # gene panels
@@ -394,16 +363,15 @@ class GenePanel:
 
 
 class IdentityPanel(GenePanel):
-    """dG = d genes; G_x = scale * I for every condition."""
+    """dG = d genes; G_x = I for every condition."""
 
-    def __init__(self, d: int, scale: float = 1.0):
+    def __init__(self, d: int):
         if d < 1:
             raise ConfigError("identity panel needs d >= 1")
         self.d = self.dG = int(d)
-        self.scale = float(scale)
 
     def express(self, X, coords):
-        out = np.broadcast_to(self.scale * np.asarray(coords, dtype=float),
+        out = np.broadcast_to(np.asarray(coords, dtype=float),
                               (np.asarray(X).shape[0], self.d))
         return np.array(out)
 
@@ -411,13 +379,13 @@ class IdentityPanel(GenePanel):
         base = np.eye(self.d) if M is None else np.asarray(M, dtype=float)
         # the same moment for each batch of a stack of conditions or weight rows
         stack = np.shape(X)[:-2] + np.shape(weights)[:-1]
-        return np.broadcast_to((self.scale ** 2) * base, stack + base.shape)
+        return np.broadcast_to(base, stack + base.shape)
 
     def cross_moment(self, X, targets, M=None, weights=None):
         n = np.shape(X)[-2]
         w = np.full(n, 1.0 / n) if weights is None else weights
         tbar = weighted_rows(w, targets)
-        return self.scale * (tbar if M is None else matvec(M, tbar))
+        return tbar if M is None else matvec(M, tbar)
 
 
 class DataColumnPanel(GenePanel):
@@ -425,10 +393,7 @@ class DataColumnPanel(GenePanel):
 
     G_x is a 1 x dG row of condition entries, so an organism is a linear
     functional of the condition.  ``columns`` restricts which entries the
-    genes read (conditions may carry extra columns, e.g. labels).  The
-    selected copy of the last X is kept while X is the same object, so a
-    whole dataset passed every step is selected once; X must not be edited
-    in place between calls.
+    genes read (conditions may carry extra columns, e.g. labels).
     """
 
     def __init__(self, dG: int, columns=None):
@@ -439,15 +404,9 @@ class DataColumnPanel(GenePanel):
         if columns is not None and len(columns) != dG:
             raise ConfigError("columns selection must have dG entries")
         self.columns = None if columns is None else list(columns)
-        self._taken = (None, None)
 
     def _take(self, X: np.ndarray) -> np.ndarray:
-        if self.columns is None:
-            return X
-        if self._taken[0] is not X:
-            # the key holds X, so its id cannot be reused meanwhile
-            self._taken = (X, X[..., self.columns])
-        return self._taken[1]
+        return X if self.columns is None else X[..., self.columns]
 
     def express(self, X, coords):
         X = self._take(np.asarray(X, dtype=float))
@@ -754,33 +713,24 @@ class Organism:
     basis: MutationSet
     base: np.ndarray
     alpha: float
-    counts: np.ndarray = field(default=None)
-    coords: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.base = _as_vector(self.base, "base coordinates")
         if self.base.shape[0] != self.basis.dG:
             raise ModelError("base coordinate dimension does not match the basis")
-        if self.counts is None:
-            self.counts = np.zeros(self.basis.dF, dtype=np.int64)
-        else:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.coords is None:
-            self.coords = self.recompute_coords()
+        self.counts = np.zeros(self.basis.dF, dtype=np.int64)
+        self.coords = self.recompute_coords()
 
     def recompute_coords(self) -> np.ndarray:
         return self.base + self.alpha * matvec(self.basis.vectors,
                                                self.counts.astype(float))
 
-    def apply(self, index: int, polarity: int, step: Optional[np.ndarray] = None) -> None:
+    def apply(self, index: int, polarity: int, step: np.ndarray) -> None:
         """Commit one mutation step in place.
 
-        ``step`` is the signed step row ``(polarity * alpha) * column(index)``
-        when the caller has it, as the mutator loop does.
+        ``step`` is the signed step row ``(polarity * alpha) * column(index)``.
         """
         self.counts[index] += polarity
-        if step is None:
-            step = (polarity * self.alpha) * self.basis.column(index)
         self.coords = self.coords + step
 
     def rebase(self, basis: MutationSet) -> None:

@@ -31,6 +31,9 @@ class KnobTriple(NamedTuple):
     def as_tuple(self) -> tuple:
         return (self.z_tau, self.z_alpha, self.z_tol)
 
+    def to_dict(self) -> dict:
+        return self._asdict()
+
 
 #: Default admissible triple; margin z_tol - z_tau * z_alpha = 1/27.
 DEFAULT_KNOBS = KnobTriple(z_tau=1.0 / 9.0, z_alpha=1.0 / 3.0, z_tol=2.0 / 27.0)
@@ -109,47 +112,35 @@ class ModelConstants:
     max_b_norm: float        # largest mutation norm in gene coordinates
     e_b_out_sq: np.ndarray   # per-mutation mean squared expressed output
     sup_single: float        # sup over conditions of the selected subset's
-                             # summed squared outputs, times a safety factor
+                             # summed squared outputs, times 1.5 for safety
     bstar_indices: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "h_min": self.h_min, "h_max": self.h_max,
-            "mu_min": self.mu_min, "mu_max": self.mu_max,
-            "dG": self.dG, "dF": self.dF,
-            "b_bar": self.b_bar, "b_quality": self.b_quality,
-            "max_b_norm": self.max_b_norm,
-            "e_b_out_sq": [float(v) for v in np.asarray(self.e_b_out_sq).ravel()],
-            "sup_single": self.sup_single,
-            "bstar_indices": list(self.bstar_indices),
-        }
+        return dict(vars(self), bstar_indices=list(self.bstar_indices),
+                    e_b_out_sq=[float(v) for v in np.ravel(self.e_b_out_sq)])
 
 
 def estimate_model_constants(panel: GenePanel, mutations: MutationSet,
                              sampler: ConditionSampler, gen: BregmanGenerator,
-                             *, n_samples: int = 2000, draw_index: int = -1,
-                             agnostic: bool = False, span_projector=None,
-                             safety: float = 1.5) -> ModelConstants:
+                             *, agnostic: bool = False) -> ModelConstants:
     """Monte-Carlo estimates of the schedule's model constants.
 
-    The panel second moment is estimated from ``n_samples`` conditions and its
-    eigenvalue extremes become (mu_min, mu_max); per-mutation expressed-output
-    second moments and the worst summed squared output of the selected subset
-    are estimated from the same draw, the latter inflated by ``safety``.  With
-    ``agnostic=True`` the generating subset has the rank of the mutation set
-    and the second moment is restricted to its span (via ``span_projector``,
-    an orthonormal column basis of the span; computed when omitted).
+    The panel second moment is estimated from 2,000 conditions (draw index -1)
+    and its eigenvalue extremes become (mu_min, mu_max); per-mutation
+    expressed-output second moments and the worst summed squared output of
+    the selected subset are estimated from the same draw, the latter inflated
+    by 1.5.  With ``agnostic=True`` the generating subset has the rank of the
+    mutation set and the second moment is restricted to its span.
     """
     sel = select_bstar(mutations, agnostic=agnostic)
-    sample = sampler.draw(draw_index, n_samples)
+    sample = sampler.draw(-1, 2000)
     pts, w = sample.points, sample.weights
 
     gamma = panel.second_moment(pts, weights=w)
     if agnostic:
-        if span_projector is None:
-            q, _ = np.linalg.qr(mutations.vectors[:, list(sel.indices)])
-            span_projector = q[:, :len(sel.indices)]
-        P = np.asarray(span_projector, dtype=float).T
+        # an orthonormal column basis of the span
+        q, _ = np.linalg.qr(mutations.vectors[:, list(sel.indices)])
+        P = q[:, :len(sel.indices)].T
         gamma_eff = dot(P[:, None, :], matvec(gamma, P)[None, :, :])
     else:
         gamma_eff = gamma
@@ -167,7 +158,7 @@ def estimate_model_constants(panel: GenePanel, mutations: MutationSet,
         if i in sel.indices:
             lam += sq
     live = w > 0
-    sup_single = float(lam[live].max()) * safety
+    sup_single = float(lam[live].max()) * 1.5
 
     return ModelConstants(
         h_min=gen.h_min, h_max=gen.h_max,
@@ -208,17 +199,8 @@ class Schedule:
         return self.tol - self.alpha * self.tau
 
     def to_dict(self) -> dict:
-        d = {
-            "epsilon": self.epsilon,
-            "knobs": {"z_tau": self.knobs.z_tau, "z_alpha": self.knobs.z_alpha,
-                      "z_tol": self.knobs.z_tol},
-            "horizon": self.horizon, "u": self.u, "v": self.v,
-            "alpha": self.alpha, "tol": self.tol, "tau": self.tau,
-            "t_steps": self.t_steps, "m": self.m,
-            "t_exact": self.t_exact, "m_exact": self.m_exact,
-            "c_t": self.c_t, "c_m": self.c_m, "m_cap": self.m_cap,
-        }
-        if self.constants is not None:
+        d = dict(vars(self), knobs=self.knobs.to_dict())
+        if d.pop("constants") is not None:
             d["constants"] = self.constants.to_dict()
         return d
 
@@ -308,8 +290,7 @@ class DriftPlan:
     paper_compliant: bool
 
     def to_dict(self) -> dict:
-        return {"nu": self.nu, "bound": self.bound, "w_const": self.w_const,
-                "paper_compliant": self.paper_compliant}
+        return dict(vars(self))
 
 
 def drift_bound(schedule: Schedule) -> float:
@@ -326,15 +307,10 @@ def drift_bound(schedule: Schedule) -> float:
     return num / den
 
 
-def make_drift_plan(schedule: Schedule, *, nu: Optional[float] = None,
-                    multiplier: float = 1.0) -> DriftPlan:
+def make_drift_plan(schedule: Schedule) -> DriftPlan:
+    """The drift plan at the admissible bound: nu is the bound, so it complies."""
     c = schedule.constants
     bound = drift_bound(schedule)
-    if nu is None:
-        nu = bound * multiplier
-    if nu < 0:
-        raise ConfigError("drift magnitude must be nonnegative")
     w = 1.0 + max(1.0, (2.0 * c.h_max * c.mu_max / (c.h_min * c.mu_min)) *
                   schedule.horizon ** 2 * c.max_b_norm ** 2)
-    return DriftPlan(nu=nu, bound=bound, w_const=w,
-                     paper_compliant=nu <= bound * (1.0 + 1e-12))
+    return DriftPlan(nu=bound, bound=bound, w_const=w, paper_compliant=True)

@@ -474,6 +474,18 @@ class TestDiagnose:
         assert payload["var_expression"] == pytest.approx(0.0, abs=1e-12)
         assert payload["encoding_norm"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("coords", [None, "0,0"])
+    def test_exen_of_a_zero_vector_names_coords_and_f0(self, tmp_path, capsys,
+                                                       mean_csv, coords):
+        # run.f0 defaults to the zero vector, whose ratio is undefined
+        argv = ["diagnose", "exen", "--config",
+                write_cfg(tmp_path, mean_config(mean_csv))]
+        if coords:
+            argv += ["--coords", coords]
+        code, err = cli_error(capsys, *argv)
+        assert code == 2
+        assert "--coords" in err and "run.f0" in err
+
 
 class TestFrontier:
     def test_scan_slopes(self, tmp_path, capsys):
@@ -533,6 +545,13 @@ class TestFrontier:
 
     def test_needs_config_or_scan(self, capsys):
         assert run_cli(capsys, "frontier")[0] == 2
+
+    def test_scan_with_config_is_a_usage_error(self, tmp_path, capsys):
+        # the scan reads no config, so a missing file must not pass unnoticed
+        with pytest.raises(SystemExit) as exc:
+            main(["frontier", "--scan", "--config", str(tmp_path / "missing.json")])
+        assert exc.value.code == 64
+        assert "not allowed with" in capsys.readouterr().err
 
 
 class TestOracle:

@@ -245,6 +245,17 @@ class TestFailurePolicies:
             EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
                             tol=0.1, m=1, t_steps=1, failure_policy="retry")
 
+    @pytest.mark.parametrize("name", ["alpha", "tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_step_and_tolerance_must_be_finite(self, name, value):
+        # a NaN alpha ran to the end with NaN coordinates, and an infinite
+        # tol made every mutant neutral; zero and negative values are
+        # rejected in test_alpha_must_be_positive and test_tol_validation
+        sizes = {"alpha": 0.1, "tol": 0.1, name: value}
+        with pytest.raises(ConfigError, match=f"^{name} must be positive and finite"):
+            EvolutionConfig(mutations=MutationSet.orthonormal(2), m=1,
+                            t_steps=1, **sizes)
+
 
 class TestRenewal:
     def test_called_at_zero_and_period(self):

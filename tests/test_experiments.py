@@ -642,5 +642,3 @@ class TestFrontierScaling:
     def test_validation(self):
         with pytest.raises(ConfigError, match="two epsilon"):
             run_frontier_scaling(eps_list=(0.1,))
-        with pytest.raises(ConfigError, match="exceed 1"):
-            run_frontier_scaling(eps_list=(0.2, 0.1), xi_level=1.0)

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from evospace import (FrontierProblem, efficient_frontier, kkt_oracle,
-                      rng_for, xi)
+from evospace import FrontierProblem, efficient_frontier, kkt_oracle, rng_for
 from evospace.errors import ConfigError, ModelError
 
 
@@ -117,30 +116,6 @@ class TestBranches:
             assert pt.lambda_r == 0.0
             with pytest.raises(ModelError):
                 kkt_oracle(prob, forced + max(1.0, abs(forced)) * 1e-3)
-
-
-class TestXi:
-    def test_budget_minimiser_is_one(self):
-        rng = rng_for(84)
-        for _ in range(50):
-            d = int(rng.integers(2, 6))
-            G = random_spd(rng, d)
-            u = np.linalg.solve(G, np.ones(d))
-            assert xi(u, G) == pytest.approx(1.0, rel=1e-10)
-
-    def test_always_at_least_one(self):
-        rng = rng_for(85)
-        for _ in range(500):
-            d = int(rng.integers(2, 6))
-            G = random_spd(rng, d)
-            u = rng.standard_normal(d)
-            if abs(np.sum(u)) < 1e-6:
-                continue
-            assert xi(u, G) >= 1.0 - 1e-10
-
-    def test_zero_sum_rejected(self):
-        with pytest.raises(ModelError):
-            xi(np.array([1.0, -1.0]), np.eye(2))
 
 
 class TestValidation:

@@ -88,15 +88,6 @@ class TestGenerators:
         for i in range(8):
             assert rows[i] == pytest.approx(gen.divergence(U[i], V[i]))
 
-    def test_hessian_bound_rejection(self):
-        # phi'' = 12u^2 + 2 reaches 50 at u=2, violating a declared cap of 3
-        with pytest.raises((ModelError, ConfigError)):
-            BregmanGenerator.custom(
-                value=lambda u: float(np.sum(u ** 4 + u ** 2)),
-                gradient=lambda u: 4.0 * u ** 3 + 2.0 * u,
-                h_min=2.0, h_max=3.0,
-                check_points=[np.array([2.0]), np.array([0.0])])
-
     def test_quadratic_matrix(self):
         gen = BregmanGenerator.squared_euclidean()
         assert gen.is_quadratic
@@ -117,11 +108,11 @@ class TestPanels:
         assert np.allclose(out, np.tile(coords, (5, 1)))
 
     def test_identity_second_moment_exact(self):
-        panel = IdentityPanel(2, scale=3.0)
+        panel = IdentityPanel(2)
         X = rng_for(2).standard_normal((7, 2))
-        assert np.allclose(panel.second_moment(X), 9.0 * np.eye(2))
+        assert np.array_equal(panel.second_moment(X), np.eye(2))
         M = np.array([[2.0, 1.0], [1.0, 4.0]])
-        assert np.allclose(panel.second_moment(X, M=M), 9.0 * M)
+        assert np.array_equal(panel.second_moment(X, M=M), M)
 
     def test_data_column_expression(self):
         panel = DataColumnPanel(2)
@@ -630,21 +621,26 @@ class TestMutationSet:
         assert B.max_norm == pytest.approx(2.0)
 
 
+def apply(org, index, polarity):
+    """``Organism.apply`` with the signed step row the mutator loop passes."""
+    org.apply(index, polarity, (polarity * org.alpha) * org.basis.column(index))
+
+
 class TestOrganism:
     def test_grid_invariance_many_steps(self):
         B = MutationSet(rng_for(21).standard_normal((3, 4)))
         org = Organism(basis=B, base=np.array([0.5, -0.2, 1.0]), alpha=0.01)
         rng = rng_for(22)
         for _ in range(10_000):
-            org.apply(int(rng.integers(0, 4)), 1 if rng.uniform() < 0.5 else -1)
+            apply(org, int(rng.integers(0, 4)), 1 if rng.uniform() < 0.5 else -1)
         assert np.allclose(org.coords, org.recompute_coords(),
                            rtol=0, atol=1e-10)
 
     def test_rebase_keeps_position(self):
         B = MutationSet.orthonormal(2)
         org = Organism(basis=B, base=np.zeros(2), alpha=0.5)
-        org.apply(0, 1)
-        org.apply(1, -1)
+        apply(org, 0, 1)
+        apply(org, 1, -1)
         pos = org.coords.copy()
         org.rebase(MutationSet(np.array([[1.0, 1.0], [1.0, -1.0]])))
         assert np.allclose(org.coords, pos)
@@ -682,7 +678,7 @@ class TestOrganism:
                 org.rebase(basis())
                 assert np.array_equal(org.coords, org.recompute_coords())
                 since = 0
-            org.apply(int(rng.integers(0, dF)), int(rng.choice((-1, 1))))
+            apply(org, int(rng.integers(0, dF)), int(rng.choice((-1, 1))))
             since, peak = since + 1, max(peak, np.abs(org.coords).max())
         check(since, peak)
 

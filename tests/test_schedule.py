@@ -288,15 +288,9 @@ class TestDrift:
     def test_plan_compliance_flag(self):
         s = compute_schedule(0.1, DEFAULT_KNOBS, identity_constants(),
                              horizon=1, c_t=0.02)
-        at = make_drift_plan(s, multiplier=1.0)
-        over = make_drift_plan(s, multiplier=10.0)
-        zero = make_drift_plan(s, nu=0.0)
-        assert at.paper_compliant and not over.paper_compliant
-        assert zero.paper_compliant and zero.nu == 0.0
-        assert at.nu == pytest.approx(at.bound, rel=1e-12)
-        assert over.nu == pytest.approx(10.0 * over.bound, rel=1e-12)
-        with pytest.raises(ConfigError):
-            make_drift_plan(s, nu=-1e-9)
+        plan = make_drift_plan(s)
+        assert plan.nu == plan.bound == drift_bound(s)
+        assert plan.paper_compliant
 
     def test_bound_needs_constants(self):
         s = compute_schedule(0.1, DEFAULT_KNOBS, identity_constants(),

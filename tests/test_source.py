@@ -114,3 +114,27 @@ def test_the_private_read_check_finds_each_form():
               "    return m._helper, m._missing, np.random._pcg\n")
     assert [what for _, what in private_reads(ast.parse(source))] == [
         "b.sampler._reduce", "np.random._pcg"]
+
+
+def read_names(tree) -> set:
+    """Names a module reads, as a bare name or as an attribute, that it does not define."""
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return read - defined
+
+
+def test_every_public_name_is_read_outside_its_module():
+    # a public name that no other module and no acceptance gate reads has
+    # no user outside the tests (ROADMAP aim 2)
+    init = ast.parse((SRC / "__init__.py").read_text())
+    public = next(ast.literal_eval(node.value) for node in init.body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "__all__")
+    readers = MODULES + [SRC.parents[1] / "tests" / "test_acceptance.py"]
+    read = set().union(*(read_names(ast.parse(p.read_text())) for p in readers))
+    assert sorted(set(public) - read) == []
