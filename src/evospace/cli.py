@@ -7,7 +7,6 @@ strict-policy run halts on mutation-set failure, 64 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -19,14 +18,15 @@ from .basis import basis_quality, select_bstar
 from .engine import FAILURE_POLICIES, MAX_STEPS
 from .errors import ConfigError, ModelError
 from .experiments import (SCENARIOS, MeanEstimationModel, ScenarioConfig,
-                          as_knobs, labels_problem, run_frontier_scaling,
-                          run_scenario, run_seed)
+                          labels_problem, run_frontier_scaling, run_scenario,
+                          run_seed)
 from .frontier import FrontierProblem, efficient_frontier, kkt_oracle
-from .io import (ensure_dir, load_config, load_dataset_csv, read_config,
-                 write_json_report, write_path_csv, write_trace_csv,
-                 write_trace_jsonl)
+from .io import (ensure_dir, json_text, load_config, load_dataset_csv,
+                 read_config, write_json_report, write_path_csv,
+                 write_trace_csv, write_trace_jsonl)
 from .model import BregmanGenerator, ConditionSampler, IdentityPanel, MutationSet
-from .schedule import compute_schedule, estimate_model_constants, make_drift_plan
+from .schedule import (DEFAULT_KNOBS, KnobTriple, compute_schedule,
+                       estimate_model_constants, make_drift_plan)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(json_text(obj))
 
 
 def _evolve_table(dim=None) -> dict:
@@ -138,7 +138,7 @@ class _RunSetup:
             self.mutations = MutationSet(np.column_stack(list(mut_cfg["vectors"])))
 
         self.epsilon = sched_cfg["epsilon"]
-        self.knobs = as_knobs(sched_cfg["knobs"])
+        self.knobs = KnobTriple(*(sched_cfg["knobs"] or DEFAULT_KNOBS))
         self.f0 = np.zeros(self.dim) if self.run_cfg["f0"] is None else self.run_cfg["f0"]
         self.constants = estimate_model_constants(
             self.panel, self.mutations, self.sampler, self.gen)
@@ -260,7 +260,7 @@ def _cmd_diagnose(args) -> int:
         _emit(rep.to_dict())
         return EXIT_OK
     payload = setup.schedule.to_dict()
-    payload["drift_plan"] = make_drift_plan(setup.schedule).to_dict()
+    payload["drift_plan"] = make_drift_plan(setup.schedule)
     _emit(payload)
     return EXIT_OK
 
@@ -272,10 +272,10 @@ _FRONTIER = {"gamma": ("matrix", ...), "delta": ("vector", ...),
 
 def _cmd_frontier(args) -> int:
     if args.scan:
-        if args.dim < 2:
+        if args.dim is not None and args.dim < 2:
             raise ConfigError(f"--dim must be >= 2 (a zero-sum residual "
                               f"needs two dimensions), got {args.dim}")
-        report = run_frontier_scaling(seed=args.seed, dim=args.dim)
+        report = run_frontier_scaling(seed=args.seed or 0, dim=args.dim or 4)
         if args.out:
             write_json_report(os.path.join(ensure_dir(args.out),
                                            "frontier_scan.json"), report)
@@ -285,6 +285,9 @@ def _cmd_frontier(args) -> int:
         return EXIT_OK
     if not args.config:
         raise ConfigError("frontier needs --config or --scan")
+    unread = [f"--{k}" for k in ("out", "dim", "seed") if getattr(args, k) is not None]
+    if unread:
+        args.usage_error(f"{', '.join(unread)} only apply with --scan")
     cfg = read_config(load_config(args.config), _FRONTIER)
     problem = FrontierProblem(cfg["gamma"], cfg["delta"], n=cfg["n"],
                               alpha=cfg["alpha"])
@@ -363,16 +366,17 @@ def build_parser() -> _Parser:
     source.add_argument("--config", default=None)
     source.add_argument("--scan", action="store_true",
                         help="accuracy-scaling sweep instead of one level")
-    p_front.add_argument("--seed", type=int, default=0)
-    p_front.add_argument("--dim", type=int, default=4)
-    p_front.add_argument("--out", default=None)
-    p_front.set_defaults(fn=_cmd_frontier)
+    p_front.add_argument("--seed", type=int, default=None, help="with --scan; default 0")
+    p_front.add_argument("--dim", type=int, default=None, help="with --scan; default 4")
+    p_front.add_argument("--out", default=None, help="with --scan")
+    p_front.set_defaults(fn=_cmd_frontier, usage_error=p_front.error)
 
     p_oracle = sub.add_parser("oracle", help="closed-form combinatorial checks")
-    p_oracle.add_argument("kind", choices=("pdg", "derangement"))
-    p_oracle.add_argument("--dg", type=int, default=None)
-    p_oracle.add_argument("--z", default=None)
-    p_oracle.add_argument("--j", type=int, default=None)
+    kinds = p_oracle.add_subparsers(dest="kind", required=True)
+    p_pdg = kinds.add_parser("pdg")
+    p_pdg.add_argument("--dg", type=int, default=None)
+    p_pdg.add_argument("--z", default=None)
+    kinds.add_parser("derangement").add_argument("--j", type=int, default=None)
     p_oracle.set_defaults(fn=_cmd_oracle)
 
     return parser

@@ -71,20 +71,16 @@ def _resolve(table: dict, overrides: dict) -> dict:
     return opts
 
 
-def as_knobs(value) -> KnobTriple:
-    """A knob triple from None (the default triple) or a read (zt, za, zl)."""
-    return DEFAULT_KNOBS if value is None else KnobTriple(*map(float, value))
-
-
-def _sizing(c_t: float, m_override=None, t_override=None,
-            trace_limit: int = 5) -> dict:
-    """Entries every scenario's table has: schedule constants, m/T overrides, trace_limit."""
-    return {"c_t": ("number", c_t, "> 0"),
-            "c_m": ("number", 1.0, "> 0"),
-            "m_cap": ("int", 50000, ">= 1"),
-            "m_override": ("int", m_override, ">= 1"),
+def _sizing(m_override=None, t_override=None, trace_limit: int = 5) -> dict:
+    """Entries every scenario's table has: m/T overrides and trace_limit."""
+    return {"m_override": ("int", m_override, ">= 1"),
             "t_override": ("int", t_override, f">= 1, <= {MAX_STEPS}"),
             "trace_limit": ("int", trace_limit, ">= 0")}
+
+
+# c_t of the unsupervised, agnostic and drift schedules, tuned for desk scale;
+# the other schedule constants are compute_schedule's defaults
+_DESK_C_T = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +198,17 @@ def _mixture_for(seed, accept: Optional[Callable] = None,
                      f"in {max_tries} draws")
 
 
-def _mean_window(lo: float, hi: float, balance: Optional[float]) -> Callable:
-    # Mean-estimation runs want the target at a moderate distance from the
-    # start and, when a balance is set, off the coordinate axes, so that the
-    # approach exercises both mutation directions.
-    def accept(pts, labels):
-        mu = pts.mean(axis=0)
-        r = float(np.linalg.norm(mu))
-        if not (lo <= r <= hi):
-            return False
-        if balance is not None and abs(abs(mu[0]) - abs(mu[1])) > balance:
-            return False
-        return True
-    return accept
+# Mean-estimation datasets: ||mean|| in the window and | |mu_x| - |mu_y| | up to
+# the balance put the target at a moderate distance from the start and off the
+# coordinate axes, so that the approach exercises both mutation directions.
+_MEAN_WINDOW, _MEAN_BALANCE = (0.4, 0.8), 0.25
+
+
+def _mean_window(pts, labels) -> bool:
+    mu = pts.mean(axis=0)
+    r = float(np.linalg.norm(mu))
+    return _MEAN_WINDOW[0] <= r <= _MEAN_WINDOW[1] and \
+        abs(abs(mu[0]) - abs(mu[1])) <= _MEAN_BALANCE
 
 
 # ---------------------------------------------------------------------------
@@ -226,27 +220,23 @@ def _sample_mean(points: np.ndarray, weights: np.ndarray) -> tuple:
 
 
 class MeanEstimationModel(QuadraticPerfModel):
-    """Sample-mean target with an optional per-step target drift.
+    """Sample-mean target with an optional adversarial per-step target drift.
 
     Empirical performance of a batch is the negated squared distance to the
     batch mean (shifted by the accumulated target drift); the oracle scores
     against the current true target.  With ``nu = 0`` this is the plain
-    stationary scenario.  Adversarial drift makes the target depend on the
-    path, so the model keeps each step's target until the loop scores the
-    step's oracle row (``true_perf_rows``).
+    stationary scenario.  Drift away from the organism makes the target
+    depend on the path, so the model keeps each step's target until the
+    loop scores the step's oracle row (``true_perf_rows``).
     """
 
     def __init__(self, sampler: ConditionSampler, mu0: np.ndarray, *,
-                 nu: float = 0.0, policy: str = "adversarial", drift_seed=0):
+                 nu: float = 0.0):
         super().__init__(sampler, stats_fn=None)
-        if policy not in ("adversarial", "random"):
-            raise ConfigError("drift policy must be 'adversarial' or 'random'")
         if nu < 0:
             raise ConfigError("drift magnitude must be nonnegative")
         self.mu0 = np.asarray(mu0, dtype=float).copy()
         self.nu = float(nu)
-        self.policy = policy
-        self._drift_seed = drift_seed
         self._eye = np.eye(self.mu0.shape[0])
         self._restart()
 
@@ -254,22 +244,18 @@ class MeanEstimationModel(QuadraticPerfModel):
         self.t_cur = self.mu0.copy()
         self._shift = self.t_cur - self.mu0
         self.drift_steps = 0
-        self._rng = rng_for((self._drift_seed, "drift"))
         self._targets = []   # the target of each step not yet scored
 
     def pre_step(self, step: int, coords: np.ndarray) -> None:
         # The target holds still for the first evaluation and moves between
         # steps, so a run of T steps sees T-1 perturbations.  Step 0 starts
-        # target and drift stream over, so an instance can be run again.
+        # the target over, so an instance can be run again.
         if step == 0:
             self._restart()
         elif self.nu != 0.0:
-            if self.policy == "random":
-                d = self._rng.standard_normal(self.mu0.shape[0])
-            else:
-                d = self.t_cur - coords
+            d = self.t_cur - coords
             nrm = float(np.sqrt(dot(d, d)))
-            d = np.eye(self.mu0.shape[0])[0] if nrm < 1e-15 else d / nrm
+            d = self._eye[0] if nrm < 1e-15 else d / nrm
             self.t_cur = self.t_cur + self.nu * d
             self._shift = self.t_cur - self.mu0
             self.drift_steps += 1
@@ -305,16 +291,14 @@ def _identity_constants(data: dict, seeds: Sequence[int]) -> ModelConstants:
                                     sampler, BregmanGenerator.squared_euclidean())
 
 
-def _mean_problem(cfg: ScenarioConfig, opts: dict, knobs: KnobTriple) -> tuple:
+def _mean_problem(cfg: ScenarioConfig, opts: dict) -> tuple:
     """Mean-window datasets per seed, their shared schedule, and its m and T."""
-    lo, hi = opts["mean_window"]
-    accept = _mean_window(lo, hi, opts["mean_balance"])
-    data = {seed: _mixture_for(seed, accept) for seed in cfg.seeds}
+    data = {seed: _mixture_for(seed, _mean_window) for seed in cfg.seeds}
     # the mean window pins the horizon, so one schedule serves every seed
     schedule = compute_schedule(
-        cfg.epsilon, knobs, _identity_constants(data, cfg.seeds),
+        cfg.epsilon, DEFAULT_KNOBS, _identity_constants(data, cfg.seeds),
         f0=np.zeros(2), t_coords=data[cfg.seeds[0]][0].mean(axis=0),
-        c_t=opts["c_t"], c_m=opts["c_m"], m_cap=opts["m_cap"])
+        c_t=_DESK_C_T)
     m = int(schedule.m if opts["m_override"] is None else opts["m_override"])
     t_steps = int(schedule.t_steps if opts["t_override"] is None
                   else opts["t_override"])
@@ -352,7 +336,7 @@ def labels_problem(X: np.ndarray, y: np.ndarray, seed: int,
     adds the data-pair ``renew`` callback and its ``first_basis`` (k = 2).
     """
     n, k = X.shape
-    panel = DataColumnPanel(k, columns=tuple(range(k)))
+    panel = DataColumnPanel(k)
     A, c = panel.second_moment(X), panel.cross_moment(X, y)
     w_star, baseline = projection_from_moments(
         A, c, float(dot(np.full(n, 1.0 / n), y * y)))
@@ -423,25 +407,20 @@ def _schedule_row(schedule: Schedule, config: EvolutionConfig) -> dict:
 # scenario: unsupervised mean estimation
 
 
-_UNSUP = {
-    "knobs": ("knobs", None),   # KnobTriple or (zt, za, zl); default region triple
-    **_sizing(0.02),            # step-count constant tuned for desk scale
-    "mean_window": ("vector", (0.4, 0.8), 2),   # admissible ||dataset mean||
-    "mean_balance": ("number", 0.25, ">= 0"),   # max | |mu_x| - |mu_y| |
-}
+_UNSUP = _sizing()
 
 
-def _unsupervised_mean(cfg, opts, knobs, trace_to) -> dict:
+def _unsupervised_mean(cfg, opts, trace_to) -> dict:
     """Mean estimation over seeded mixture datasets; strict failure policy.
 
-    Per seed: draw a dataset whose mean sits in the configured window, evolve
+    Per seed: draw a dataset whose mean sits in the mean window, evolve
     from the origin with an orthonormal mutation pair under the resolved
     schedule, and score against the exact dataset mean.  The report carries
     the success fraction at the accuracy target and pooled far-regime
     monotonicity statistics for beneficial selections.
     """
     eps = cfg.epsilon
-    data, schedule, m, t_steps = _mean_problem(cfg, opts, knobs)
+    data, schedule, m, t_steps = _mean_problem(cfg, opts)
     margin = schedule.margin
 
     def row(pos: int, seed: int) -> dict:
@@ -473,7 +452,6 @@ def _unsupervised_mean(cfg, opts, knobs, trace_to) -> dict:
     rows = [row(pos, seed) for pos, seed in enumerate(cfg.seeds)]
     total_far = sum(r["far_bene_steps"] for r in rows)
     total_ok = sum(r["far_bene_margin_ok"] for r in rows)
-    lo, hi = opts["mean_window"]
     return {
         "schedule": schedule.to_dict(),
         "m": m, "t_steps": t_steps, "margin": margin,
@@ -481,7 +459,7 @@ def _unsupervised_mean(cfg, opts, knobs, trace_to) -> dict:
         "success_fraction": sum(r["success"] for r in rows) / len(rows),
         "far_bene_steps": total_far,
         "monotonic_fraction": (total_ok / total_far) if total_far else None,
-        "mean_window": [lo, hi], "mean_balance": opts["mean_balance"],
+        "mean_window": list(_MEAN_WINDOW), "mean_balance": _MEAN_BALANCE,
         "mu_hat_variance_m5_mean":
             sum(r["mu_hat_variance_m5"] for r in rows) / len(rows),
     }
@@ -491,17 +469,13 @@ def _unsupervised_mean(cfg, opts, knobs, trace_to) -> dict:
 # scenario: agnostic line
 
 
-_AGNOSTIC = {
-    "knobs": ("knobs", None),
-    **_sizing(0.02, m_override=2000),
-    "sigma": ("number", 0.25, ">= 0"),   # condition noise around the off-line target point
-    "t_in_norm": ("number", 0.6, ">= 0"),    # distance from origin to the span projection
-    "t_out_dist": ("number", 0.4, ">= 0"),   # distance from the target to the span
-    "check_samples": ("int", 20000, ">= 1"),
-}
+_AGNOSTIC = {**_sizing(m_override=2000), "check_samples": ("int", 20000, ">= 1")}
+# condition noise around the off-line target point, the distance from the
+# origin to the target's span projection, and from the target to the span
+_SIGMA, _T_IN_NORM, _T_OUT_DIST = 0.25, 0.6, 0.4
 
 
-def _agnostic(cfg, opts, knobs, trace_to) -> dict:
+def _agnostic(cfg, opts, trace_to) -> dict:
     """Single-direction mutation set chasing a target off its span.
 
     Conditions are noisy copies of a fixed point t* lying off the mutation
@@ -512,7 +486,6 @@ def _agnostic(cfg, opts, knobs, trace_to) -> dict:
     eps = cfg.epsilon
     panel = IdentityPanel(2)
     gen = BregmanGenerator.squared_euclidean()
-    sigma = float(opts["sigma"])
 
     def row(pos: int, seed: int) -> dict:
         geo = rng_for((seed, "geometry"))
@@ -520,23 +493,22 @@ def _agnostic(cfg, opts, knobs, trace_to) -> dict:
         u = np.array([math.cos(theta), math.sin(theta)])
         u_perp = np.array([-u[1], u[0]])
         side = 1.0 if geo.uniform() < 0.5 else -1.0
-        t_star = opts["t_in_norm"] * u + side * opts["t_out_dist"] * u_perp
+        t_star = _T_IN_NORM * u + side * _T_OUT_DIST * u_perp
 
         mutations = MutationSet(u.reshape(2, 1))
         t_in, span_opt = agnostic_projection_oracle(t_star, u, np.eye(2))
 
         def noisy(rng, m):
-            return t_star + sigma * rng.standard_normal((m, 2))
+            return t_star + _SIGMA * rng.standard_normal((m, 2))
 
         sampler = ConditionSampler.from_callable(noisy, seed=seed)
         constants = estimate_model_constants(panel, mutations, sampler, gen,
                                              agnostic=True)
-        schedule = compute_schedule(eps, knobs, constants, f0=np.zeros(2),
-                                    t_coords=t_in, c_t=opts["c_t"],
-                                    c_m=opts["c_m"], m_cap=opts["m_cap"])
+        schedule = compute_schedule(eps, DEFAULT_KNOBS, constants,
+                                    f0=np.zeros(2), t_coords=t_in, c_t=_DESK_C_T)
 
         true_stats = (np.eye(2), t_star,
-                      float(dot(t_star, t_star)) + 2.0 * sigma * sigma)
+                      float(dot(t_star, t_star)) + 2.0 * _SIGMA * _SIGMA)
         model = QuadraticPerfModel(
             sampler,
             lambda P, w: (np.eye(2), weighted_rows(w, P), dot(w, dot(P, P))),
@@ -568,8 +540,7 @@ def _agnostic(cfg, opts, knobs, trace_to) -> dict:
 
     rows = [row(pos, seed) for pos, seed in enumerate(cfg.seeds)]
     return {
-        "sigma": sigma, "t_in_norm": opts["t_in_norm"],
-        "t_out_dist": opts["t_out_dist"],
+        "sigma": _SIGMA, "t_in_norm": _T_IN_NORM, "t_out_dist": _T_OUT_DIST,
         "per_seed": rows,
         "success_fraction": sum(r["success"] for r in rows) / len(rows),
         "schedule": rows[0]["schedule"],
@@ -582,36 +553,29 @@ def _agnostic(cfg, opts, knobs, trace_to) -> dict:
 # scenario: supervised linear labels
 
 
-_SUP = {
-    # region triple with a large step knob: on disk-bounded data the mutation
-    # premium can then exceed the tolerance, so whole-neighborhood failures
-    # are reachable (and observed) while convergence still holds
-    "knobs": ("knobs", (0.02, 0.94, 0.02)),
-    **_sizing(1.0, t_override=6000),
-    "d_hint": ("int", 1, ">= 1"),
-    "renewal_period": ("int", 1000, ">= 1"),
-    "pair_det_min": ("number", 0.05, ">= 0"),   # |det| of the normalized data pair
-    "pair_norm_min": ("number", 0.2, ">= 0"),
-    "min_gram_eig": ("number", 0.05, "> 0"),   # admissible data: condition second moment
-    "max_w_star": ("number", 1.0, "> 0"),      # admissible data: baseline within reach
-}
+_SUP = _sizing(t_override=6000)
+# region triple with a large step knob: on disk-bounded data the mutation
+# premium can then exceed the tolerance, so whole-neighborhood failures are
+# reachable (and observed) while convergence still holds
+_SUP_KNOBS = KnobTriple(0.02, 0.94, 0.02)
+# the smallest |det| of a normalized data pair and norm of its rows
+_PAIR_DET_MIN, _PAIR_NORM_MIN = 0.05, 0.2
 
 
-def _supervised_accept(min_eig: float, max_w: float, norm_floor: float) -> Callable:
-    def accept(pts, labels):
-        n = pts.shape[0]
-        A = pts.T @ pts / n
-        eig = np.linalg.eigvalsh(A)
-        if eig[0] < min_eig:
-            return False
-        w_star = np.linalg.solve(A, pts.T @ labels / n)
-        if float(np.linalg.norm(w_star)) > max_w:
-            return False
-        return int((np.linalg.norm(pts, axis=1) >= norm_floor).sum()) >= 4
-    return accept
+def _supervised_accept(pts, labels) -> bool:
+    # admissible data: a well-conditioned second moment (smallest eigenvalue
+    # 0.05), a baseline within reach (||w*|| <= 1) and four rows a pair may use
+    n = pts.shape[0]
+    A = pts.T @ pts / n
+    if np.linalg.eigvalsh(A)[0] < 0.05:
+        return False
+    w_star = np.linalg.solve(A, pts.T @ labels / n)
+    if float(np.linalg.norm(w_star)) > 1.0:
+        return False
+    return int((np.linalg.norm(pts, axis=1) >= _PAIR_NORM_MIN).sum()) >= 4
 
 
-def _supervised_linear(cfg, opts, knobs, trace_to) -> dict:
+def _supervised_linear(cfg, opts, trace_to) -> dict:
     """Label regression with data-derived mutation pairs and renewal.
 
     Scores are squared-error performances relative to the least-squares
@@ -621,25 +585,20 @@ def _supervised_linear(cfg, opts, knobs, trace_to) -> dict:
     drops against forced/neutral selections.
     """
     eps = cfg.epsilon
-    accept = _supervised_accept(opts["min_gram_eig"], opts["max_w_star"],
-                                opts["pair_norm_min"])
 
     def row(pos: int, seed: int) -> dict:
-        pts, labels, tries = _mixture_for(seed, accept)
+        pts, labels, tries = _mixture_for(seed, _supervised_accept)
         prob = labels_problem(pts, labels, seed,
-                              pairs=(opts["pair_det_min"], opts["pair_norm_min"]))
+                              pairs=(_PAIR_DET_MIN, _PAIR_NORM_MIN))
         constants = estimate_model_constants(prob.panel, prob.first_basis,
                                              prob.sampler, prob.gen)
-        schedule = compute_schedule(eps, knobs, constants,
-                                    horizon=int(opts["d_hint"]),
-                                    c_t=opts["c_t"], c_m=opts["c_m"],
-                                    m_cap=opts["m_cap"])
+        schedule = compute_schedule(eps, _SUP_KNOBS, constants, horizon=1)
         trace = trace_to(pos, seed)
         result, config = run_seed(
             prob.model, prob.first_basis, schedule, seed, eps,
             m_override=opts["m_override"], t_override=opts["t_override"],
             f0=np.zeros(2), failure_policy="forced_uniform",
-            renewal=(int(opts["renewal_period"]), prob.renew),
+            renewal=(1000, prob.renew),   # a fresh data pair every 1,000 steps
             record_path=trace is not None, trace_to=trace)
 
         before, after = _oracle_steps(result)
@@ -667,7 +626,7 @@ def _supervised_linear(cfg, opts, knobs, trace_to) -> dict:
     total_drops = sum(r["drops"] for r in rows)
     attributed = sum(r["drops_forced_or_neutral"] for r in rows)
     return {
-        "knobs": list(knobs.as_tuple()),
+        "knobs": list(_SUP_KNOBS.as_tuple()),
         "per_seed": rows,
         "success_fraction": sum(r["success"] for r in rows) / len(rows),
         "seeds_with_failures":
@@ -686,10 +645,10 @@ def _supervised_linear(cfg, opts, knobs, trace_to) -> dict:
 
 _STAB = {
     "dwell": ("int", 50, ">= 1"),
-    "f0_distance": ("number", 0.36, "> 0"),
-    **_sizing(1.0, m_override=20, t_override=8000, trace_limit=3),  # m noisy on purpose
+    **_sizing(m_override=20, t_override=8000, trace_limit=3),  # m noisy on purpose
     "comparison_t_override": ("int", 600, ">= 1"),
 }
+_F0_DISTANCE = 0.36   # the start's distance from the target
 
 
 def _dwell_stats(flags: np.ndarray, dwell: int) -> dict:
@@ -705,7 +664,7 @@ def _dwell_stats(flags: np.ndarray, dwell: int) -> dict:
             "window_complete": len(window) >= dwell}
 
 
-def _stability(cfg, opts, knobs, trace_to) -> dict:
+def _stability(cfg, opts, trace_to) -> dict:
     """Post-hit dwell lengths under dwell-aware knobs vs the plain triple.
 
     Runs start a fixed distance outside the target set with deliberately
@@ -717,9 +676,9 @@ def _stability(cfg, opts, knobs, trace_to) -> dict:
     """
     eps = cfg.epsilon
     dwell = int(opts["dwell"])
-    dist = float(opts["f0_distance"])
-    if dist <= math.sqrt(eps):
-        raise ConfigError("f0_distance must start outside the target set")
+    if _F0_DISTANCE <= math.sqrt(eps):
+        raise ConfigError(f"epsilon must be < {_F0_DISTANCE ** 2:g}, got {eps}, so that the "
+                          f"start, {_F0_DISTANCE} from the target, lies outside the target set")
 
     # identity-panel constants are dataset-independent; the start distance
     # pins the horizon, so U is known before choosing the dwell-aware triple
@@ -738,10 +697,9 @@ def _stability(cfg, opts, knobs, trace_to) -> dict:
             mu = pts.mean(axis=0)
             direction = rng_for((seed, "f0")).standard_normal(2)
             direction /= np.sqrt(dot(direction, direction))
-            f0 = mu + dist * direction
-            schedule = compute_schedule(
-                eps, knobs, constants, f0=f0, t_coords=mu, c_t=opts["c_t"],
-                c_m=opts["c_m"], m_cap=opts["m_cap"], stable_dwell=stable_dwell)
+            f0 = mu + _F0_DISTANCE * direction
+            schedule = compute_schedule(eps, knobs, constants, f0=f0, t_coords=mu,
+                                        stable_dwell=stable_dwell)
             model = MeanEstimationModel(
                 ConditionSampler.empirical(pts, seed=seed), mu)
             result, _ = run_seed(model, MutationSet.orthonormal(2), schedule,
@@ -768,7 +726,7 @@ def _stability(cfg, opts, knobs, trace_to) -> dict:
     default_arm = run_arm(DEFAULT_KNOBS, int(opts["comparison_t_override"]),
                           None, "default")
     return {
-        "dwell": dwell, "f0_distance": dist, "m": int(opts["m_override"]),
+        "dwell": dwell, "f0_distance": _F0_DISTANCE, "m": int(opts["m_override"]),
         "u_scale": u_scale,
         "stable_knobs_pass_sharpened_region": True,
         "default_knobs_pass_sharpened_region": bool(default_in_stable),
@@ -784,18 +742,14 @@ def _stability(cfg, opts, knobs, trace_to) -> dict:
 
 
 _DRIFT = {
-    "knobs": ("knobs", None),
-    **_sizing(0.02, m_override=5, trace_limit=3),
-    "policy": (("adversarial", "random"), "adversarial"),
+    **_sizing(m_override=5, trace_limit=3),
     "multipliers": ("vector", (0.0, 1.0, 4.0, 10.0)),
     "extended_multipliers": ("vector", (1e5, 2.5e5, 5e5, 1e6)),
     "extended_seed_count": ("int", 10, ">= 1"),
-    "mean_window": ("vector", (0.4, 0.8), 2),
-    "mean_balance": ("number", 0.25, ">= 0"),  # matches the stationary scenario's datasets
 }
 
 
-def _drift(cfg, opts, knobs, trace_to) -> dict:
+def _drift(cfg, opts, trace_to) -> dict:
     """Mean estimation under per-step target drift at multiples of the bound.
 
     The per-step drift magnitude is the theory's admissible bound times each
@@ -804,7 +758,7 @@ def _drift(cfg, opts, knobs, trace_to) -> dict:
     performance against the final target position.
     """
     eps = cfg.epsilon
-    data, schedule, m, t_steps = _mean_problem(cfg, opts, knobs)
+    data, schedule, m, t_steps = _mean_problem(cfg, opts)
     bound = drift_bound(schedule)
     plan = make_drift_plan(schedule)
 
@@ -814,8 +768,7 @@ def _drift(cfg, opts, knobs, trace_to) -> dict:
         def row(pos: int, seed: int) -> dict:
             pts, _, tries = data[seed]
             model = MeanEstimationModel(
-                ConditionSampler.empirical(pts, seed=seed), pts.mean(axis=0),
-                nu=nu, policy=opts["policy"], drift_seed=seed)
+                ConditionSampler.empirical(pts, seed=seed), pts.mean(axis=0), nu=nu)
             trace = trace_to(pos, f"x{multiplier:g}-{seed}") \
                 if multiplier in (0.0, 1.0) else None
             result, _ = run_seed(model, MutationSet.orthonormal(2), schedule,
@@ -844,8 +797,7 @@ def _drift(cfg, opts, knobs, trace_to) -> dict:
     ext_seeds = cfg.seeds[: int(opts["extended_seed_count"])]
     return {
         "schedule": schedule.to_dict(), "m": m, "t_steps": t_steps,
-        "policy": opts["policy"],
-        "drift_bound": bound, "drift_plan": plan.to_dict(),
+        "policy": "adversarial", "drift_bound": bound, "drift_plan": plan,
         "arms": [run_arm(mult, cfg.seeds) for mult in opts["multipliers"]],
         "extended_arms": [run_arm(mult, ext_seeds)
                           for mult in opts["extended_multipliers"]],
@@ -924,15 +876,14 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     """Run a scenario config and return its report.
 
     Resolves the overrides against the scenario's table, creates
-    ``out_dir`` and calls the scenario's runner with (cfg, opts, knobs,
-    trace_to); ``trace_to(pos, tag)`` is the ``(out_dir, tag)`` trace
+    ``out_dir`` and calls the scenario's runner with (cfg, opts, trace_to);
+    ``trace_to(pos, tag)`` is the ``(out_dir, tag)`` trace
     destination of the seed at list position ``pos``, or None from
     ``trace_limit`` on.  The runner returns the report body; the scenario,
     epsilon and seeds head it, and it is written to ``out_dir/report.json``.
     """
     table, runner = _RUNNERS[cfg.scenario]
     opts = _resolve(table, cfg.overrides)
-    knobs = as_knobs(opts.get("knobs"))
     out_dir = ensure_dir(cfg.out_dir) if cfg.out_dir else None
 
     def trace_to(pos: int, tag) -> Optional[tuple]:
@@ -941,7 +892,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 
     report = {"scenario": cfg.scenario, "epsilon": cfg.epsilon,
               "seeds": cfg.seeds}
-    report.update(runner(cfg, opts, knobs, trace_to))
+    report.update(runner(cfg, opts, trace_to))
     if out_dir:
         write_json_report(os.path.join(out_dir, "report.json"), report)
     return report

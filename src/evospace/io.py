@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 import os
 from contextlib import contextmanager
@@ -41,12 +42,33 @@ def _replacing(path: str, mode: str, **kwargs):
         raise
 
 
+def json_text(obj, indent=None) -> str:
+    """``obj`` as strict JSON with sorted keys: JSON has no NaN or infinity,
+    so a ModelError names the first key, in that order, whose value is one."""
+    try:
+        return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError:   # json's only ValueError for a tree of plain values
+        raise ModelError(f"{_nonfinite_key(obj)} is not finite, so it has no "
+                         f"JSON form") from None
+
+
+def _nonfinite_key(obj, key=""):
+    """The dotted key of the first NaN or infinity under ``obj``, or None."""
+    if isinstance(obj, dict):
+        children = [(f"{key}.{k}" if key else str(k), v) for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        children = [(f"{key}[{i}]", v) for i, v in enumerate(obj)]
+    else:
+        return key if isinstance(obj, float) and not math.isfinite(obj) else None
+    found = (_nonfinite_key(value, child) for child, value in children)
+    return next((k for k in found if k is not None), None)
+
+
 def write_trace_jsonl(path: str, trace: Trace) -> None:
     with _replacing(path, "xb") as fh:
         for start in range(0, len(trace), _BLOCK_ROWS):
             rows = trace.rows(start, start + _BLOCK_ROWS)
-            fh.write("".join(json.dumps(row, sort_keys=True) + "\n"
-                             for row in rows).encode())
+            fh.write("".join(json_text(row) + "\n" for row in rows).encode())
 
 
 def write_trace_csv(path: str, trace: Trace) -> None:
@@ -70,8 +92,7 @@ def write_path_csv(path: str, coords_path: np.ndarray) -> None:
 
 def write_json_report(path: str, report: dict) -> None:
     with _replacing(path, "x") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(report, indent=2) + "\n")
 
 
 def load_config(path: str) -> dict:

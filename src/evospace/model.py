@@ -392,28 +392,22 @@ class DataColumnPanel(GenePanel):
     """Scalar outputs (d = 1); gene j reads one coordinate of the condition.
 
     G_x is a 1 x dG row of condition entries, so an organism is a linear
-    functional of the condition.  ``columns`` restricts which entries the
-    genes read (conditions may carry extra columns, e.g. labels).
+    functional of the condition.  The genes read the first dG entries
+    (conditions may carry extra columns after them, e.g. labels).
     """
 
-    def __init__(self, dG: int, columns=None):
+    def __init__(self, dG: int):
         if dG < 1:
             raise ConfigError("data-column panel needs dG >= 1")
         self.d = 1
         self.dG = int(dG)
-        if columns is not None and len(columns) != dG:
-            raise ConfigError("columns selection must have dG entries")
-        self.columns = None if columns is None else list(columns)
-
-    def _take(self, X: np.ndarray) -> np.ndarray:
-        return X if self.columns is None else X[..., self.columns]
 
     def express(self, X, coords):
-        X = self._take(np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)[..., :self.dG]
         return matvec(X, coords).reshape(-1, 1)
 
     def second_moment(self, X, M=None, weights=None):
-        X = self._take(np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)[..., :self.dG]
         n = X.shape[-2]
         w = np.full(n, 1.0 / n) if weights is None else weights
         scale = 1.0 if M is None else float(np.asarray(M).reshape(()))
@@ -423,7 +417,7 @@ class DataColumnPanel(GenePanel):
         return (scale * quad).reshape(quad.shape[:-1] + (self.dG, self.dG))
 
     def cross_moment(self, X, targets, M=None, weights=None):
-        X = self._take(np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)[..., :self.dG]
         t = np.asarray(targets, dtype=float).reshape(X.shape[:-1])
         n = X.shape[-2]
         w = np.full(n, 1.0 / n) if weights is None else weights
@@ -705,9 +699,10 @@ class MutationSet:
 class Organism:
     """Current genome: integer mutation counts over a base point.
 
-    Gene coordinates are ``base + alpha * (B @ counts)``; the float coordinate
-    cache is updated incrementally and can always be recomputed exactly from
-    the integer grid.
+    Gene coordinates are ``base + alpha * (B @ counts)``.  The float
+    coordinate cache is updated one rounded step at a time, so it may differ
+    from ``recompute_coords()`` by rounding; ``rebase`` restarts it from the
+    grid point, ``recompute_coords()``.
     """
 
     basis: MutationSet

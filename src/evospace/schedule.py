@@ -280,19 +280,6 @@ def compute_schedule(epsilon: float, knobs: KnobTriple, constants: ModelConstant
 # target drift
 
 
-@dataclass
-class DriftPlan:
-    """Per-step target drift and the largest magnitude the theory tolerates."""
-
-    nu: float
-    bound: float
-    w_const: float
-    paper_compliant: bool
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-
 def drift_bound(schedule: Schedule) -> float:
     """Largest admissible per-step drift of the target encoding."""
     c = schedule.constants
@@ -307,10 +294,10 @@ def drift_bound(schedule: Schedule) -> float:
     return num / den
 
 
-def make_drift_plan(schedule: Schedule) -> DriftPlan:
+def make_drift_plan(schedule: Schedule) -> dict:
     """The drift plan at the admissible bound: nu is the bound, so it complies."""
     c = schedule.constants
     bound = drift_bound(schedule)
     w = 1.0 + max(1.0, (2.0 * c.h_max * c.mu_max / (c.h_min * c.mu_min)) *
                   schedule.horizon ** 2 * c.max_b_norm ** 2)
-    return DriftPlan(nu=bound, bound=bound, w_const=w, paper_compliant=True)
+    return {"nu": bound, "bound": bound, "w_const": w, "paper_compliant": True}

@@ -546,6 +546,32 @@ class TestFrontier:
     def test_needs_config_or_scan(self, capsys):
         assert run_cli(capsys, "frontier")[0] == 2
 
+    @pytest.mark.parametrize("flag, value", [("--out", "out"), ("--dim", "7"),
+                                             ("--seed", "3")])
+    def test_scan_flags_without_scan_are_usage_errors(self, tmp_path, capsys,
+                                                      flag, value):
+        cfg = write_cfg(tmp_path, {"gamma": [[2.0, 0.5], [0.5, 1.0]],
+                                   "delta": [1.0, -1.0], "n": 1.0,
+                                   "alpha": 1.0, "premium": 1.0})
+        if flag == "--out":
+            value = str(tmp_path / value)
+        with pytest.raises(SystemExit) as exc:
+            main(["frontier", "--config", cfg, flag, value])
+        assert exc.value.code == 64
+        assert f"{flag} only apply with --scan" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    def test_nonfinite_result_exits_2_naming_its_key(self, tmp_path, capsys):
+        # the frontier overflows at this premium: strict JSON has no value for it
+        cfg = write_cfg(tmp_path, {"gamma": [[2.0, 0.3], [0.3, 1.0]],
+                                   "delta": [1.0, -0.5], "n": 1.0,
+                                   "alpha": 0.1, "premium": 1e308})
+        with np.errstate(all="ignore"):
+            code = main(["frontier", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "high.budget[0] is not finite" in captured.err
+
     def test_scan_with_config_is_a_usage_error(self, tmp_path, capsys):
         # the scan reads no config, so a missing file must not pass unnoticed
         with pytest.raises(SystemExit) as exc:
@@ -591,6 +617,17 @@ class TestOracle:
     def test_unknown_kind_exits_64(self, capsys):
         assert run_cli(capsys, "oracle", "entropy")[0] == 64
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["pdg", "--dg", "4", "--z", "1/3", "--j", "4"], "--j"),
+        (["derangement", "--j", "5", "--dg", "3"], "--dg")])
+    def test_the_other_kinds_flag_is_a_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", *argv])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
+
 
 class TestExperiment:
     def test_flags_with_override_file(self, tmp_path, capsys):
@@ -630,14 +667,6 @@ class TestExperiment:
     def test_scenario_required(self, capsys):
         assert run_cli(capsys, "experiment", "--seeds", "2")[0] == 2
 
-    def test_malformed_knobs_override_exits_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {"overrides": {"knobs": [0.1, 0.2]}})
-        code, err = cli_error(capsys, "experiment", "--scenario",
-                              "unsupervised_mean", "--seeds", "1",
-                              "--config", cfg)
-        assert code == 2
-        assert "knobs must be three finite numbers" in err
-
     @pytest.mark.parametrize("seeds", ["1,x", "ten"])
     def test_malformed_seeds_rejected(self, capsys, seeds):
         code, err = cli_error(capsys, "experiment", "--scenario",
@@ -652,7 +681,7 @@ class TestExperiment:
 
     @pytest.mark.parametrize("extra, shown", [
         ({"overrides": {"t_override": "x"}}, "overrides.t_override must be an integer"),
-        ({"overrides": {"f0_distance": [1]}}, "overrides.f0_distance must be a number"),
+        ({"overrides": {"dwell": [1]}}, "overrides.dwell must be an integer"),
         ({"epsilon": "abc"}, "epsilon must be numeric, got 'abc'"),
         ({"seeds": "ab"}, "seeds must be a list of integers, got 'ab'"),
         ({"overides": {"t_override": 5}}, "unknown config key overides"),
@@ -664,6 +693,8 @@ class TestExperiment:
         assert code == 2
         assert shown in err and "Traceback" not in err
 
+    # mean_window and policy are constants now, so these name them as
+    # unknown keys
     @pytest.mark.parametrize("scenario, key, value", [
         ("drift", "mean_window", [0.4, 0.8, 0.9]), ("drift", "mean_window", [0.4]),
         ("drift", "extended_seed_count", 0), ("stability", "t_override", 10**30),

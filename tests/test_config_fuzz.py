@@ -51,23 +51,14 @@ def evolve_configs(mean_csv, labels_csv) -> dict:
 FRONTIER = {"gamma": [[2.0, 0.5], [0.5, 1.0]], "delta": [1.0, -1.0],
             "n": 1.0, "alpha": 1.0, "premium": 1.0}
 
-SIZING = {"knobs": KNOBS, "c_t": 0.02, "c_m": 1.0, "m_cap": 50000,
-          "m_override": 20, "t_override": 20, "trace_limit": 1}
-MEAN_DATA = {"mean_window": [0.4, 0.8], "mean_balance": 0.25}
+SIZING = {"m_override": 20, "t_override": 20, "trace_limit": 1}
 EXPERIMENTS = {
-    "unsupervised_mean": {**SIZING, **MEAN_DATA},
-    "agnostic": {**SIZING, "sigma": 0.25, "t_in_norm": 0.6,
-                 "t_out_dist": 0.4, "check_samples": 100},
-    "supervised_linear": {**SIZING, "knobs": [0.02, 0.94, 0.02], "c_t": 1.0,
-                          "d_hint": 1, "renewal_period": 10,
-                          "pair_det_min": 0.05, "pair_norm_min": 0.2,
-                          "min_gram_eig": 0.05, "max_w_star": 1.0},
-    "stability": {"dwell": 5, "f0_distance": 0.6, "m_override": 20,
-                  "c_t": 1.0, "c_m": 1.0, "m_cap": 50000, "t_override": 20,
-                  "comparison_t_override": 20, "trace_limit": 1},
-    "drift": {**SIZING, **MEAN_DATA, "m_override": 5, "policy": "adversarial",
-              "multipliers": [0.0, 1.0], "extended_multipliers": [100.0],
-              "extended_seed_count": 1},
+    "unsupervised_mean": SIZING,
+    "agnostic": {**SIZING, "check_samples": 100},
+    "supervised_linear": SIZING,
+    "stability": {**SIZING, "dwell": 5, "comparison_t_override": 20},
+    "drift": {**SIZING, "m_override": 5, "multipliers": [0.0, 1.0],
+              "extended_multipliers": [100.0], "extended_seed_count": 1},
 }
 
 
@@ -102,12 +93,19 @@ def edited(cfg, path, value):
     return cfg
 
 
+def no_constant(name):
+    raise ValueError(f"stdout holds {name}, which is not strict JSON")
+
+
 def run_main(tmp, command, cfg):
+    """Exit code and stderr of one command; a run that exits 0 prints strict JSON."""
     path = tmp / "cfg.json"
     path.write_text(json.dumps(cfg))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*command, "--config", str(path)])
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=no_constant)
     return code, err.getvalue()
 
 
@@ -154,6 +152,8 @@ def test_frontier_config(data):
 
 @pytest.mark.parametrize("scenario", sorted(EXPERIMENTS))
 def test_experiment_configs(data, scenario):
+    # stability starts 0.36 from the target, outside the target set below
+    # epsilon = 0.1296
     fuzz(data[0], ["experiment"], {"scenario": scenario, "seeds": [0],
-                                   "epsilon": 0.25,
+                                   "epsilon": 0.1,
                                    "overrides": EXPERIMENTS[scenario]})

@@ -321,7 +321,7 @@ class TestBlockOracle:
         res = self.run_pair(
             monkeypatch, lambda: MeanEstimationModel(
                 ConditionSampler.empirical(data, seed=4), data.mean(axis=0),
-                nu=0.002, policy="adversarial", drift_seed=4),
+                nu=0.002),
             alpha=0.05, tol=1e-3, m=5, t_steps=t_steps, seed=4,
             failure_policy="forced_uniform", epsilon=0.1,
             f0=np.array([0.3, -0.2]))
@@ -380,7 +380,7 @@ class TestQuadraticModel:
         # written for one (n, k) batch: index rows (m = 20 <= 4n) reduce a
         # (K, m, k) stack of them, multinomial weights (m = 200) the data
         data = rng_for(46).standard_normal((40, 3))
-        panel = DataColumnPanel(2, columns=range(2))
+        panel = DataColumnPanel(2)
         gen = BregmanGenerator.squared_euclidean()
         sampler = ConditionSampler.empirical(data, seed=3)
         stats_fn = quadratic_stats_for(panel, gen, target_fn)

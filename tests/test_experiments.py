@@ -11,7 +11,6 @@ from scipy.optimize import linprog
 from evospace.engine import EvolutionConfig, run_evolution
 from evospace.errors import ConfigError, ModelError
 from evospace.experiments import (
-    _DRIFT,
     _UNSUP,
     MeanEstimationModel,
     ScenarioConfig,
@@ -27,7 +26,6 @@ from evospace.experiments import (
     run_seed,
 )
 from evospace.model import ConditionSampler, MutationSet, rng_for
-from evospace.schedule import DEFAULT_KNOBS
 
 SEED_TABLE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "perfbench", "seed_table.json")
@@ -103,7 +101,7 @@ class TestScenarioConfig:
         cfg = ScenarioConfig("unsupervised_mean", seeds=[0], epsilon=0.25)
         opts = {key: spec[1] for key, spec in _UNSUP.items()}
         opts.update(m_override=0, t_override=0)
-        data, schedule, m, t_steps = _mean_problem(cfg, opts, DEFAULT_KNOBS)
+        data, schedule, m, t_steps = _mean_problem(cfg, opts)
         assert (m, t_steps) == (0, 0)
         pts = data[0][0]
         model = MeanEstimationModel(ConditionSampler.empirical(pts, seed=0),
@@ -199,14 +197,10 @@ class TestMixtureData:
         # so every seed still needs the draws the benchmark's table lists
         with open(SEED_TABLE) as fh:
             table = json.load(fh)["drift"]
-        # a table entry is (kind, default, bound)
-        accept = _mean_window(*_DRIFT["mean_window"][1],
-                              _DRIFT["mean_balance"][1])
-        assert [_mixture_for(s, accept)[2] for s in range(50)] == table[:50]
+        assert [_mixture_for(s, _mean_window)[2] for s in range(50)] == table[:50]
 
     def test_mixture_for_respects_accept_window(self):
-        accept = _mean_window(0.4, 0.8, 0.25)
-        pts, labels, tries = _mixture_for(11, accept)
+        pts, labels, tries = _mixture_for(11, _mean_window)
         mu = pts.mean(axis=0)
         r = float(np.linalg.norm(mu))
         assert 0.4 <= r <= 0.8
@@ -230,10 +224,6 @@ class TestMeanEstimationModel:
         data = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, 0.1], [0.2, -0.1]])
         sampler = ConditionSampler.empirical(data, seed=0)
         return MeanEstimationModel(sampler, np.asarray(mu0, float), **kw)
-
-    def test_policy_validated(self):
-        with pytest.raises(ConfigError, match="policy"):
-            self.make([0.0, 0.0], nu=0.1, policy="sideways")
 
     def test_negative_drift_rejected(self):
         with pytest.raises(ConfigError, match="nonneg"):
@@ -262,24 +252,9 @@ class TestMeanEstimationModel:
         model.pre_step(1, np.array([0.3, 0.3]))
         assert np.allclose(model.t_cur, [0.4, 0.3], atol=1e-15)
 
-    def test_random_drift_deterministic_with_unit_steps(self):
-        runs = []
-        for _ in range(2):
-            model = self.make([0.0, 0.0], nu=0.05, policy="random",
-                              drift_seed=9)
-            prev = model.t_cur.copy()
-            for step in range(1, 6):
-                model.pre_step(step, np.zeros(2))
-                assert np.linalg.norm(model.t_cur - prev) == pytest.approx(
-                    0.05, rel=1e-12)
-                prev = model.t_cur.copy()
-            runs.append(model.t_cur.copy())
-        assert np.array_equal(runs[0], runs[1])
-        assert model.drift_steps == 5
-
-    @pytest.mark.parametrize("policy", ["adversarial", "random"])
-    def test_reused_instance_repeats_its_run(self, policy):
-        model = self.make([0.5, 0.2], nu=0.01, policy=policy, drift_seed=4)
+    @pytest.mark.parametrize("nu", [0.01, 0.0], ids=["adversarial", "stationary"])
+    def test_reused_instance_repeats_its_run(self, nu):
+        model = self.make([0.5, 0.2], nu=nu)
         config = EvolutionConfig(
             mutations=MutationSet.orthonormal(2), alpha=0.05, tol=0.01, m=3,
             t_steps=40, seed=1, failure_policy="forced_uniform", epsilon=0.1)
@@ -291,7 +266,7 @@ class TestMeanEstimationModel:
         assert second.final_true_perf == first.final_true_perf
         assert np.array_equal(second.organism.coords, first.organism.coords)
         assert np.array_equal(model.t_cur, t_first)
-        assert model.drift_steps == 39
+        assert model.drift_steps == (39 if nu else 0)
 
     def test_true_perf_is_negative_squared_distance(self):
         model = self.make([0.5, -0.2], nu=0.3)
@@ -547,10 +522,12 @@ class TestStabilityScenario:
                                          overrides={"dwell": 0}))
 
     def test_start_must_be_outside_target_set(self):
-        with pytest.raises(ConfigError, match="outside"):
-            run_scenario(ScenarioConfig(
-                "stability", seeds=[0], epsilon=0.1,
-                overrides={"f0_distance": 0.2}))
+        # the start sits 0.36 from the target, inside the target set (of
+        # radius sqrt(epsilon)) from epsilon = 0.1296 on
+        for eps in (0.1296, 0.2):
+            with pytest.raises(ConfigError,
+                               match=rf"epsilon must be < 0\.1296, got {eps}"):
+                run_scenario(ScenarioConfig("stability", seeds=[0], epsilon=eps))
 
     def test_two_arm_report(self):
         report = run_scenario(ScenarioConfig(

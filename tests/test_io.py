@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 
@@ -50,6 +51,13 @@ class TestTraceFiles:
         empty = tmp_path / "empty.jsonl"
         write_trace_jsonl(str(empty), Trace(0, oracle=False, epsilon=None))
         assert empty.read_bytes() == b""
+
+    def test_trace_writer_rejects_a_nonfinite_row(self, tmp_path):
+        steps = steps_fixture()
+        steps.perf_true[0] = math.nan
+        with pytest.raises(ModelError, match="^perf_true is not finite"):
+            write_trace_jsonl(str(tmp_path / "trace.jsonl"), steps)
+        assert list(tmp_path.iterdir()) == []
 
     def test_csv_columns(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -149,6 +157,14 @@ class TestConfigFiles:
         assert json.loads(text) == {"a": [1.5, None], "b": 2}
         # keys sorted for byte-stable reports
         assert text.index('"a"') < text.index('"b"')
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_report_writer_names_the_first_nonfinite_key(self, tmp_path, bad):
+        path = tmp_path / "report.json"
+        report = {"z": bad, "b": {"rows": [1.0, {"y": 2.0, "x": bad}]}}
+        with pytest.raises(ModelError, match=r"^b\.rows\[1\]\.x is not finite"):
+            write_json_report(str(path), report)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDatasetCsv:

@@ -289,8 +289,8 @@ class TestDrift:
         s = compute_schedule(0.1, DEFAULT_KNOBS, identity_constants(),
                              horizon=1, c_t=0.02)
         plan = make_drift_plan(s)
-        assert plan.nu == plan.bound == drift_bound(s)
-        assert plan.paper_compliant
+        assert plan["nu"] == plan["bound"] == drift_bound(s)
+        assert plan["paper_compliant"] is True
 
     def test_bound_needs_constants(self):
         s = compute_schedule(0.1, DEFAULT_KNOBS, identity_constants(),

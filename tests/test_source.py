@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+from evospace.experiments import _RUNNERS, SCENARIOS
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "evospace"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -138,3 +140,23 @@ def test_every_public_name_is_read_outside_its_module():
     readers = MODULES + [SRC.parents[1] / "tests" / "test_acceptance.py"]
     read = set().union(*(read_names(ast.parse(p.read_text())) for p in readers))
     assert sorted(set(public) - read) == []
+
+
+def acceptance_override_keys(tree) -> set:
+    """Keys of the override dicts a scenario is run with: an ``overrides=``
+    argument, or the dict of a ``(scenario, overrides)`` pair."""
+    dicts = [kw.value for node in ast.walk(tree) if isinstance(node, ast.Call)
+             for kw in node.keywords if kw.arg == "overrides"]
+    dicts += [node.elts[1] for node in ast.walk(tree)
+              if isinstance(node, ast.Tuple) and len(node.elts) == 2
+              and isinstance(node.elts[0], ast.Constant)
+              and node.elts[0].value in SCENARIOS]
+    return {key.value for d in dicts if isinstance(d, ast.Dict) for key in d.keys}
+
+
+def test_every_override_is_set_by_an_acceptance_gate():
+    # an override that no gate sets is a constant that only tests vary
+    # (ROADMAP aim 2)
+    tree = ast.parse((SRC.parents[1] / "tests" / "test_acceptance.py").read_text())
+    settable = {key for table, _ in _RUNNERS.values() for key in table}
+    assert sorted(settable - acceptance_override_keys(tree)) == []
