@@ -681,10 +681,14 @@ class TestExperiment:
 
     @pytest.mark.parametrize("extra, shown", [
         ({"overrides": {"t_override": "x"}}, "overrides.t_override must be an integer"),
-        ({"overrides": {"dwell": [1]}}, "overrides.dwell must be an integer"),
+        # f0_distance is a constant now, so an override of it is named
+        # as an unknown key
+        ({"overrides": {"f0_distance": [1]}},
+         "overrides.f0_distance; 'overrides' allows dwell"),
         ({"epsilon": "abc"}, "epsilon must be numeric, got 'abc'"),
         ({"seeds": "ab"}, "seeds must be a list of integers, got 'ab'"),
         ({"overides": {"t_override": 5}}, "unknown config key overides"),
+        ({"overrides": {"dwell": [1]}}, "overrides.dwell must be an integer"),
     ])
     def test_malformed_config_file_names_its_key(self, tmp_path, capsys,
                                                  extra, shown):
