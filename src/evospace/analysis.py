@@ -32,9 +32,6 @@ class ExenReport:
     var_expression: float   # variance of the expressed output norm
     encoding_norm: float    # gene-coordinate norm of the vector
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 def exen_ratio(f_coords, panel: GenePanel, sampler: ConditionSampler) -> ExenReport:
     """Expression-to-encoding ratio of ``f``.

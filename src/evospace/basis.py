@@ -149,16 +149,15 @@ def _local_ascent(B: np.ndarray, idx: list) -> tuple:
 
 
 def select_bstar(mutations: MutationSet, *, agnostic: bool = False,
-                 max_exhaustive: int = 10000, restarts: int = 100,
-                 seed=0, force_heuristic: bool = False) -> BStarSelection:
+                 restarts: int = 100, force_heuristic: bool = False) -> BStarSelection:
     """Pick the generating subset maximising the scale-free quality b_bar.
 
     In the default mode the subset size is the gene dimension and the full
     mutation set must have full rank.  With ``agnostic=True`` the subset size
     is the rank of the mutation set and selection runs inside its span.
     Exhaustive search is used when the number of candidate subsets is at most
-    ``max_exhaustive``; otherwise a greedy seed plus random-restart single
-    swaps.  Ties go to the lexicographically smallest index set.
+    10,000; otherwise a greedy seed plus random-restart single swaps, drawn
+    from one fixed stream.  Ties go to the lexicographically smallest index set.
     """
     B = mutations.vectors
     rank = int(np.linalg.matrix_rank(B))
@@ -170,7 +169,7 @@ def select_bstar(mutations: MutationSet, *, agnostic: bool = False,
         raise ModelError("no candidate subsets of the required size")
 
     n_subsets = math.comb(mutations.dF, k)
-    if n_subsets <= max_exhaustive and not force_heuristic:
+    if n_subsets <= 10000 and not force_heuristic:
         best_idx, best_q = None, None
         for idx in itertools.combinations(range(mutations.dF), k):
             q = _subset_quality(B, idx)
@@ -182,7 +181,7 @@ def select_bstar(mutations: MutationSet, *, agnostic: bool = False,
             raise ModelError("no full-rank subset of the required size exists")
         return BStarSelection(best_idx, best_q, exhaustive=True)
 
-    rng = rng_for(("bstar", seed))
+    rng = rng_for(("bstar", 0))
     candidates = [_greedy_seed(B, k)]
     for _ in range(restarts):
         candidates.append(sorted(rng.choice(mutations.dF, size=k, replace=False).tolist()))

@@ -257,7 +257,7 @@ def _cmd_diagnose(args) -> int:
             raise ConfigError("the expression ratio of a zero vector is undefined: "
                               "pass nonzero --coords or set a nonzero run.f0")
         rep = exen_ratio(coords, setup.panel, setup.sampler)
-        _emit(rep.to_dict())
+        _emit(vars(rep))
         return EXIT_OK
     payload = setup.schedule.to_dict()
     payload["drift_plan"] = make_drift_plan(setup.schedule)

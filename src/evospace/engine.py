@@ -179,8 +179,6 @@ def quadratic_stats_for(panel: GenePanel, gen: BregmanGenerator,
     the quadratic moments of the empirical performance, one stacked kernel
     call per term; each batch's moments are bit for bit its moments alone.
     """
-    if not gen.is_quadratic:
-        raise ConfigError("quadratic stats need a quadratic generator")
     M = gen.quadratic_matrix(panel.d)
 
     def moments(points: np.ndarray, weights: np.ndarray) -> tuple:

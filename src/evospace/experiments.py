@@ -185,17 +185,19 @@ def gen_gaussian_mixture(rng: np.random.Generator, n_clusters: int) -> tuple:
     return pts, labels
 
 
-def _mixture_for(seed, accept: Optional[Callable] = None,
-                 max_tries: int = 200) -> tuple:
+_MIXTURE_TRIES = 200
+
+
+def _mixture_for(seed, accept: Optional[Callable] = None) -> tuple:
     """Per-seed dataset; redraws until ``accept(points, labels)`` holds."""
-    for k in range(max_tries):
+    for k in range(_MIXTURE_TRIES):
         rng = rng_for((seed, "data", k))
         n_clusters = int(rng.integers(3, 7))
         pts, labels = gen_gaussian_mixture(rng, n_clusters)
         if accept is None or accept(pts, labels):
             return pts, labels, k
     raise ModelError(f"no admissible dataset for seed {seed} "
-                     f"in {max_tries} draws")
+                     f"in {_MIXTURE_TRIES} draws")
 
 
 # Mean-estimation datasets: ||mean|| in the window and | |mu_x| - |mu_y| | up to

@@ -102,6 +102,9 @@ def kkt_oracle(problem: FrontierProblem, r: float) -> FrontierPoint:
         if res_r > 1e-10 * scale * max(1.0, p.delta_quad) or res_n > 1e-10 * scale:
             raise ModelError("KKT solution failed the constraint residual check")
     premium = 0.5 * p.alpha * float(quad_form(b, p.gamma))
+    if not np.isfinite([r, premium, lam_r, lam_n, *b]).all():
+        raise ModelError(f"the frontier point at return {r} is not finite "
+                         f"(premium {premium}): the instance overflows floats")
     return FrontierPoint(r=float(r), premium=premium, b=b,
                          lambda_r=lam_r, lambda_n=lam_n)
 

@@ -221,100 +221,82 @@ def _pcg64_outputs(seeds: np.ndarray, outputs: int) -> np.ndarray:
 class BregmanGenerator:
     """Divergence generator D(u || v) = phi(u) - phi(v) - <grad phi(v), u - v>.
 
-    Three kinds are supported:
+    Build one with a classmethod; each checks its inputs:
 
-    * ``squared_euclidean``: phi(u) = <u, u>, so D(u || v) = ||u - v||^2 and
-      the Hessian of phi is the constant 2 I.
-    * ``mahalanobis``: phi(u) = <u, M u> for symmetric positive definite M,
+    * ``squared_euclidean()``: phi(u) = <u, u>, so D(u || v) = ||u - v||^2 and
+      the Hessian of phi is the constant 2 I; its ``matrix`` None stands for I.
+    * ``mahalanobis(M)``: phi(u) = <u, M u> for symmetric positive definite M,
       so D(u || v) = <u - v, M (u - v)> with constant Hessian 2 M.
-    * ``custom``: caller supplies value and gradient callbacks together with
-      declared Hessian eigenvalue bounds (h_min, h_max).
+    * ``custom(value, gradient, h_min, h_max)``: caller supplies value and
+      gradient callbacks together with declared Hessian eigenvalue bounds.
     """
 
-    def __init__(self, kind: str, *, matrix=None, value=None, gradient=None,
-                 h_min: float = None, h_max: float = None):
+    def __init__(self, kind: str, h_min: float, h_max: float, *, matrix=None,
+                 value: Callable = None, gradient: Callable = None):
         self.kind = kind
-        self.matrix = None
+        self.h_min, self.h_max = h_min, h_max
+        self.matrix = matrix
         self._value = value
         self._gradient = gradient
-        if kind == "squared_euclidean":
-            self.h_min, self.h_max = 2.0, 2.0
-        elif kind == "mahalanobis":
-            m = _as_matrix(matrix, "mahalanobis matrix")
-            if m.shape[0] != m.shape[1] or not np.allclose(m, m.T, atol=1e-12):
-                raise ModelError("mahalanobis matrix must be symmetric square")
-            eig = np.linalg.eigvalsh(m)
-            if eig[0] <= 0:
-                raise ModelError("mahalanobis matrix must be positive definite")
-            self.matrix = 0.5 * (m + m.T)
-            self.h_min, self.h_max = 2.0 * eig[0], 2.0 * eig[-1]
-        elif kind == "custom":
-            if value is None or gradient is None:
-                raise ConfigError("custom generator needs value and gradient callbacks")
-            if h_min is None or h_max is None or not (0 < h_min <= h_max):
-                raise ConfigError("custom generator needs bounds 0 < h_min <= h_max")
-            self.h_min, self.h_max = float(h_min), float(h_max)
-        else:
-            raise ConfigError(f"unknown generator kind {kind!r}")
 
     # constructors ---------------------------------------------------------
 
     @classmethod
     def squared_euclidean(cls) -> "BregmanGenerator":
-        return cls("squared_euclidean")
+        return cls("squared_euclidean", 2.0, 2.0)
 
     @classmethod
     def mahalanobis(cls, matrix) -> "BregmanGenerator":
-        return cls("mahalanobis", matrix=matrix)
+        m = _as_matrix(matrix, "mahalanobis matrix")
+        if m.shape[0] != m.shape[1] or not np.allclose(m, m.T, atol=1e-12):
+            raise ModelError("mahalanobis matrix must be symmetric square")
+        eig = np.linalg.eigvalsh(m)
+        if eig[0] <= 0:
+            raise ModelError("mahalanobis matrix must be positive definite")
+        return cls("mahalanobis", 2.0 * eig[0], 2.0 * eig[-1], matrix=0.5 * (m + m.T))
 
     @classmethod
     def custom(cls, value: Callable, gradient: Callable, h_min: float,
                h_max: float) -> "BregmanGenerator":
-        return cls("custom", value=value, gradient=gradient, h_min=h_min, h_max=h_max)
+        if value is None or gradient is None:
+            raise ConfigError("custom generator needs value and gradient callbacks")
+        if h_min is None or h_max is None or not (0 < h_min <= h_max):
+            raise ConfigError("custom generator needs bounds 0 < h_min <= h_max")
+        return cls("custom", float(h_min), float(h_max), value=value, gradient=gradient)
 
     # properties -----------------------------------------------------------
 
     @property
     def is_quadratic(self) -> bool:
-        return self.kind in ("squared_euclidean", "mahalanobis")
+        return self._gradient is None
 
     def quadratic_matrix(self, d: int) -> np.ndarray:
         """M such that D(u || v) = <u - v, M (u - v)>; quadratic kinds only."""
-        if self.kind == "squared_euclidean":
+        if not self.is_quadratic:
+            raise ConfigError("custom generators have no constant divergence matrix")
+        if self.matrix is None:
             return np.eye(d)
-        if self.kind == "mahalanobis":
-            if self.matrix.shape[0] != d:
-                raise ModelError("mahalanobis matrix dimension mismatch")
-            return self.matrix
-        raise ModelError("custom generators have no constant divergence matrix")
+        if self.matrix.shape[0] != d:
+            raise ModelError("mahalanobis matrix dimension mismatch")
+        return self.matrix
 
     # evaluation -----------------------------------------------------------
 
-    def value(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        if self.kind == "squared_euclidean":
-            return float(dot(u, u))
-        if self.kind == "mahalanobis":
-            return float(quad_form(u, self.matrix))
-        return float(self._value(u))
-
     def gradient(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        if self.kind == "squared_euclidean":
-            return 2.0 * u
-        if self.kind == "mahalanobis":
-            return 2.0 * matvec(self.matrix, u)
-        return np.asarray(self._gradient(u), dtype=float)
+        if not self.is_quadratic:
+            return np.asarray(self._gradient(u), dtype=float)
+        return 2.0 * (u if self.matrix is None else matvec(self.matrix, u))
 
     def divergence(self, u, v) -> float:
         u = _as_vector(np.atleast_1d(u), "u")
         v = _as_vector(np.atleast_1d(v), "v")
         if u.shape != v.shape:
             raise ModelError("divergence arguments must share a shape")
-        w = u - v
-        if self.kind in ("squared_euclidean", "mahalanobis"):
+        if self.is_quadratic:
             return float(self.divergence_rows(u, v))
-        out = self.value(u) - self.value(v) - float(dot(self.gradient(v), w))
+        out = (float(self._value(u)) - float(self._value(v))
+               - float(dot(self.gradient(v), u - v)))
         if not math.isfinite(out):
             raise ModelError("custom divergence evaluated to a non-finite value")
         return out
@@ -322,11 +304,9 @@ class BregmanGenerator:
     def divergence_rows(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Row-wise divergences for (n, d) stacks of outputs."""
         W = np.subtract(U, V)
-        if self.kind == "squared_euclidean":
-            return dot(W, W)
-        if self.kind == "mahalanobis":
-            return quad_form(W, self.matrix)
-        return np.array([self.divergence(u, v) for u, v in zip(U, V)])
+        if not self.is_quadratic:
+            return np.array([self.divergence(u, v) for u, v in zip(U, V)])
+        return dot(W, W) if self.matrix is None else quad_form(W, self.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -336,30 +316,18 @@ class BregmanGenerator:
 class GenePanel:
     """Gene panel mapping a condition x to the d x dG output matrix G_x.
 
-    Subclasses compute the three batch reductions below in closed form.  The
-    two moments also take a stack of K batches, as (K, n, k) conditions with
-    n weights or as (n, k) conditions with (K, n) weight rows, and return
-    the K moments stacked, each bit for bit the moment of its batch alone
-    (``kernels.weighted_rows``).
+    Subclasses define, in closed form over a stack X of n conditions,
+    ``express(X, coords)``, the (n, d) organism outputs, and two weighted
+    means: ``second_moment(X, M=None, weights=None)`` of G_x^T M G_x (M = I
+    if omitted) and ``cross_moment(X, targets, M=None, weights=None)`` of
+    G_x^T M t(x).  The moments also take a stack of K batches, as (K, n, k)
+    conditions with n weights or as (n, k) conditions with (K, n) weight
+    rows, and return the K moments stacked, each bit for bit the moment of
+    its batch alone (``kernels.weighted_rows``).
     """
 
     d: int
     dG: int
-
-    def express(self, X: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """Organism outputs on a stack of conditions: (n, d) array."""
-        raise NotImplementedError
-
-    def second_moment(self, X: np.ndarray, M: Optional[np.ndarray] = None,
-                      weights: Optional[np.ndarray] = None) -> np.ndarray:
-        """Weighted mean of G_x^T M G_x over the rows of X (M = I if omitted)."""
-        raise NotImplementedError
-
-    def cross_moment(self, X: np.ndarray, targets: np.ndarray,
-                     M: Optional[np.ndarray] = None,
-                     weights: Optional[np.ndarray] = None) -> np.ndarray:
-        """Weighted mean of G_x^T M t(x): the dG-vector pairing genes with targets."""
-        raise NotImplementedError
 
 
 class IdentityPanel(GenePanel):
@@ -446,12 +414,13 @@ class Sample:
 class ConditionSampler:
     """Draws per-step condition batches, deterministically in (seed, index).
 
-    ``draw(index, m)`` draws the one step ``index`` on the stream
-    ``rng_for(seed, index)``.  For indices in [0, 2**32) the sampler gets
-    there without building a generator per draw: it hashes the seeds of a
-    block of indices at once and moves one reused generator to the index's
-    seeded state, so the ``rng`` handed to a ``from_callable`` callback is
-    valid only during that call.
+    It draws from exactly one of ``data``, an (n, k) dataset, and ``fn``, a
+    callback ``rng, m -> (m, k)``.  ``draw(index, m)`` draws the one step
+    ``index`` on the stream ``rng_for(seed, index)``.  For indices in
+    [0, 2**32) the sampler gets there without building a generator per draw:
+    it hashes the seeds of a block of indices at once and moves one reused
+    generator to the index's seeded state, so the ``rng`` handed to a
+    ``from_callable`` callback is valid only during that call.
 
     ``reduce(index, m, fn)`` gives a step the statistics ``fn`` computes
     from its sample.  An empirical sampler computes them once for a cached
@@ -466,20 +435,14 @@ class ConditionSampler:
     shared between threads.
     """
 
-    def __init__(self, kind: str, *, data=None, fn=None, seed=0):
-        if kind == "empirical":
-            self.data = _as_matrix(data, "dataset")
-            if self.data.shape[0] == 0:
-                raise ModelError("empirical sampler needs a nonempty dataset")
-            self.fn = None
-        elif kind == "generator":
-            if fn is None:
-                raise ConfigError("generator sampler needs a callback rng, m -> (m, k)")
-            self.fn = fn
-            self.data = None
-        else:
-            raise ConfigError(f"unknown sampler kind {kind!r}")
-        self.kind = kind
+    def __init__(self, *, data=None, fn=None, seed=0):
+        if (data is None) == (fn is None):
+            raise ConfigError("a sampler needs exactly one of data, an (n, k) "
+                              "dataset, and fn, a callback rng, m -> (m, k)")
+        self.data = None if data is None else _as_matrix(data, "dataset")
+        if self.data is not None and self.data.shape[0] == 0:
+            raise ModelError("empirical sampler needs a nonempty dataset")
+        self.fn = fn
         self.seed = seed
         self._uniform = np.empty(0)
         self._bit_generator = np.random.PCG64(0)
@@ -498,11 +461,11 @@ class ConditionSampler:
 
     @classmethod
     def empirical(cls, data, seed=0) -> "ConditionSampler":
-        return cls("empirical", data=data, seed=seed)
+        return cls(data=data, seed=seed)
 
     @classmethod
     def from_callable(cls, fn, seed=0) -> "ConditionSampler":
-        return cls("generator", fn=fn, seed=seed)
+        return cls(fn=fn, seed=seed)
 
     def _stream(self, index) -> np.random.Generator:
         # rng_for(self.seed, index), by seeding the reused PCG64 the way
@@ -648,7 +611,7 @@ class ConditionSampler:
         """Sample m conditions i.i.d. (with replacement for empirical data)."""
         if m < 1:
             raise ConfigError("sample size must be >= 1")
-        if self.kind == "generator":
+        if self.fn is not None:
             pts = np.asarray(self.fn(self._stream(index), m), dtype=float)
             if pts.ndim != 2 or pts.shape[0] != m:
                 raise ModelError(f"sampler callback returned shape {pts.shape}, "

@@ -133,8 +133,8 @@ class TestSelection:
 
     def test_heuristic_deterministic(self):
         B = rng_for(63).standard_normal((4, 12))
-        a = select_bstar(MutationSet(B), force_heuristic=True, seed=5)
-        b = select_bstar(MutationSet(B), force_heuristic=True, seed=5)
+        a = select_bstar(MutationSet(B), force_heuristic=True)
+        b = select_bstar(MutationSet(B), force_heuristic=True)
         assert a.indices == b.indices
         assert a.quality.b_bar == b.quality.b_bar
 

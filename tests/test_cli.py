@@ -570,7 +570,7 @@ class TestFrontier:
             code = main(["frontier", "--config", cfg])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "high.budget[0] is not finite" in captured.err
+        assert "frontier point at return inf is not finite" in captured.err
 
     def test_scan_with_config_is_a_usage_error(self, tmp_path, capsys):
         # the scan reads no config, so a missing file must not pass unnoticed

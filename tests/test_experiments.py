@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from evospace import experiments
 from evospace.engine import EvolutionConfig, run_evolution
 from evospace.errors import ConfigError, ModelError
 from evospace.experiments import (
@@ -214,9 +215,10 @@ class TestMixtureData:
         assert np.array_equal(a[1], b[1])
         assert a[2] == b[2] == 0
 
-    def test_mixture_for_exhaustion_raises(self):
-        with pytest.raises(ModelError, match="admissible"):
-            _mixture_for(0, lambda pts, labels: False, max_tries=3)
+    def test_mixture_for_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_MIXTURE_TRIES", 3)
+        with pytest.raises(ModelError, match="admissible dataset for seed 0 in 3 draws"):
+            _mixture_for(0, lambda pts, labels: False)
 
 
 class TestMeanEstimationModel:

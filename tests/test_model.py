@@ -96,6 +96,16 @@ class TestGenerators:
         gen2 = BregmanGenerator.mahalanobis(M)
         assert np.allclose(gen2.quadratic_matrix(2), M)
         assert not quartic_gen().is_quadratic
+        with pytest.raises(ConfigError, match="no constant divergence matrix"):
+            quartic_gen().quadratic_matrix(1)
+        # an identity Mahalanobis matrix scores as squared Euclidean, bit for
+        # bit, on the path the two quadratic kinds share
+        eye = BregmanGenerator.mahalanobis(np.eye(3))
+        U, V = rng_for(13).uniform(-1.5, 1.5, (2, 8, 3))
+        for a, b in ((eye.gradient(U), gen.gradient(U)),
+                     (eye.divergence_rows(U, V), gen.divergence_rows(U, V)),
+                     (eye.quadratic_matrix(3), gen.quadratic_matrix(3))):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestPanels:
@@ -173,6 +183,14 @@ class TestSampler:
         pw = empirical_performance(coords, targets_w, panel, weighted, gen)
         pe = empirical_performance(coords, targets_e, panel, expanded, gen)
         assert pw == pytest.approx(pe, rel=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"data": np.zeros((2, 1)), "fn": lambda rng, m: np.zeros((m, 1))},
+        {},
+    ], ids=["both", "neither"])
+    def test_needs_exactly_one_of_data_and_fn(self, kwargs):
+        with pytest.raises(ConfigError, match="exactly one of data"):
+            ConditionSampler(**kwargs)
 
     def test_generator_kind(self):
         sampler = ConditionSampler.from_callable(
