@@ -108,7 +108,7 @@ class _RunSetup:
         self.renewal_fn = None
 
         if model["target"] == "mean":
-            if self.gen.kind != "squared_euclidean":
+            if isinstance(spec, dict):
                 raise ConfigError("the mean target scores squared Euclidean "
                                   "distance; model.generator must be "
                                   "squared_euclidean")

@@ -104,15 +104,16 @@ class QuadraticPerfModel:
     Each step the loop calls ``pre_step(step, coords)`` with the coordinates
     before the step, ``draw(step, m)`` for the step's statistics and
     ``score(stats, coords, steps)``.  ``true_perf(coords, step)`` is the
-    oracle perf of the organism after ``step`` steps, or None without
-    ``true_stats``; the loop calls it before the first step and after the
-    last.  Between them it keeps the coordinates after each step and calls
-    ``true_perf_rows(C)`` on a block of up to ``ORACLE_BLOCK`` of them, C[k]
-    the organism after the k-th step since the last call.
+    oracle perf of the organism after ``step`` steps; the loop calls it
+    before the first step and after the last.  Between them it keeps the
+    coordinates after each step and calls ``true_perf_rows(C)`` on a block
+    of up to ``ORACLE_BLOCK`` of them, C[k] the organism after the k-th step
+    since the last call.
 
     ``stats_fn(points, weights)`` maps a condition sample to a triple
     (quad, cross, const) with performance -(c^T quad c - 2 c . cross + const);
-    ``true_stats`` provides the distribution counterpart for oracle scoring.
+    the required ``true_stats`` is the distribution counterpart that the
+    oracle scores.
     Each step's triple is ``sampler.reduce(step, m, stats_fn)``, so from a
     cached block of steps stats_fn reduces the whole block at once, and it
     must reduce each stacked batch or weight row alone
@@ -126,7 +127,7 @@ class QuadraticPerfModel:
     """
 
     def __init__(self, sampler: ConditionSampler, stats_fn: Callable,
-                 true_stats=None):
+                 true_stats):
         self.sampler = sampler
         self.stats_fn = stats_fn
         self.true_stats = true_stats
@@ -158,9 +159,7 @@ class QuadraticPerfModel:
         return scorer(*self._rows, coords.tolist(),
                       np.asarray(cross, dtype=float).tolist(), const)
 
-    def true_perf(self, coords, step: int) -> Optional[float]:
-        if self.true_stats is None:
-            return None
+    def true_perf(self, coords, step: int) -> float:
         return float(self._eval(self.true_stats, np.asarray(coords, float)))
 
     def true_perf_rows(self, C: np.ndarray) -> np.ndarray:
@@ -237,17 +236,16 @@ class Trace:
     """Per-step record of one run: a numpy column per stored field, row t for step t.
 
     ``j`` is the chosen index in the signed neighborhood (2 i for +b_i,
-    2 i + 1 for -b_i); ``perf_true`` exists only when the model has an
-    oracle, and the loop fills it (see ``_OracleColumn``).  ``rows`` derives
-    the written FIELDS from these.  A halted run ends on its failed step,
-    written with null choice and oracle fields.
+    2 i + 1 for -b_i); the loop fills ``perf_true`` a block at a time.
+    ``rows`` derives the written FIELDS from these; a halted run ends on its
+    failed step, written with null choice and oracle fields.
     """
 
     FIELDS = ("step", "perf_before", "perf_after", "bene_size", "neut_size",
               "chosen_index", "chosen_polarity", "forced", "failed",
               "perf_true", "in_target_set")
 
-    def __init__(self, t_steps: int, oracle: bool, epsilon: Optional[float]):
+    def __init__(self, t_steps: int, epsilon: Optional[float]):
         # np.empty pages that are never written cost no memory
         self.perf_before = np.empty(t_steps)
         self.perf_after = np.empty(t_steps)
@@ -255,7 +253,7 @@ class Trace:
         self.neut_size = np.empty(t_steps, np.int32)
         self.j = np.empty(t_steps, np.int32)
         self.forced = np.empty(t_steps, bool)
-        self.perf_true = np.empty(t_steps) if oracle else None
+        self.perf_true = np.empty(t_steps)
         self.epsilon = epsilon
         self.failed = False
 
@@ -280,8 +278,7 @@ class Trace:
     def halt(self, t: int, perf: float) -> None:
         """Record the failed step ``t`` and cut every column after it."""
         self.record(t, perf, perf, 0, 0, -1, False)
-        if self.perf_true is not None:
-            self.perf_true[t] = np.nan
+        self.perf_true[t] = np.nan
         self.failed = True
         for name, column in list(vars(self).items()):
             if isinstance(column, np.ndarray):
@@ -296,16 +293,14 @@ class Trace:
         steps = range(len(self))[start:stop]
         cut = slice(steps.start, steps.stop)
         j = self.j[cut]
-        perf_true = in_target = [None] * len(steps)
-        if self.perf_true is not None:
-            perf_true = self.perf_true[cut].tolist()
-            if self.epsilon is not None:
-                in_target = self.in_target(cut).tolist()
+        in_target = ([None] * len(steps) if self.epsilon is None
+                     else self.in_target(cut).tolist())
         out = [dict(zip(self.FIELDS, values)) for values in zip(
             steps, self.perf_before[cut].tolist(), self.perf_after[cut].tolist(),
             self.bene_size[cut].tolist(), self.neut_size[cut].tolist(),
             (j // 2).tolist(), (1 - 2 * (j % 2)).tolist(),
-            self.forced[cut].tolist(), [False] * len(steps), perf_true, in_target)]
+            self.forced[cut].tolist(), [False] * len(steps),
+            self.perf_true[cut].tolist(), in_target)]
         if self.failed and steps and steps[-1] == len(self) - 1:
             out[-1].update(chosen_index=None, chosen_polarity=None, failed=True,
                            perf_true=None, in_target_set=None)
@@ -321,71 +316,32 @@ class EvolutionResult:
     forced_steps: int
     bene_steps: int
     neut_steps: int
-    initial_true_perf: Optional[float]
-    final_true_perf: Optional[float]
+    initial_true_perf: float
+    final_true_perf: float
     path: Optional[np.ndarray] = None
-
-
-class _OracleColumn:
-    """Fills a trace's ``perf_true`` column with the model's oracle scores.
-
-    The coordinates after each step are kept and scored a block of up to
-    ``ORACLE_BLOCK`` steps at once, by one ``true_perf_rows`` call.
-    """
-
-    def __init__(self, model: QuadraticPerfModel, trace: Trace, dG: int):
-        self.model = model
-        self.column = trace.perf_true
-        self.rows = None   # the coordinates after each step not yet scored
-        if self.column is not None:
-            self.rows = np.empty((min(ORACLE_BLOCK, len(trace)), dG))
-        self.first = 0     # the first step not yet scored
-
-    def add(self, step: int, coords: np.ndarray) -> None:
-        """Score, with its block, the organism ``coords`` after ``step``."""
-        if self.rows is not None:
-            self.rows[step - self.first] = coords
-            if step + 1 - self.first == len(self.rows):
-                self.flush(step + 1)
-
-    def flush(self, stop: int) -> None:
-        """Score the kept steps before ``stop``."""
-        if self.rows is not None and stop > self.first:
-            self.column[self.first:stop] = self.model.true_perf_rows(
-                self.rows[:stop - self.first])
-            self.first = stop
 
 
 def mutator_step(model: QuadraticPerfModel, organism: Organism, config: EvolutionConfig,
                  step: int, selection_rng: np.random.Generator,
-                 steps_matrix: np.ndarray, trace: Trace,
-                 oracle: _OracleColumn) -> bool:
+                 steps_matrix: np.ndarray, trace: Trace) -> bool:
     """One selection round, recorded as row ``step`` of ``trace``.
 
-    Mutates ``organism`` in place, hands its new coordinates to ``oracle``
-    and returns False, or returns True when a strict run halts.
+    Mutates ``organism`` in place; returns True when a strict run halts.
     """
     model.pre_step(step, organism.coords)
     stats = model.draw(step, config.m)
     perf_f, gains = model.score(stats, organism.coords, steps_matrix)
     bene, neut = _classify(gains, config.tol)
-
-    forced = False
-    if bene:
-        j = bene[selection_rng.integers(0, len(bene))]
-    elif neut:
-        j = neut[selection_rng.integers(0, len(neut))]
-    elif config.failure_policy == "forced_uniform":
-        j = int(selection_rng.integers(0, len(gains)))
-        forced = True
-    else:
+    forced = not (bene or neut)
+    if forced and config.failure_policy == "strict":
         trace.halt(step, perf_f)
         return True
+    pool = bene or neut or range(len(gains))
+    j = pool[selection_rng.integers(0, len(pool))]
 
     organism.apply(j // 2, 1 - 2 * (j % 2), steps_matrix[j])
     trace.record(step, perf_f, perf_f + gains[j], len(bene), len(neut), j,
                  forced)
-    oracle.add(step, organism.coords)
     return False
 
 
@@ -409,8 +365,9 @@ def run_evolution(model: QuadraticPerfModel, config: EvolutionConfig) -> Evoluti
     steps_matrix = _signed_steps(mutations, config.alpha)
 
     initial_tp = model.true_perf(organism.coords, 0)
-    trace = Trace(config.t_steps, initial_tp is not None, config.epsilon)
-    oracle = _OracleColumn(model, trace, mutations.dG)
+    trace = Trace(config.t_steps, config.epsilon)
+    rows = np.empty((min(ORACLE_BLOCK, config.t_steps), mutations.dG))
+    scored = 0   # rows[k] is the organism after step scored + k, unscored
     path = None
     if config.record_path:
         path = np.empty((config.t_steps + 1, mutations.dG))
@@ -424,13 +381,18 @@ def run_evolution(model: QuadraticPerfModel, config: EvolutionConfig) -> Evoluti
             organism.rebase(new_basis)
             steps_matrix = _signed_steps(new_basis, config.alpha)
         if mutator_step(model, organism, config, t, selection_rng, steps_matrix,
-                        trace, oracle):
+                        trace):
             break
+        rows[t - scored] = organism.coords
+        if t + 1 - scored == len(rows):
+            trace.perf_true[scored:t + 1] = model.true_perf_rows(rows)
+            scored = t + 1
         if path is not None:
             path[t + 1] = organism.coords
-    oracle.flush(trace.moves)
+    if trace.moves > scored:
+        trace.perf_true[scored:trace.moves] = model.true_perf_rows(
+            rows[:trace.moves - scored])
 
-    final_tp = model.true_perf(organism.coords, len(trace))
     # a forced step has no beneficial mutant, and a halted row none
     forced = int(np.count_nonzero(trace.forced))
     bene = int(np.count_nonzero(trace.bene_size))
@@ -439,6 +401,6 @@ def run_evolution(model: QuadraticPerfModel, config: EvolutionConfig) -> Evoluti
         failure_step=len(trace) - 1 if trace.failed else None,
         forced_steps=forced, bene_steps=bene,
         neut_steps=trace.moves - forced - bene,
-        initial_true_perf=None if initial_tp is None else float(initial_tp),
-        final_true_perf=None if final_tp is None else float(final_tp),
+        initial_true_perf=initial_tp,
+        final_true_perf=model.true_perf(organism.coords, len(trace)),
         path=None if path is None else path[:trace.moves + 1])

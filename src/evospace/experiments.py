@@ -234,12 +234,13 @@ class MeanEstimationModel(QuadraticPerfModel):
 
     def __init__(self, sampler: ConditionSampler, mu0: np.ndarray, *,
                  nu: float = 0.0):
-        super().__init__(sampler, stats_fn=None)
         if nu < 0:
             raise ConfigError("drift magnitude must be nonnegative")
         self.mu0 = np.asarray(mu0, dtype=float).copy()
         self.nu = float(nu)
         self._eye = np.eye(self.mu0.shape[0])
+        super().__init__(sampler, None,
+                         (self._eye, self.mu0, dot(self.mu0, self.mu0)))
         self._restart()
 
     def _restart(self) -> None:

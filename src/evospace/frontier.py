@@ -95,6 +95,11 @@ def kkt_oracle(problem: FrontierProblem, r: float) -> FrontierPoint:
         # [cap,                 s   ] [lam_n] = [alpha n]
         lam_r = p.alpha * (p.s * r - p.cap_delta * p.n) / det
         lam_n = p.alpha * (p.delta_quad * p.n - p.cap_delta * r) / det
+    # checked before b is formed, where inf - inf would warn and give NaN
+    if not np.isfinite([r, lam_r, lam_n]).all():
+        raise ModelError(f"the frontier point at return {r} is not finite "
+                         f"(multipliers {lam_r}, {lam_n}): the instance "
+                         "overflows floats")
     b = (lam_r / p.alpha) * p.delta + (lam_n / p.alpha) * p.gamma_inv_one
     if not p.is_degenerate:
         res_r = abs(float(dot(b, matvec(p.gamma, p.delta))) - r)
@@ -102,7 +107,7 @@ def kkt_oracle(problem: FrontierProblem, r: float) -> FrontierPoint:
         if res_r > 1e-10 * scale * max(1.0, p.delta_quad) or res_n > 1e-10 * scale:
             raise ModelError("KKT solution failed the constraint residual check")
     premium = 0.5 * p.alpha * float(quad_form(b, p.gamma))
-    if not np.isfinite([r, premium, lam_r, lam_n, *b]).all():
+    if not np.isfinite([premium, *b]).all():
         raise ModelError(f"the frontier point at return {r} is not finite "
                          f"(premium {premium}): the instance overflows floats")
     return FrontierPoint(r=float(r), premium=premium, b=b,

@@ -231,9 +231,8 @@ class BregmanGenerator:
       gradient callbacks together with declared Hessian eigenvalue bounds.
     """
 
-    def __init__(self, kind: str, h_min: float, h_max: float, *, matrix=None,
+    def __init__(self, h_min: float, h_max: float, *, matrix=None,
                  value: Callable = None, gradient: Callable = None):
-        self.kind = kind
         self.h_min, self.h_max = h_min, h_max
         self.matrix = matrix
         self._value = value
@@ -243,7 +242,7 @@ class BregmanGenerator:
 
     @classmethod
     def squared_euclidean(cls) -> "BregmanGenerator":
-        return cls("squared_euclidean", 2.0, 2.0)
+        return cls(2.0, 2.0)
 
     @classmethod
     def mahalanobis(cls, matrix) -> "BregmanGenerator":
@@ -253,7 +252,7 @@ class BregmanGenerator:
         eig = np.linalg.eigvalsh(m)
         if eig[0] <= 0:
             raise ModelError("mahalanobis matrix must be positive definite")
-        return cls("mahalanobis", 2.0 * eig[0], 2.0 * eig[-1], matrix=0.5 * (m + m.T))
+        return cls(2.0 * eig[0], 2.0 * eig[-1], matrix=0.5 * (m + m.T))
 
     @classmethod
     def custom(cls, value: Callable, gradient: Callable, h_min: float,
@@ -262,7 +261,7 @@ class BregmanGenerator:
             raise ConfigError("custom generator needs value and gradient callbacks")
         if h_min is None or h_max is None or not (0 < h_min <= h_max):
             raise ConfigError("custom generator needs bounds 0 < h_min <= h_max")
-        return cls("custom", float(h_min), float(h_max), value=value, gradient=gradient)
+        return cls(float(h_min), float(h_max), value=value, gradient=gradient)
 
     # properties -----------------------------------------------------------
 
@@ -277,7 +276,9 @@ class BregmanGenerator:
         if self.matrix is None:
             return np.eye(d)
         if self.matrix.shape[0] != d:
-            raise ModelError("mahalanobis matrix dimension mismatch")
+            k = self.matrix.shape[0]
+            raise ModelError(f"the mahalanobis matrix is {k} x {k}, but the "
+                             f"outputs it scores have dimension {d}")
         return self.matrix
 
     # evaluation -----------------------------------------------------------

@@ -365,6 +365,19 @@ class TestEvolve:
         assert code == 2
         assert "squared_euclidean" in err
 
+    def test_labels_generator_of_the_wrong_size_names_both(self, tmp_path,
+                                                           capsys, labels_csv):
+        # a labels target scores one output, so its matrix must be 1 x 1
+        cfg = {"model": {"dataset": labels_csv, "target": "labels",
+                         "generator": {"kind": "mahalanobis",
+                                       "matrix": [[4.0, 0.0], [0.0, 1.0]]}},
+               "schedule": {"epsilon": 0.25},
+               "run": {"m_override": 40, "t_override": 5}}
+        code, err = cli_error(capsys, "evolve", "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert "matrix is 2 x 2" in err and "dimension 1" in err
+
     def test_usage_errors_exit_64(self, tmp_path, capsys):
         assert run_cli(capsys, "no-such-command")[0] == 64
         assert run_cli(capsys, "evolve")[0] == 64          # --config required
@@ -561,13 +574,13 @@ class TestFrontier:
         assert f"{flag} only apply with --scan" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_result_exits_2_naming_its_key(self, tmp_path, capsys):
         # the frontier overflows at this premium: strict JSON has no value for it
         cfg = write_cfg(tmp_path, {"gamma": [[2.0, 0.3], [0.3, 1.0]],
                                    "delta": [1.0, -0.5], "n": 1.0,
                                    "alpha": 0.1, "premium": 1e308})
-        with np.errstate(all="ignore"):
-            code = main(["frontier", "--config", cfg])
+        code = main(["frontier", "--config", cfg])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "frontier point at return inf is not finite" in captured.err

@@ -36,7 +36,7 @@ class LinearModel(QuadraticPerfModel):
         stats = (np.zeros((dim, dim)), np.full(dim, 0.5), 0.0)
         super().__init__(ConditionSampler.from_callable(
             lambda rng, m: rng.standard_normal((m, dim)), seed=0),
-            lambda points, weights: stats)
+            lambda points, weights: stats, stats)
 
 
 class UncachedQuadratic(QuadraticPerfModel):
@@ -96,16 +96,18 @@ class TestClassify:
     @given(gains=st.lists(st.floats(-10.0, 10.0), max_size=20),
            tol=st.floats(1e-300, 5.0))
     def test_classes_disjoint_with_documented_ties(self, gains, tol):
-        ties = [tol, -tol, np.nextafter(tol, 0.0), -np.nextafter(tol, 0.0)]
+        ties = [tol, -tol, np.nextafter(tol, 0.0), -np.nextafter(tol, 0.0),
+                float("nan")]
         g = np.array(gains + ties)
         bene, neut = _classify(g, tol)
         assert not set(bene) & set(neut)
         assert bene == [i for i, v in enumerate(g) if v >= tol]
         assert neut == [i for i, v in enumerate(g) if abs(v) < tol]
-        at_tol, at_minus_tol, below, above_minus = range(len(gains), len(g))
+        at_tol, at_minus_tol, below, above_minus, nan = range(len(gains), len(g))
         assert at_tol in bene                             # beneficial
         assert at_minus_tol not in np.r_[bene, neut]      # neither
         assert below in neut and above_minus in neut      # neutral
+        assert nan not in np.r_[bene, neut]               # neither
 
     def test_tol_validation(self):
         with pytest.raises(ConfigError):
@@ -117,8 +119,10 @@ class TestClassify:
         panel = IdentityPanel(2)
         pts = rng_for(41).standard_normal((16, 2))
         sample = Sample(points=pts, weights=np.full(16, 1 / 16), size=16)
+        # the oracle of standard normal points: -E|c - x|^2 = -(|c|^2 + 2)
         model = QuadraticPerfModel(None, quadratic_stats_for(panel, gen,
-                                                             lambda P: P))
+                                                             lambda P: P),
+                                   (np.eye(2), np.zeros(2), 2.0))
         c = np.array([0.2, -0.4])
         steps = _signed_steps(MutationSet.orthonormal(2), alpha=0.3)
         perf_f, gains = model.score(model.stats_fn(pts, sample.weights), c, steps)
@@ -147,7 +151,7 @@ class TestScore:
         f = rng.uniform(-1.0, 1.0, dG)
         B = MutationSet(rng.uniform(-1.0, 1.0, (dG, dF)) + 0.1)
         steps = _signed_steps(B, alpha)
-        model = QuadraticPerfModel(None, None)
+        model = QuadraticPerfModel(None, None, stats)
         perf_f, gains = model.score(stats, f, steps)
 
         def bound(expected):
@@ -184,8 +188,11 @@ class TestScore:
                               tol=1e-4, m=1, t_steps=40, seed=9,
                               failure_policy="forced_uniform",
                               renewal_period=4, renewal_fn=renew)
-        cached = run_evolution(QuadraticPerfModel(sampler, stats_fn()), cfg)
-        fresh = run_evolution(UncachedQuadratic(sampler, stats_fn()), cfg)
+        true_stats = (quads[0], cross, 0.5)
+        cached = run_evolution(QuadraticPerfModel(sampler, stats_fn(), true_stats),
+                               cfg)
+        fresh = run_evolution(UncachedQuadratic(sampler, stats_fn(), true_stats),
+                              cfg)
         assert cached.trace.rows() == fresh.trace.rows()
         assert np.array_equal(cached.organism.coords, fresh.organism.coords)
 
@@ -356,7 +363,8 @@ class TestQuadraticModel:
         data = rng_for(42).standard_normal((60, 2)) * 0.3
         sampler = ConditionSampler.empirical(data, seed=8)
         stats_fn = quadratic_stats_for(panel, gen, lambda pts: pts)
-        model = QuadraticPerfModel(sampler, stats_fn)
+        model = QuadraticPerfModel(sampler, stats_fn,
+                                   stats_fn(data, np.full(60, 1 / 60)))
         sample = sampler.draw(0, 40)
         stats = stats_fn(sample.points, sample.weights)
         for coords in (np.zeros(2), np.array([0.3, -0.1])):
@@ -410,6 +418,11 @@ class TestQuadraticModel:
         with pytest.raises(ConfigError, match="got DuckModel"):
             run_evolution(DuckModel(), cfg)
 
+    def test_every_model_has_an_oracle(self):
+        # a run without true_stats has no perf_true column to fill
+        with pytest.raises(TypeError, match="true_stats"):
+            QuadraticPerfModel(None, lambda points, weights: None)
+
     def test_requires_quadratic_generator(self):
         gen = BregmanGenerator.custom(
             value=lambda u: float(np.sum(u ** 4)),
@@ -446,7 +459,7 @@ class TestRunDeterminism:
 
     def test_trace_annotations(self):
         res = self._run(11)
-        assert res.initial_true_perf is not None
+        assert isinstance(res.initial_true_perf, float)
         assert len(res.path) == len(res.trace) + 1
         for r in res.trace.rows():
             assert r["perf_true"] is not None

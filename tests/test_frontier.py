@@ -138,16 +138,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             efficient_frontier(zero_n, 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_frontier_rejected(self):
         # the closed form overflows at this premium; no point may carry
         # an infinite return or a NaN premium or budget
         prob = FrontierProblem(np.array([[2.0, 0.3], [0.3, 1.0]]),
                                np.array([1.0, -0.5]), 1.0, 0.1)
-        with np.errstate(all="ignore"), \
-                pytest.raises(ModelError, match="return inf is not finite"):
+        with pytest.raises(ModelError, match="return inf is not finite"):
             efficient_frontier(prob, 1e308)
-        with np.errstate(all="ignore"), \
-                pytest.raises(ModelError, match="return -inf is not finite"):
+        with pytest.raises(ModelError, match="return -inf is not finite"):
             kkt_oracle(prob, -np.inf)
 
     def test_degeneracy_gap_nonnegative(self):

@@ -226,29 +226,23 @@ def test_evolve_output_files(name, tmp_path, capsys):
 
 
 # trace files whose rows carry nulls: a strict run that halts at step 33 (its
-# last row has null chosen_*/perf_true/in_target_set and failed true), a
-# model with no oracle (null perf_true and in_target_set on every row), and
-# a run with epsilon=None (null in_target_set on every row)
+# last row has null chosen_*/perf_true/in_target_set and failed true) and a
+# run with epsilon=None (null in_target_set on every row)
 NULL_FIELD_CASES = {
     "halted": (
-        {"oracle": True, "alpha": 0.1, "tol": 0.005, "seed": 2,
+        {"alpha": 0.1, "tol": 0.005, "seed": 2,
          "epsilon": 0.02, "failure_policy": "strict"},
         {"trace.jsonl": "e1323415042edec580cd02865de4c3135da1818fbc3a3c9fbf6f125b3f7b1d80",
          "trace.csv": "d425a4ae5e7722df94dd530ef1e93400ad936fa04644d13084eace22195349a8"}),
-    "no_oracle": (
-        {"oracle": False, "alpha": 0.15, "tol": 0.01, "seed": 1,
-         "epsilon": 0.02, "failure_policy": "forced_uniform"},
-        {"trace.jsonl": "b67ef50f97c794f73bb0230356fee74f800d36568ed07e3dae677ffc13a995fa",
-         "trace.csv": "8ca64f5f2bfac2f9026f27b49e01d41a8f934e93e62b521a8ad2abe682c5eefc"}),
     "no_epsilon": (
-        {"oracle": True, "alpha": 0.15, "tol": 0.01, "seed": 3,
+        {"alpha": 0.15, "tol": 0.01, "seed": 3,
          "epsilon": None, "failure_policy": "forced_uniform"},
         {"trace.jsonl": "f8a97e2f7da8086055fac13b835e9a4c7926e34b996e575ef575bf0c1b85399a",
          "trace.csv": "f340c5ba92d58c1b3afeba8d3a9ab6da53e37e441642bbb1a5d89cbb7b6c297d"}),
 }
 
 
-def null_field_run(oracle, alpha, tol, seed, epsilon, failure_policy):
+def null_field_run(alpha, tol, seed, epsilon, failure_policy):
     data = rng_for(("golden-null", 0)).normal(0.0, 0.3, (40, 2))
     data += np.array([0.3, -0.2])
     mu = data.mean(axis=0)
@@ -257,8 +251,7 @@ def null_field_run(oracle, alpha, tol, seed, epsilon, failure_policy):
                                    lambda pts: pts)
     model = QuadraticPerfModel(ConditionSampler.empirical(data, seed=seed),
                                stats_fn,
-                               true_stats=(np.eye(2), mu, float(dot(mu, mu)))
-                               if oracle else None)
+                               true_stats=(np.eye(2), mu, float(dot(mu, mu))))
     return run_evolution(model, EvolutionConfig(
         mutations=MutationSet.orthonormal(2), alpha=alpha, tol=tol, m=20,
         t_steps=40, seed=seed, epsilon=epsilon, failure_policy=failure_policy,

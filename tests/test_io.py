@@ -19,7 +19,7 @@ from evospace.io import (load_config, load_dataset_csv, read_config,
 
 def steps_fixture():
     """A step that took the first +1 mutant, then a halted step."""
-    trace = Trace(5, oracle=True, epsilon=0.1)
+    trace = Trace(5, epsilon=0.1)
     trace.record(0, -1.0, -0.9, 2, 1, 0, False)
     trace.perf_true[0] = -0.95   # the loop's oracle column fills it
     trace.halt(1, -0.9)
@@ -49,7 +49,7 @@ class TestTraceFiles:
         rec0 = json.loads(first.read_text().splitlines()[0])
         assert rec0["in_target_set"] is False and rec0["chosen_polarity"] == 1
         empty = tmp_path / "empty.jsonl"
-        write_trace_jsonl(str(empty), Trace(0, oracle=False, epsilon=None))
+        write_trace_jsonl(str(empty), Trace(0, epsilon=None))
         assert empty.read_bytes() == b""
 
     def test_trace_writer_rejects_a_nonfinite_row(self, tmp_path):

@@ -141,7 +141,7 @@ class TestPlainFloatScore:
         A = values(rng, d, d)
         quad, cross, const = A @ A.T, values(rng, d), float(values(rng, 1)[0])
         f, steps = values(rng, d), values(rng, rows, d)
-        model = QuadraticPerfModel(None, None)
+        model = QuadraticPerfModel(None, None, (quad, cross, const))
         perf_f, gains = model.score((quad, cross, const), f, steps)
         assert perf_f == -(quad_form(f, quad) - 2.0 * dot(f, cross) + const)
         want = 2.0 * dot(steps, cross - matvec(quad, f)) - quad_form(steps, quad)

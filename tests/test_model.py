@@ -460,7 +460,7 @@ class TestWeightBlocks:
         stats_fn = quadratic_stats_for(DataColumnPanel(dG), gen,
                                        lambda P: P[:, dG:])
         model = QuadraticPerfModel(ConditionSampler.empirical(data, seed=seed),
-                                   stats_fn)
+                                   stats_fn, stats_fn(data, np.full(n, 1 / n)))
         reference = RngForSampler.empirical(data, seed=seed)
         # the one-sample reduction written out on Python floats, each sum
         # over the rows in the kernels' pairwise order
