@@ -74,7 +74,7 @@ def basis_quality(vectors) -> BasisQuality:
     else:
         cos_min = 0.0
         for i, j in itertools.combinations(range(k), 2):
-            c = abs(float(dot(B[:, i], B[:, j]))) / (norms[i] * norms[j])
+            c = abs(float(dot(B[:, i], B[:, j]))) / float(norms[i] * norms[j])
             cos_min = max(cos_min, min(c, 1.0))
         theta = math.acos(cos_min)
         kappa_a = 1.0 - (1.0 - cos_min) ** (k - 1)

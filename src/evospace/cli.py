@@ -137,13 +137,11 @@ class _RunSetup:
                 raise ConfigError("explicit mutations need mutations.vectors")
             self.mutations = MutationSet(np.column_stack(list(mut_cfg["vectors"])))
 
-        self.epsilon = sched_cfg["epsilon"]
-        self.knobs = KnobTriple(*(sched_cfg["knobs"] or DEFAULT_KNOBS))
         self.f0 = np.zeros(self.dim) if self.run_cfg["f0"] is None else self.run_cfg["f0"]
-        self.constants = estimate_model_constants(
-            self.panel, self.mutations, self.sampler, self.gen)
         self.schedule = compute_schedule(
-            self.epsilon, self.knobs, self.constants,
+            sched_cfg["epsilon"], KnobTriple(*(sched_cfg["knobs"] or DEFAULT_KNOBS)),
+            estimate_model_constants(self.panel, self.mutations, self.sampler,
+                                     self.gen),
             horizon=sched_cfg["d_hint"], f0=self.f0, t_coords=self.t_coords,
             c_t=sched_cfg["c_t"], c_m=sched_cfg["c_m"], m_cap=sched_cfg["m_cap"])
 
@@ -154,8 +152,7 @@ def _cmd_evolve(args) -> int:
     period = rc["renewal_period"]
     result, config = run_seed(
         setup.model, setup.mutations, setup.schedule, setup.seed,
-        setup.epsilon, m_override=rc["m_override"],
-        t_override=rc["t_override"], f0=setup.f0,
+        m_override=rc["m_override"], t_override=rc["t_override"], f0=setup.f0,
         failure_policy=rc["failure_policy"],
         renewal=(period, setup.renewal_fn if period else None),
         record_path=rc["record_path"])
@@ -178,15 +175,13 @@ def _cmd_evolve(args) -> int:
         })
     _emit({
         "steps": len(result.trace), "failed": result.failed,
-        "failure_step": result.failure_step,
+        "failure_step": len(result.trace) - 1 if result.failed else None,
         "forced_steps": result.forced_steps,
         "initial_true_perf": result.initial_true_perf,
         "final_true_perf": result.final_true_perf,
-        "in_target_set": bool(result.final_true_perf >= -setup.epsilon),
+        "in_target_set": bool(result.final_true_perf >= -config.epsilon),
     })
-    if result.failed and config.failure_policy == "strict":
-        return EXIT_FAILED_RUN
-    return EXIT_OK
+    return EXIT_FAILED_RUN if result.failed else EXIT_OK
 
 
 def _parse_seeds(text: str) -> list:

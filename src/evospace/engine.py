@@ -101,14 +101,14 @@ def _gain_scorer(d: int) -> tuple:
 class QuadraticPerfModel:
     """The loop's model: empirical performance exact quadratic in the genome.
 
-    Each step the loop calls ``pre_step(step, coords)`` with the coordinates
-    before the step, ``draw(step, m)`` for the step's statistics and
-    ``score(stats, coords, steps)``.  ``true_perf(coords, step)`` is the
-    oracle perf of the organism after ``step`` steps; the loop calls it
-    before the first step and after the last.  Between them it keeps the
-    coordinates after each step and calls ``true_perf_rows(C)`` on a block
-    of up to ``ORACLE_BLOCK`` of them, C[k] the organism after the k-th step
-    since the last call.
+    Each step the loop calls ``draw(step, m, coords)`` for the step's
+    statistics, with the coordinates before the step, and then ``score(stats,
+    coords, steps)``.  ``true_perf(coords, step)`` is the oracle perf of the
+    organism after ``step`` steps; the loop calls it before the first step
+    and after the last.  Between them it keeps the coordinates after each
+    step and calls ``true_perf_rows(C)`` on a block of up to
+    ``ORACLE_BLOCK`` of them, C[k] the organism after the k-th step since
+    the last call.
 
     ``stats_fn(points, weights)`` maps a condition sample to a triple
     (quad, cross, const) with performance -(c^T quad c - 2 c . cross + const);
@@ -133,10 +133,7 @@ class QuadraticPerfModel:
         self.true_stats = true_stats
         self._premium_key = (None, None)
 
-    def pre_step(self, step: int, coords: np.ndarray) -> None:
-        """Called before each step's draw with the current coordinates."""
-
-    def draw(self, step: int, m: int):
+    def draw(self, step: int, m: int, coords: np.ndarray):
         quad, cross, const = self.sampler.reduce(step, m, self.stats_fn)
         return quad, cross, float(const)
 
@@ -182,8 +179,6 @@ def quadratic_stats_for(panel: GenePanel, gen: BregmanGenerator,
 
     def moments(points: np.ndarray, weights: np.ndarray) -> tuple:
         t = np.asarray(target_fn(points), dtype=float)
-        if t.ndim < np.ndim(points):
-            t = t[..., None]
         if t.shape[:-1] != np.shape(points)[:-1]:
             raise ModelError(
                 f"target_fn mapped points of shape {np.shape(points)} to "
@@ -207,9 +202,9 @@ class EvolutionConfig:
     tol: float
     m: int
     t_steps: int
+    epsilon: float                        # for in-target trace flags
     seed: int = 0
     failure_policy: str = "strict"
-    epsilon: Optional[float] = None       # for in-target trace flags
     renewal_period: Optional[int] = None  # draw a new mutation set every k steps
     renewal_fn: Optional[Callable] = None  # (rng, step) -> MutationSet
     f0: Optional[np.ndarray] = None
@@ -218,7 +213,8 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.failure_policy not in FAILURE_POLICIES:
             raise ConfigError(f"failure policy must be one of {FAILURE_POLICIES}")
-        for name, value in (("alpha", self.alpha), ("tol", self.tol)):
+        for name, value in (("alpha", self.alpha), ("tol", self.tol),
+                            ("epsilon", self.epsilon)):
             if not 0 < value < np.inf:   # NaN fails both comparisons
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.m < 1 or self.t_steps < 1:
@@ -245,7 +241,7 @@ class Trace:
               "chosen_index", "chosen_polarity", "forced", "failed",
               "perf_true", "in_target_set")
 
-    def __init__(self, t_steps: int, epsilon: Optional[float]):
+    def __init__(self, t_steps: int, epsilon: float):
         # np.empty pages that are never written cost no memory
         self.perf_before = np.empty(t_steps)
         self.perf_after = np.empty(t_steps)
@@ -293,14 +289,12 @@ class Trace:
         steps = range(len(self))[start:stop]
         cut = slice(steps.start, steps.stop)
         j = self.j[cut]
-        in_target = ([None] * len(steps) if self.epsilon is None
-                     else self.in_target(cut).tolist())
         out = [dict(zip(self.FIELDS, values)) for values in zip(
             steps, self.perf_before[cut].tolist(), self.perf_after[cut].tolist(),
             self.bene_size[cut].tolist(), self.neut_size[cut].tolist(),
             (j // 2).tolist(), (1 - 2 * (j % 2)).tolist(),
             self.forced[cut].tolist(), [False] * len(steps),
-            self.perf_true[cut].tolist(), in_target)]
+            self.perf_true[cut].tolist(), self.in_target(cut).tolist())]
         if self.failed and steps and steps[-1] == len(self) - 1:
             out[-1].update(chosen_index=None, chosen_polarity=None, failed=True,
                            perf_true=None, in_target_set=None)
@@ -312,7 +306,6 @@ class EvolutionResult:
     organism: Organism
     trace: Trace
     failed: bool
-    failure_step: Optional[int]
     forced_steps: int
     bene_steps: int
     neut_steps: int
@@ -328,8 +321,7 @@ def mutator_step(model: QuadraticPerfModel, organism: Organism, config: Evolutio
 
     Mutates ``organism`` in place; returns True when a strict run halts.
     """
-    model.pre_step(step, organism.coords)
-    stats = model.draw(step, config.m)
+    stats = model.draw(step, config.m, organism.coords)
     perf_f, gains = model.score(stats, organism.coords, steps_matrix)
     bene, neut = _classify(gains, config.tol)
     forced = not (bene or neut)
@@ -398,7 +390,6 @@ def run_evolution(model: QuadraticPerfModel, config: EvolutionConfig) -> Evoluti
     bene = int(np.count_nonzero(trace.bene_size))
     return EvolutionResult(
         organism=organism, trace=trace, failed=trace.failed,
-        failure_step=len(trace) - 1 if trace.failed else None,
         forced_steps=forced, bene_steps=bene,
         neut_steps=trace.moves - forced - bene,
         initial_true_perf=initial_tp,

@@ -249,7 +249,7 @@ class MeanEstimationModel(QuadraticPerfModel):
         self.drift_steps = 0
         self._targets = []   # the target of each step not yet scored
 
-    def pre_step(self, step: int, coords: np.ndarray) -> None:
+    def draw(self, step: int, m: int, coords: np.ndarray):
         # The target holds still for the first evaluation and moves between
         # steps, so a run of T steps sees T-1 perturbations.  Step 0 starts
         # the target over, so an instance can be run again.
@@ -263,15 +263,13 @@ class MeanEstimationModel(QuadraticPerfModel):
             self._shift = self.t_cur - self.mu0
             self.drift_steps += 1
         self._targets.append(self.t_cur)
-
-    def draw(self, step: int, m: int):
         (mean,) = self.sampler.reduce(step, m, _sample_mean)
         center = mean + self._shift
         c = center.tolist()
         return (self._eye, center, dot_floats(c, c))
 
     def true_perf(self, coords, step: int) -> float:
-        # step 0 is scored before pre_step(0) restarts the target
+        # step 0 is scored before draw(0) restarts the target
         t = self.mu0 if step == 0 else self.t_cur
         return float(self._eval((self._eye, t, dot(t, t)),
                                 np.asarray(coords, float)))
@@ -366,7 +364,7 @@ def labels_problem(X: np.ndarray, y: np.ndarray, seed: int,
 
 
 def run_seed(model: QuadraticPerfModel, mutations: MutationSet,
-             schedule: Schedule, seed: int, epsilon: float, *,
+             schedule: Schedule, seed: int, *,
              m_override=None, t_override=None, f0=None,
              failure_policy: str = "strict", renewal: tuple = (None, None),
              record_path: bool = False, trace_to: Optional[tuple] = None) -> tuple:
@@ -382,7 +380,7 @@ def run_seed(model: QuadraticPerfModel, mutations: MutationSet,
         mutations=mutations, alpha=schedule.alpha, tol=schedule.tol,
         m=int(schedule.m if m_override is None else m_override),
         t_steps=int(schedule.t_steps if t_override is None else t_override),
-        seed=seed, failure_policy=failure_policy, epsilon=epsilon,
+        epsilon=schedule.epsilon, seed=seed, failure_policy=failure_policy,
         renewal_period=renewal[0], renewal_fn=renewal[1], f0=f0,
         record_path=record_path)
     result = run_evolution(model, config)
@@ -432,9 +430,8 @@ def _unsupervised_mean(cfg, opts, trace_to) -> dict:
         model = MeanEstimationModel(ConditionSampler.empirical(pts, seed=seed), mu)
         trace = trace_to(pos, seed)
         result, _ = run_seed(model, MutationSet.orthonormal(2), schedule, seed,
-                             eps, m_override=m, t_override=t_steps,
-                             f0=np.zeros(2), record_path=trace is not None,
-                             trace_to=trace)
+                             m_override=m, t_override=t_steps, f0=np.zeros(2),
+                             record_path=trace is not None, trace_to=trace)
 
         before, after = _oracle_steps(result)
         far = (result.trace.bene_size[:after.size] > 0) & (before < -eps)
@@ -518,7 +515,7 @@ def _agnostic(cfg, opts, trace_to) -> dict:
             true_stats=true_stats)
         trace = trace_to(pos, seed)
         result, config = run_seed(
-            model, mutations, schedule, seed, eps,
+            model, mutations, schedule, seed,
             m_override=opts["m_override"], t_override=opts["t_override"],
             f0=np.zeros(2), record_path=trace is not None, trace_to=trace)
 
@@ -598,7 +595,7 @@ def _supervised_linear(cfg, opts, trace_to) -> dict:
         schedule = compute_schedule(eps, _SUP_KNOBS, constants, horizon=1)
         trace = trace_to(pos, seed)
         result, config = run_seed(
-            prob.model, prob.first_basis, schedule, seed, eps,
+            prob.model, prob.first_basis, schedule, seed,
             m_override=opts["m_override"], t_override=opts["t_override"],
             f0=np.zeros(2), failure_policy="forced_uniform",
             renewal=(1000, prob.renew),   # a fresh data pair every 1,000 steps
@@ -629,7 +626,7 @@ def _supervised_linear(cfg, opts, trace_to) -> dict:
     total_drops = sum(r["drops"] for r in rows)
     attributed = sum(r["drops_forced_or_neutral"] for r in rows)
     return {
-        "knobs": list(_SUP_KNOBS.as_tuple()),
+        "knobs": list(_SUP_KNOBS),
         "per_seed": rows,
         "success_fraction": sum(r["success"] for r in rows) / len(rows),
         "seeds_with_failures":
@@ -706,7 +703,7 @@ def _stability(cfg, opts, trace_to) -> dict:
             model = MeanEstimationModel(
                 ConditionSampler.empirical(pts, seed=seed), mu)
             result, _ = run_seed(model, MutationSet.orthonormal(2), schedule,
-                                 seed, eps, m_override=opts["m_override"],
+                                 seed, m_override=opts["m_override"],
                                  t_override=t_override, f0=f0,
                                  trace_to=trace_to(pos, f"{tag}-{seed}"))
             out = {"seed": seed, "data_tries": tries,
@@ -718,7 +715,7 @@ def _stability(cfg, opts, trace_to) -> dict:
         rows = [row(pos, seed) for pos, seed in enumerate(cfg.seeds)]
         hit_rows = [r for r in rows if r["hit_step"] is not None]
         return {
-            "knobs": list(knobs.as_tuple()),
+            "knobs": list(knobs),
             "rows": rows,
             "hit_fraction": len(hit_rows) / len(rows),
             "dwell_fraction": sum(r["dwell_ok"] for r in rows) / len(rows),
@@ -764,6 +761,15 @@ def _drift(cfg, opts, trace_to) -> dict:
     data, schedule, m, t_steps = _mean_problem(cfg, opts)
     bound = drift_bound(schedule)
     plan = make_drift_plan(schedule)
+    for multiplier in (*opts["multipliers"], *opts["extended_multipliers"]):
+        # the target ends up to nu * t_steps from its start, and each step
+        # squares its distance to the organism: twice that leaves room for
+        # the start and the organism
+        reach = bound * multiplier * t_steps
+        if not math.isfinite(4.0 * reach * reach):
+            raise ConfigError(f"drift multiplier {multiplier:g} moves the target "
+                              f"up to {reach:g} in {t_steps} steps, whose "
+                              "square overflows the float range")
 
     def run_arm(multiplier: float, seeds: Sequence[int]) -> dict:
         nu = bound * multiplier
@@ -775,7 +781,7 @@ def _drift(cfg, opts, trace_to) -> dict:
             trace = trace_to(pos, f"x{multiplier:g}-{seed}") \
                 if multiplier in (0.0, 1.0) else None
             result, _ = run_seed(model, MutationSet.orthonormal(2), schedule,
-                                 seed, eps, m_override=m, t_override=t_steps,
+                                 seed, m_override=m, t_override=t_steps,
                                  f0=np.zeros(2), trace_to=trace)
             shift = model.t_cur - model.mu0
             return {

@@ -40,6 +40,8 @@ class FrontierProblem:
             raise ModelError("frontier problem shape mismatch")
         if not np.allclose(G, G.T, atol=1e-10):
             raise ModelError("gamma must be symmetric")
+        if np.abs(G).max() > np.finfo(float).max / 2:   # so G + G.T is finite
+            raise ModelError("gamma overflows the float range")
         eig = np.linalg.eigvalsh(0.5 * (G + G.T))
         if eig[0] <= 0:
             raise ModelError("gamma must be positive definite")
@@ -53,13 +55,16 @@ class FrontierProblem:
         ones = np.ones(G.shape[0])
         self.gamma_inv_one = np.linalg.solve(self.gamma, ones)
         self.s = float(dot(ones, self.gamma_inv_one))
-        self.cap_delta = float(dot(ones, d))
-        self.delta_quad = float(quad_form(d, self.gamma))
-        self.p_delta = 0.5 * self.alpha * self.delta_quad
-        # the closed forms square these, and a float square past 1e154 raises
-        if not np.isfinite(np.square([self.n, self.cap_delta,
-                                      self.s * self.delta_quad])).all():
+        # the closed forms square these, and a float square past 1e154
+        # overflows: an overflow here is reported as a ModelError below
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.cap_delta = float(dot(ones, d))
+            self.delta_quad = float(quad_form(d, self.gamma))
+            squares = np.square([self.n, self.cap_delta,
+                                 self.s * self.delta_quad])
+        if not np.isfinite(squares).all():
             raise ModelError("frontier problem data overflow the float range")
+        self.p_delta = 0.5 * self.alpha * self.delta_quad
 
     # scale against which the budget-return system degenerates; by
     # Cauchy-Schwarz cap_delta^2 <= s * delta_quad with equality iff delta is

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, ModelError
 from .kernels import dot, matvec, quad_form, weighted_rows
@@ -158,6 +159,25 @@ def _stream_seeds(prefix: list, first: int, count: int) -> np.ndarray:
     return seeds
 
 
+class _SeedRow(ISeedSequence):
+    """A ``_stream_seeds`` row as the seed sequence of one PCG64.
+
+    ``PCG64`` asks its seed sequence for four uint64 words, and the row holds
+    the four that ``SeedSequence`` gives for the same stream.
+    """
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype) -> np.ndarray:
+        return self.row
+
+
+def _seeded(row: np.ndarray) -> np.random.Generator:
+    """The generator ``rng_for`` builds for the stream of a seed row."""
+    return np.random.Generator(np.random.PCG64(_SeedRow(row)))
+
+
 def _jump_limbs(outputs: int) -> np.ndarray:
     """(8, outputs) jump-ahead constants for the first ``outputs`` PCG64 outputs.
 
@@ -252,7 +272,11 @@ class BregmanGenerator:
         eig = np.linalg.eigvalsh(m)
         if eig[0] <= 0:
             raise ModelError("mahalanobis matrix must be positive definite")
-        return cls(2.0 * eig[0], 2.0 * eig[-1], matrix=0.5 * (m + m.T))
+        h_min, h_max = 2.0 * float(eig[0]), 2.0 * float(eig[-1])
+        if h_max == math.inf:
+            raise ModelError(f"the mahalanobis matrix overflows the float "
+                             f"range: its curvature 2 * {eig[-1]} is not finite")
+        return cls(h_min, h_max, matrix=0.5 * (m + m.T))
 
     @classmethod
     def custom(cls, value: Callable, gradient: Callable, h_min: float,
@@ -418,10 +442,9 @@ class ConditionSampler:
     It draws from exactly one of ``data``, an (n, k) dataset, and ``fn``, a
     callback ``rng, m -> (m, k)``.  ``draw(index, m)`` draws the one step
     ``index`` on the stream ``rng_for(seed, index)``.  For indices in
-    [0, 2**32) the sampler gets there without building a generator per draw:
-    it hashes the seeds of a block of indices at once and moves one reused
-    generator to the index's seeded state, so the ``rng`` handed to a
-    ``from_callable`` callback is valid only during that call.
+    [0, 2**32) the sampler gets there without ``SeedSequence``: it hashes
+    the seeds of a block of indices at once and builds each draw's generator
+    from its index's row (``_seeded``).
 
     ``reduce(index, m, fn)`` gives a step the statistics ``fn`` computes
     from its sample.  An empirical sampler computes them once for a cached
@@ -446,8 +469,6 @@ class ConditionSampler:
         self.fn = fn
         self.seed = seed
         self._uniform = np.empty(0)
-        self._bit_generator = np.random.PCG64(0)
-        self._rng = np.random.Generator(self._bit_generator)
         self._block_start = -1
         self._block = None
         self._steps = (0, 0, np.empty((0, 0)))
@@ -469,10 +490,7 @@ class ConditionSampler:
         return cls(fn=fn, seed=seed)
 
     def _stream(self, index) -> np.random.Generator:
-        # rng_for(self.seed, index), by seeding the reused PCG64 the way
-        # PCG64(SeedSequence) does from the seed row (s0, s1, s2, s3):
-        # initstate = s0:s1 and initseq = s2:s3 (high:low 64-bit words),
-        # inc = 2 * initseq + 1, then state = (inc + initstate) * MULT + inc.
+        # rng_for(self.seed, index), from the index's row of the block's seeds
         if not (isinstance(index, (int, np.integer)) and 0 <= index < 1 << 32):
             return rng_for(self.seed, index)
         start = index - index % _SEED_BLOCK
@@ -480,18 +498,7 @@ class ConditionSampler:
             self._block = _stream_seeds(_uint32_words(_seed_words(self.seed)),
                                         start, _SEED_BLOCK)
             self._block_start = start
-        return self._seeded(self._block[index - start])
-
-    def _seeded(self, row: np.ndarray) -> np.random.Generator:
-        # the reused generator, seeded from one row of ``_stream_seeds``
-        s0, s1, s2, s3 = row.tolist()
-        inc = ((s2 << 65) | (s3 << 1) | 1) & _MASK128
-        state = (((s0 << 64) | s1) + inc) * _PCG64_MULT + inc
-        self._bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state & _MASK128, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-        return self._rng
+        return _seeded(self._block[index - start])
 
     def _index_rows(self, first: int, count: int, m: int) -> np.ndarray:
         """(count, m) matrix whose row k is ``rng_for(seed, first + k).integers(0, n, size=m)``.
@@ -518,7 +525,7 @@ class ConditionSampler:
             if threshold:
                 redo = ((scaled & _MASK32) < threshold).any(axis=1)
                 for k in np.flatnonzero(redo) + start:
-                    rows[k] = self._seeded(seeds[k]).integers(0, n, size=m)
+                    rows[k] = _seeded(seeds[k]).integers(0, n, size=m)
         return rows
 
     def _weight_rows(self, indices, m: int) -> np.ndarray:
@@ -642,7 +649,11 @@ class MutationSet:
         B = _as_matrix(vectors, "mutation vectors")
         self.vectors = B
         self.dG, self.dF = B.shape
-        norms = np.sqrt(dot(B.T, B.T))
+        with np.errstate(over="ignore"):   # reported as a ModelError below
+            norms = np.sqrt(dot(B.T, B.T))
+        if not np.isfinite(norms).all():
+            raise ModelError("the mutation vectors overflow the float range: "
+                             "a squared norm is not finite")
         if np.any(norms == 0.0):
             raise ModelError("mutation vectors must be nonzero")
         self.norms = norms

@@ -28,9 +28,6 @@ class KnobTriple(NamedTuple):
     z_alpha: float
     z_tol: float
 
-    def as_tuple(self) -> tuple:
-        return (self.z_tau, self.z_alpha, self.z_tol)
-
     def to_dict(self) -> dict:
         return self._asdict()
 
@@ -191,7 +188,7 @@ class Schedule:
     c_t: float
     c_m: float
     m_cap: int
-    constants: ModelConstants = None
+    constants: ModelConstants
 
     @property
     def margin(self) -> float:
@@ -199,10 +196,8 @@ class Schedule:
         return self.tol - self.alpha * self.tau
 
     def to_dict(self) -> dict:
-        d = dict(vars(self), knobs=self.knobs.to_dict())
-        if d.pop("constants") is not None:
-            d["constants"] = self.constants.to_dict()
-        return d
+        return dict(vars(self), knobs=self.knobs.to_dict(),
+                    constants=self.constants.to_dict())
 
 
 def conditioning_scale(constants: ModelConstants, horizon: int) -> float:
@@ -226,12 +221,13 @@ def compute_schedule(epsilon: float, knobs: KnobTriple, constants: ModelConstant
     if not (0.0 < epsilon <= 1.0):
         raise ConfigError(f"epsilon must lie in (0, 1], got {epsilon}")
     if not knob_region_check(knobs):
-        raise ConfigError(f"knob triple {knobs.as_tuple()} is outside the admissible region")
+        raise ConfigError(f"knob triple {tuple(knobs)} is outside the admissible region")
     if horizon is None:
         if f0 is None or t_coords is None:
             raise ConfigError("need either an explicit horizon or both f0 and t_coords")
-        gap = np.asarray(t_coords, float) - np.asarray(f0, float)
-        dist = float(np.sqrt(dot(gap, gap)))
+        with np.errstate(over="ignore"):   # reported as a ConfigError below
+            gap = np.asarray(t_coords, float) - np.asarray(f0, float)
+            dist = float(np.sqrt(dot(gap, gap)))
         if not math.isfinite(dist / constants.max_b_norm):
             raise ConfigError(f"the horizon from f0 to the target is not finite ({dist})")
         horizon = max(1, math.ceil(dist / constants.max_b_norm))
@@ -283,8 +279,6 @@ def compute_schedule(epsilon: float, knobs: KnobTriple, constants: ModelConstant
 def drift_bound(schedule: Schedule) -> float:
     """Largest admissible per-step drift of the target encoding."""
     c = schedule.constants
-    if c is None:
-        raise ConfigError("drift bound needs a schedule carrying model constants")
     if schedule.v <= 0:
         raise ModelError("premium scale v must be positive")
     z = schedule.knobs

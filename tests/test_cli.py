@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -455,6 +456,45 @@ def test_long_evolve_run_memory_is_bounded(tmp_path):
     assert json.loads(summary)["steps"] == 50000
     assert (tmp_path / "out" / "trace.jsonl").stat().st_size > 0
     assert int(rss_kb) < EVOLVE_RSS_BOUND_KB, f"peak RSS {int(rss_kb)} KB"
+
+
+def overflow_configs(mean_csv, labels_csv) -> dict:
+    """Inputs whose arithmetic overflows floats: command, config, message."""
+    return {
+        "mutation_vectors": (["evolve"], {
+            **mean_config(mean_csv),
+            "mutations": {"source": "explicit",
+                          "vectors": [[1e308, 0.0], [0.0, 1.0]]}},
+            "the mutation vectors overflow the float range"),
+        "c_t": (["evolve"], {
+            "model": {"dataset": labels_csv, "target": "labels",
+                      "generator": {"kind": "mahalanobis", "matrix": [[2.0]]}},
+            "mutations": {"source": "data_pairs"},
+            "schedule": {"epsilon": 0.25, "c_t": 1e308}},
+            r"c_t \* t_exact = 1e\+308 \* .* is not finite"),
+        "frontier_delta": (["frontier"], {
+            "gamma": [[2.0, 0.3], [0.3, 1.0]], "delta": [1e308, -0.5],
+            "n": 1.0, "alpha": 0.1, "premium": 1.0},
+            "frontier problem data overflow the float range"),
+        "drift_multiplier": (["experiment"], {
+            "scenario": "drift", "seeds": [0], "epsilon": 0.1,
+            "overrides": {"t_override": 20, "multipliers": [1e308],
+                          "extended_multipliers": []}},
+            r"drift multiplier 1e\+308 moves the target"),
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["mutation_vectors", "c_t", "frontier_delta",
+                                  "drift_multiplier"])
+def test_overflowing_inputs_exit_2_with_one_line(tmp_path, capsys, mean_csv,
+                                                 labels_csv, case):
+    # each overflow is named before numpy can warn of it
+    command, cfg, message = overflow_configs(mean_csv, labels_csv)[case]
+    code, err = cli_error(capsys, *command, "--config", write_cfg(tmp_path, cfg))
+    assert code == 2
+    [line] = err.splitlines()
+    assert re.match(f"error: {message}", line), line
 
 
 class TestDiagnose:

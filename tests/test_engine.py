@@ -58,7 +58,7 @@ class TestNeighborhood:
 
     def test_gains_follow_the_order(self):
         model = constant_stats_model(3, cross=np.array([0.3, -0.1, 0.2]))
-        stats = model.draw(0, 1)
+        stats = model.draw(0, 1, None)
         B = MutationSet(rng_for(45).standard_normal((3, 4)))
         c = np.array([0.1, -0.2, 0.3])
         perf_f, gains = model.score(stats, c, _signed_steps(B, 0.05))
@@ -76,7 +76,8 @@ class TestNeighborhood:
         for alpha in (0.0, -0.1):
             with pytest.raises(ConfigError):
                 EvolutionConfig(mutations=MutationSet.orthonormal(2),
-                                alpha=alpha, tol=0.1, m=1, t_steps=1)
+                                alpha=alpha, tol=0.1, m=1,
+                                t_steps=1, epsilon=0.1)
 
 
 class TestClassify:
@@ -112,7 +113,7 @@ class TestClassify:
     def test_tol_validation(self):
         with pytest.raises(ConfigError):
             EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
-                            tol=0.0, m=1, t_steps=1)
+                            tol=0.0, m=1, t_steps=1, epsilon=0.1)
 
     def test_scored_gains_classify_like_direct_divergences(self):
         gen = BregmanGenerator.squared_euclidean()
@@ -185,7 +186,7 @@ class TestScore:
         sampler = ConditionSampler.from_callable(
             lambda rng, m: rng.standard_normal((m, 2)), seed=0)
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.05,
-                              tol=1e-4, m=1, t_steps=40, seed=9,
+                              tol=1e-4, m=1, t_steps=40, epsilon=0.1, seed=9,
                               failure_policy="forced_uniform",
                               renewal_period=4, renewal_fn=renew)
         true_stats = (quads[0], cross, 0.5)
@@ -202,7 +203,8 @@ class TestSelection:
         # all four +1 mutants beneficial every step; chi-square on the choice
         dim, steps = 4, 2000
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(dim),
-                              alpha=0.1, tol=0.05, m=1, t_steps=steps, seed=3)
+                              alpha=0.1, tol=0.05, m=1, t_steps=steps, epsilon=0.1,
+                              seed=3)
         res = run_evolution(LinearModel(dim), cfg)
         assert res.bene_steps == steps
         rows = res.trace.rows()
@@ -214,7 +216,8 @@ class TestSelection:
         # no mutant clears tol but all sit strictly inside it
         dim = 3
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(dim),
-                              alpha=0.01, tol=10.0, m=1, t_steps=50, seed=4)
+                              alpha=0.01, tol=10.0, m=1, t_steps=50, epsilon=0.1,
+                              seed=4)
         res = run_evolution(LinearModel(dim), cfg)
         assert res.neut_steps == 50 and res.bene_steps == 0
         assert not res.failed
@@ -225,10 +228,10 @@ class TestFailurePolicies:
         # from the origin of perf = -|c|^2 every mutant loses alpha^2 >= tol
         model = constant_stats_model(2)
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2),
-                              alpha=0.5, tol=0.1, m=1, t_steps=100, seed=5,
-                              record_path=True)
+                              alpha=0.5, tol=0.1, m=1, t_steps=100, epsilon=0.1,
+                              seed=5, record_path=True)
         res = run_evolution(model, cfg)
-        assert res.failed and res.failure_step == 0
+        assert res.failed and len(res.trace) == 1
         [row] = res.trace.rows()
         assert row["failed"] and row["chosen_index"] is None
         assert row["bene_size"] == 0 and row["neut_size"] == 0
@@ -238,8 +241,8 @@ class TestFailurePolicies:
     def test_forced_uniform_continues(self):
         model = constant_stats_model(2)
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2),
-                              alpha=0.5, tol=0.1, m=1, t_steps=100, seed=5,
-                              failure_policy="forced_uniform")
+                              alpha=0.5, tol=0.1, m=1, t_steps=100, epsilon=0.1,
+                              seed=5, failure_policy="forced_uniform")
         res = run_evolution(model, cfg)
         assert not res.failed
         assert len(res.trace) == 100
@@ -250,18 +253,26 @@ class TestFailurePolicies:
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
             EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
-                            tol=0.1, m=1, t_steps=1, failure_policy="retry")
+                            tol=0.1, m=1, t_steps=1, epsilon=0.1,
+                            failure_policy="retry")
 
-    @pytest.mark.parametrize("name", ["alpha", "tol"])
+    @pytest.mark.parametrize("name", ["alpha", "tol", "epsilon"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_step_and_tolerance_must_be_finite(self, name, value):
-        # a NaN alpha ran to the end with NaN coordinates, and an infinite
-        # tol made every mutant neutral; zero and negative values are
-        # rejected in test_alpha_must_be_positive and test_tol_validation
-        sizes = {"alpha": 0.1, "tol": 0.1, name: value}
+        # a NaN alpha ran to the end with NaN coordinates, an infinite tol
+        # made every mutant neutral, and a NaN epsilon flagged no row as in
+        # target; zero and negative alpha and tol are rejected in
+        # test_alpha_must_be_positive and test_tol_validation
+        sizes = {"alpha": 0.1, "tol": 0.1, "epsilon": 0.1, name: value}
         with pytest.raises(ConfigError, match=f"^{name} must be positive and finite"):
             EvolutionConfig(mutations=MutationSet.orthonormal(2), m=1,
                             t_steps=1, **sizes)
+
+    def test_epsilon_is_required(self):
+        # every run flags each row in or out of the epsilon target set
+        with pytest.raises(TypeError, match="epsilon"):
+            EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
+                            tol=0.1, m=1, t_steps=1)
 
 
 class TestRenewal:
@@ -273,8 +284,8 @@ class TestRenewal:
             return MutationSet.orthonormal(2)
 
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2),
-                              alpha=0.1, tol=0.05, m=1, t_steps=5, seed=6,
-                              renewal_period=2, renewal_fn=renew)
+                              alpha=0.1, tol=0.05, m=1, t_steps=5, epsilon=0.1,
+                              seed=6, renewal_period=2, renewal_fn=renew)
         run_evolution(LinearModel(2), cfg)
         assert calls == [0, 2, 4]
 
@@ -283,8 +294,8 @@ class TestRenewal:
             return MutationSet.orthonormal(3)
 
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(3),
-                              alpha=0.1, tol=0.05, m=1, t_steps=10, seed=7,
-                              renewal_period=5, renewal_fn=renew)
+                              alpha=0.1, tol=0.05, m=1, t_steps=10, epsilon=0.1,
+                              seed=7, renewal_period=5, renewal_fn=renew)
         res = run_evolution(LinearModel(3), cfg)
         # last renewal at t=5, so at most 5 steps of counts accumulate
         assert np.abs(res.organism.counts).sum() <= 5
@@ -293,16 +304,18 @@ class TestRenewal:
     def test_period_below_one_rejected(self, period):
         with pytest.raises(ConfigError, match="renewal_period must be >= 1"):
             EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
-                            tol=0.1, m=1, t_steps=1, renewal_period=period,
+                            tol=0.1, m=1, t_steps=1, epsilon=0.1,
+                            renewal_period=period,
                             renewal_fn=lambda rng, step: MutationSet.orthonormal(2))
 
     def test_period_without_fn_rejected(self):
         with pytest.raises(ConfigError):
             EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
-                            tol=0.1, m=1, t_steps=1, renewal_period=3)
+                            tol=0.1, m=1, t_steps=1, epsilon=0.1,
+                            renewal_period=3)
         with pytest.raises(ConfigError):
             EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
-                            tol=0.1, m=1, t_steps=1,
+                            tol=0.1, m=1, t_steps=1, epsilon=0.1,
                             renewal_fn=lambda rng, step: MutationSet.orthonormal(2))
 
 
@@ -353,7 +366,7 @@ class TestBlockOracle:
     def test_longest_run_is_bounded(self):
         with pytest.raises(ConfigError, match="t_steps must be <="):
             EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
-                            tol=0.1, m=1, t_steps=MAX_STEPS + 1)
+                            tol=0.1, m=1, t_steps=MAX_STEPS + 1, epsilon=0.1)
 
 
 class TestQuadraticModel:
@@ -376,7 +389,7 @@ class TestQuadraticModel:
     def test_perf_batch_matches_scalar(self):
         model = constant_stats_model(3, cross=np.array([0.1, 0.2, -0.3]),
                                      const=0.7)
-        stats = model.draw(0, 1)
+        stats = model.draw(0, 1, None)
         C = rng_for(43).standard_normal((6, 3))
         batch = model._eval(stats, C)
         for i in range(6):
@@ -386,25 +399,28 @@ class TestQuadraticModel:
                                            lambda P: P[:, 2]])
     def test_target_fn_must_keep_the_batch_axes(self, target_fn):
         # written for one (n, k) batch: index rows (m = 20 <= 4n) reduce a
-        # (K, m, k) stack of them, multinomial weights (m = 200) the data
+        # (K, m, k) stack of them, multinomial weights (m = 200) the data,
+        # which P[:, 2:3] fits and P[:, 2], without the output axis, does not
         data = rng_for(46).standard_normal((40, 3))
         panel = DataColumnPanel(2)
         gen = BregmanGenerator.squared_euclidean()
         sampler = ConditionSampler.empirical(data, seed=3)
         stats_fn = quadratic_stats_for(panel, gen, target_fn)
-        with pytest.raises(ModelError, match=r"\(\.\.\., n, k\) points"):
+        message = r"\(\.\.\., n, k\) points"
+        with pytest.raises(ModelError, match=message):
             sampler.reduce(0, 20, stats_fn)
-        want = sampler.reduce(0, 200, quadratic_stats_for(
-            panel, gen, lambda P: P[..., 2:]))
-        got = sampler.reduce(0, 200, stats_fn)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        if target_fn(data).ndim == 1:
+            with pytest.raises(ModelError, match=message):
+                sampler.reduce(0, 200, stats_fn)
+        else:
+            want = sampler.reduce(0, 200, quadratic_stats_for(
+                panel, gen, lambda P: P[..., 2:]))
+            got = sampler.reduce(0, 200, stats_fn)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_loop_rejects_a_model_of_another_type(self):
         class DuckModel:
-            def pre_step(self, step, coords):
-                pass
-
-            def draw(self, step, m):
+            def draw(self, step, m, coords):
                 return None
 
             def score(self, stats, coords, steps):
@@ -414,7 +430,7 @@ class TestQuadraticModel:
                 return 0.0
 
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
-                              tol=0.05, m=1, t_steps=3)
+                              tol=0.05, m=1, t_steps=3, epsilon=0.1)
         with pytest.raises(ConfigError, match="got DuckModel"):
             run_evolution(DuckModel(), cfg)
 
@@ -469,18 +485,22 @@ class TestRunDeterminism:
 
 
 class TestPreStepHook:
+    """Each step's draw gets the coordinates from before the step."""
+
     def test_hook_runs_each_step_in_order(self):
         seen = []
 
         class Hooked(LinearModel):
-            def pre_step(self, step, coords):
+            def draw(self, step, m, coords):
                 seen.append((step, coords.copy()))
+                return super().draw(step, m, coords)
 
         cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2),
-                              alpha=0.1, tol=0.05, m=1, t_steps=8, seed=13)
+                              alpha=0.1, tol=0.05, m=1, t_steps=8, epsilon=0.1,
+                              seed=13)
         res = run_evolution(Hooked(2), cfg)
         assert [s for s, _ in seen] == list(range(8))
-        # hook sees pre-move coordinates: step k+1 sees the step-k offspring
+        # draw sees pre-move coordinates: step k+1 sees the step-k offspring
         assert np.allclose(seen[0][1], 0.0)
         assert not np.allclose(seen[1][1], 0.0)
         assert len(res.trace) == 8

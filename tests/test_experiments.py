@@ -1,6 +1,7 @@
 """Scenario-level tests: datasets, drift mechanics, dwell stats, reports."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -109,7 +110,7 @@ class TestScenarioConfig:
                                     pts.mean(axis=0))
         for override in ({"m_override": 0}, {"t_override": 0}):
             with pytest.raises(ConfigError, match="m and t_steps must be >= 1"):
-                run_seed(model, MutationSet.orthonormal(2), schedule, 0, 0.25,
+                run_seed(model, MutationSet.orthonormal(2), schedule, 0,
                          **override)
 
     def test_dispatch_uses_scenario_name(self):
@@ -234,24 +235,24 @@ class TestMeanEstimationModel:
     def test_zero_drift_holds_target(self):
         model = self.make([0.5, 0.2])
         for step in range(5):
-            model.pre_step(step, np.zeros(2))
+            model.draw(step, 3, np.zeros(2))
         assert np.array_equal(model.t_cur, np.array([0.5, 0.2]))
         assert model.drift_steps == 0
 
     def test_adversarial_drift_moves_away_from_coords(self):
         model = self.make([1.0, 0.0], nu=0.25)
-        model.pre_step(0, np.zeros(2))  # first evaluation: no move
+        model.draw(0, 3, np.zeros(2))  # first evaluation: no move
         assert np.array_equal(model.t_cur, np.array([1.0, 0.0]))
-        model.pre_step(1, np.zeros(2))
+        model.draw(1, 3, np.zeros(2))
         assert np.allclose(model.t_cur, [1.25, 0.0], atol=1e-15)
-        model.pre_step(2, np.array([1.25, -1.0]))
+        model.draw(2, 3, np.array([1.25, -1.0]))
         # unit step along t_cur - coords
         assert np.allclose(model.t_cur, [1.25, 0.25], atol=1e-15)
         assert model.drift_steps == 2
 
     def test_adversarial_fallback_when_on_target(self):
         model = self.make([0.3, 0.3], nu=0.1)
-        model.pre_step(1, np.array([0.3, 0.3]))
+        model.draw(1, 3, np.array([0.3, 0.3]))
         assert np.allclose(model.t_cur, [0.4, 0.3], atol=1e-15)
 
     @pytest.mark.parametrize("nu", [0.01, 0.0], ids=["adversarial", "stationary"])
@@ -272,7 +273,7 @@ class TestMeanEstimationModel:
 
     def test_true_perf_is_negative_squared_distance(self):
         model = self.make([0.5, -0.2], nu=0.3)
-        model.pre_step(1, np.zeros(2))
+        model.draw(1, 3, np.zeros(2))
         c = np.array([0.1, 0.4])
         expect = -float((c - model.t_cur) @ (c - model.t_cur))
         assert model.true_perf(c, step=3) == pytest.approx(expect, rel=1e-12)
@@ -281,16 +282,15 @@ class TestMeanEstimationModel:
         model = self.make([0.5, 0.2], nu=0.0)
         data = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, 0.1], [0.2, -0.1]])
         twin = ConditionSampler.empirical(data, seed=0)
-        A, center, const = model.draw(0, 3)
+        A, center, const = model.draw(1, 3, np.zeros(2))
         assert np.array_equal(A, np.eye(2))
-        assert np.allclose(center, twin.draw(0, 3).points.mean(axis=0),
+        assert np.allclose(center, twin.draw(1, 3).points.mean(axis=0),
                            atol=1e-15)
         assert const == pytest.approx(float(center @ center), rel=1e-12)
 
         drifted = self.make([0.5, 0.2], nu=0.2)
-        drifted.pre_step(1, np.zeros(2))
+        _, center2, _ = drifted.draw(1, 3, np.zeros(2))
         offset = drifted.t_cur - drifted.mu0
-        _, center2, _ = drifted.draw(0, 3)
         assert np.allclose(center2, center + offset, atol=1e-14)
 
 
@@ -336,9 +336,10 @@ class TestMeanBlocks:
         # m = 256 is served from a block of 256 steps; m = 257 and 40,000
         # (<= 4n) draw per step
         model, reference = self.models(rows=10_000, dim=3)
+        coords = np.zeros(3)
         for step, m in ((0, 256), (1, 257), (2, 40_000), (255, 256), (1, 40_000)):
-            assert np.array_equal(model.draw(step, m)[1],
-                                  reference.draw(step, m)[1])
+            assert np.array_equal(model.draw(step, m, coords)[1],
+                                  reference.draw(step, m, coords)[1])
 
 
 class TestDwellStats:
@@ -515,6 +516,19 @@ class TestDriftScenario:
         for row, arm in ((r1, one), (r4, four)):
             cap = 199 * arm["nu"]
             assert 0.5 * cap < row["target_displacement"] <= cap * (1 + 1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_but_finite_drift_still_runs(self):
+        # 1e150 times the bound moves the target about 1e143 in 20 steps,
+        # whose square is still a float; 1e308 is rejected (tests/test_cli.py)
+        report = run_scenario(ScenarioConfig(
+            "drift", seeds=[0],
+            overrides={"multipliers": (1e150,), "extended_multipliers": (),
+                       "m_override": 5, "t_override": 20}))
+        [row] = report["arms"][0]["rows"]
+        assert row["drift_steps"] == 19
+        assert math.isfinite(row["final_true_perf"])
+        assert 0.0 < row["target_displacement"] < math.inf
 
 
 class TestStabilityScenario:

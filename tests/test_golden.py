@@ -226,19 +226,13 @@ def test_evolve_output_files(name, tmp_path, capsys):
 
 
 # trace files whose rows carry nulls: a strict run that halts at step 33 (its
-# last row has null chosen_*/perf_true/in_target_set and failed true) and a
-# run with epsilon=None (null in_target_set on every row)
+# last row has null chosen_*/perf_true/in_target_set and failed true)
 NULL_FIELD_CASES = {
     "halted": (
         {"alpha": 0.1, "tol": 0.005, "seed": 2,
          "epsilon": 0.02, "failure_policy": "strict"},
         {"trace.jsonl": "e1323415042edec580cd02865de4c3135da1818fbc3a3c9fbf6f125b3f7b1d80",
          "trace.csv": "d425a4ae5e7722df94dd530ef1e93400ad936fa04644d13084eace22195349a8"}),
-    "no_epsilon": (
-        {"alpha": 0.15, "tol": 0.01, "seed": 3,
-         "epsilon": None, "failure_policy": "forced_uniform"},
-        {"trace.jsonl": "f8a97e2f7da8086055fac13b835e9a4c7926e34b996e575ef575bf0c1b85399a",
-         "trace.csv": "f340c5ba92d58c1b3afeba8d3a9ab6da53e37e441642bbb1a5d89cbb7b6c297d"}),
 }
 
 

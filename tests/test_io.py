@@ -49,7 +49,7 @@ class TestTraceFiles:
         rec0 = json.loads(first.read_text().splitlines()[0])
         assert rec0["in_target_set"] is False and rec0["chosen_polarity"] == 1
         empty = tmp_path / "empty.jsonl"
-        write_trace_jsonl(str(empty), Trace(0, epsilon=None))
+        write_trace_jsonl(str(empty), Trace(0, epsilon=0.1))
         assert empty.read_bytes() == b""
 
     def test_trace_writer_rejects_a_nonfinite_row(self, tmp_path):

@@ -284,6 +284,23 @@ class TestSamplerStreams:
             for m in (3, 28, 40, 3):
                 check(index, m)
 
+    def test_a_kept_callback_rng_continues_its_stream(self):
+        # each draw's rng is its own generator, so one that a callback keeps
+        # is not moved by later draws
+        kept = []
+
+        def fn(rng, m):
+            kept.append(rng)
+            return rng.standard_normal((m, 2))
+
+        sampler = ConditionSampler.from_callable(fn, seed=4)
+        sampler.draw(0, 3)
+        sampler.draw(1, 3)
+        want = rng_for(4, 0)
+        want.standard_normal((3, 2))
+        assert np.array_equal(kept[0].standard_normal(5),
+                              want.standard_normal(5))
+
     def test_draw_builds_no_block(self, monkeypatch):
         def no_block(self, index, m):
             raise AssertionError("draw built a block")
@@ -469,7 +486,7 @@ class TestWeightBlocks:
         for index in indices + indices[::-1]:
             sample = reference.draw(index, m)
             w = sample.weights.tolist()
-            quad, cross, const = model.draw(index, m)
+            quad, cross, const = model.draw(index, m, np.zeros(dG))
             want = stats_fn(sample.points, sample.weights)
             assert np.array_equal(quad, want[0])
             assert quad.tolist() == [

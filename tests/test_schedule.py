@@ -33,7 +33,7 @@ def region_flags(knobs):
 
 class TestKnobRegion:
     def test_default_triple_admissible(self):
-        assert DEFAULT_KNOBS.as_tuple() == (1 / 9, 1 / 3, 2 / 27)
+        assert tuple(DEFAULT_KNOBS) == (1 / 9, 1 / 3, 2 / 27)
         assert knob_region_check(DEFAULT_KNOBS)
 
     def test_rejected_triple(self):
@@ -291,10 +291,3 @@ class TestDrift:
         plan = make_drift_plan(s)
         assert plan["nu"] == plan["bound"] == drift_bound(s)
         assert plan["paper_compliant"] is True
-
-    def test_bound_needs_constants(self):
-        s = compute_schedule(0.1, DEFAULT_KNOBS, identity_constants(),
-                             horizon=1)
-        s.constants = None
-        with pytest.raises(ConfigError):
-            drift_bound(s)
