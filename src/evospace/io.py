@@ -241,6 +241,8 @@ def load_dataset_csv(path: str, dim_x: Optional[int] = None) -> tuple:
         y_cols = [i for i, h in enumerate(header) if h.lower().startswith("y")]
         if not x_cols:
             raise ConfigError("dataset header has no condition columns (x...)")
+    elif dim_x > len(header):
+        raise ConfigError(f"model.dim {dim_x} exceeds the {len(header)} dataset columns")
     else:
         x_cols = list(range(dim_x))
         y_cols = list(range(dim_x, len(header)))

@@ -10,13 +10,13 @@ between expressed and target outputs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, ModelError
 from .kernels import dot, matvec, quad_form, weighted_rows
@@ -159,23 +159,32 @@ def _stream_seeds(prefix: list, first: int, count: int) -> np.ndarray:
     return seeds
 
 
-class _SeedRow(ISeedSequence):
-    """A ``_stream_seeds`` row as the seed sequence of one PCG64.
+@functools.cache
+def _seed_row_type() -> type:
+    """``_SeedRow``, defined on first use: importing evospace loads no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    ``PCG64`` asks its seed sequence for four uint64 words, and the row holds
-    the four that ``SeedSequence`` gives for the same stream.
-    """
+    @dataclass
+    class _SeedRow(ISeedSequence):
+        # a _stream_seeds row: the four uint64 words SeedSequence gives the stream
+        row: np.ndarray
 
-    def __init__(self, row: np.ndarray):
-        self.row = row
+        def generate_state(self, n_words, dtype) -> np.ndarray:
+            return self.row
 
-    def generate_state(self, n_words, dtype) -> np.ndarray:
-        return self.row
+        def __reduce__(self):   # a local class: pickle rebuilds it by _seed_row
+            return _seed_row, (self.row,)
+
+    return _SeedRow
+
+
+def _seed_row(row: np.ndarray):
+    return _seed_row_type()(row)
 
 
 def _seeded(row: np.ndarray) -> np.random.Generator:
     """The generator ``rng_for`` builds for the stream of a seed row."""
-    return np.random.Generator(np.random.PCG64(_SeedRow(row)))
+    return np.random.Generator(np.random.PCG64(_seed_row(row)))
 
 
 def _jump_limbs(outputs: int) -> np.ndarray:
@@ -447,8 +456,8 @@ class ConditionSampler:
     from its index's row (``_seeded``).
 
     ``reduce(index, m, fn)`` gives a step the statistics ``fn`` computes
-    from its sample.  An empirical sampler computes them once for a cached
-    block of steps (``_step_block``) of one of two kinds:
+    from its sample.  An empirical sampler computes and keeps them for one
+    block of steps at a time (``_step_block``), of one of two kinds:
 
     * index rows (m <= 4n) of at most 256 conditions, drawn at once by
       jumping each step's PCG64 ahead in numpy lanes (``_index_rows``);
@@ -468,18 +477,9 @@ class ConditionSampler:
             raise ModelError("empirical sampler needs a nonempty dataset")
         self.fn = fn
         self.seed = seed
-        self._uniform = np.empty(0)
-        self._block_start = -1
-        self._block = None
-        self._steps = (0, 0, np.empty((0, 0)))
-        self._reduced = (None, None)
-
-    def _uniform_weights(self, m: int) -> np.ndarray:
-        # one read-only array, shared by the draws of a run (m rarely changes)
-        if self._uniform.shape[0] != m:
-            self._uniform = np.full(m, 1.0 / m)
-            self._uniform.flags.writeable = False
-        return self._uniform
+        self._words = _uint32_words(_seed_words(seed))
+        self._seeds = (-1, None)
+        self._steps = (0, 0, None, [])
 
     @classmethod
     def empirical(cls, data, seed=0) -> "ConditionSampler":
@@ -494,11 +494,9 @@ class ConditionSampler:
         if not (isinstance(index, (int, np.integer)) and 0 <= index < 1 << 32):
             return rng_for(self.seed, index)
         start = index - index % _SEED_BLOCK
-        if start != self._block_start:
-            self._block = _stream_seeds(_uint32_words(_seed_words(self.seed)),
-                                        start, _SEED_BLOCK)
-            self._block_start = start
-        return _seeded(self._block[index - start])
+        if start != self._seeds[0]:
+            self._seeds = (start, _stream_seeds(self._words, start, _SEED_BLOCK))
+        return _seeded(self._seeds[1][index - start])
 
     def _index_rows(self, first: int, count: int, m: int) -> np.ndarray:
         """(count, m) matrix whose row k is ``rng_for(seed, first + k).integers(0, n, size=m)``.
@@ -512,7 +510,7 @@ class ConditionSampler:
         steps.
         """
         n = self.data.shape[0]
-        seeds = _stream_seeds(_uint32_words(_seed_words(self.seed)), first, count)
+        seeds = _stream_seeds(self._words, first, count)
         threshold = ((1 << 32) - n) % n
         rows = np.empty((count, m), dtype=np.int64)
         lanes = max(1, _CHUNK_INDICES // m)
@@ -544,7 +542,7 @@ class ConditionSampler:
         return weights
 
     def _step_block(self, index, m: int) -> Optional[tuple]:
-        """(first, block): the cached block of steps holding step ``index``.
+        """(first, block): a new block of steps holding step ``index``.
 
         Row ``index - first`` of the block is the step's draw: for m > 4n a
         ``_weight_rows`` block of max(1, 2**14 // n) steps, else an
@@ -553,10 +551,7 @@ class ConditionSampler:
         more than 256 conditions, an index outside [0, 2**32), or m < 1
         (for which ``reduce`` falls back to ``draw``, which rejects it).
         """
-        first, size, block = self._steps
         integer = isinstance(index, (int, np.integer))
-        if size == m and integer and 0 <= index - first < len(block):
-            return first, block
         if self.data is None or m < 1 or not (integer and 0 <= index < 1 << 32):
             return None
         n = self.data.shape[0]
@@ -567,53 +562,51 @@ class ConditionSampler:
                  else min(_SEED_BLOCK, _BLOCK_INDICES // m))
         first = int(index) - int(index) % count
         count = min(count, (1 << 32) - first)
-        # free the old block and its reductions first
-        self._steps = (0, 0, np.empty((0, 0)))
-        self._reduced = (None, None)
-        del block
-        block = (self._weight_rows(range(first, first + count), m) if weighted
-                 else self._index_rows(first, count, m))
-        self._steps = (first, m, block)
-        return first, block
+        return first, (self._weight_rows(range(first, first + count), m)
+                       if weighted else self._index_rows(first, count, m))
 
     def reduce(self, index, m: int, fn: Callable) -> tuple:
         """``fn(points, weights)`` of the sample ``draw(index, m)``: a tuple of arrays.
 
-        When the step comes from a cached block, ``fn`` runs once for the
-        whole block and the step reads its row of each array, read-only:
+        When the step comes from a block, ``fn`` runs once for the whole
+        block and the step reads its row of each array, read-only:
         ``fn(data, W)`` on the (K, n) multinomial weight rows W, and
         ``fn(data[rows], uniform)`` on the (K', m, k) points of K' index
         rows at a time, in slices of about 2**14 gathered values.  So ``fn``
         must reduce each weight row or stacked batch alone, as the gene
         panels' moments and the ``kernels`` do, into arrays with one row per
         step (a ``ModelError`` otherwise), and must depend on nothing else:
-        the rows of the last ``fn`` are kept for the block.
+        the sampler keeps the rows of one block, for one ``fn`` and m.
         """
+        first, size, kept, rows = self._steps
+        if (kept is fn and size == m and isinstance(index, (int, np.integer))
+                and 0 <= index - first < len(rows)):
+            return rows[index - first]
+        self._steps = (0, 0, None, [])   # free the old rows first
         block = self._step_block(index, m)
         if block is None:
             sample = self.draw(index, m)
             return fn(sample.points, sample.weights)
         first, block = block
-        if self._reduced[0] is not fn:
-            weighted = block.dtype != np.int64
-            step = len(block) if weighted else \
-                max(1, _CHUNK_INDICES // (m * max(self.data.shape[1], 1)))
-            # a tuple per step, so that a step reads its row by one list index
-            rows = []
-            for k in range(0, len(block), step):
-                steps = block[k:k + step]
-                part = (fn(self.data, steps) if weighted
-                        else fn(self.data[steps], self._uniform_weights(m)))
-                for a in part:
-                    if np.shape(a)[:1] != (len(steps),):
-                        raise ModelError(
-                            f"a block of {len(steps)} steps reduced to shape "
-                            f"{np.shape(a)}: the function must reduce each "
-                            f"stacked batch or weight row alone")
-                    a.flags.writeable = False
-                rows += zip(*part)
-            self._reduced = (fn, rows)
-        return self._reduced[1][index - first]
+        weighted = block.dtype != np.int64
+        step = len(block) if weighted else \
+            max(1, _CHUNK_INDICES // (m * max(self.data.shape[1], 1)))
+        # a tuple per step, so that a step reads its row by one list index
+        rows = []
+        for k in range(0, len(block), step):
+            steps = block[k:k + step]
+            part = (fn(self.data, steps) if weighted
+                    else fn(self.data[steps], np.full(m, 1.0 / m)))
+            for a in part:
+                if np.shape(a)[:1] != (len(steps),):
+                    raise ModelError(
+                        f"a block of {len(steps)} steps reduced to shape "
+                        f"{np.shape(a)}: the function must reduce each "
+                        f"stacked batch or weight row alone")
+                a.flags.writeable = False
+            rows += zip(*part)
+        self._steps = (first, m, fn, rows)
+        return rows[index - first]
 
     def draw(self, index: int, m: int) -> Sample:
         """Sample m conditions i.i.d. (with replacement for empirical data)."""
@@ -626,12 +619,12 @@ class ConditionSampler:
                                  f"expected ({m}, k)")
             if not np.all(np.isfinite(pts)):
                 raise ModelError("sampler callback returned non-finite entries")
-            return Sample(pts, self._uniform_weights(m), m)
+            return Sample(pts, np.full(m, 1.0 / m), m)
         n = self.data.shape[0]
         if m > _WEIGHTED_DRAW_FACTOR * n:
             return Sample(self.data, self._weight_rows([index], m)[0], m)
         rows = self._stream(index).integers(0, n, size=m)
-        return Sample(self.data[rows], self._uniform_weights(m), m)
+        return Sample(self.data[rows], np.full(m, 1.0 / m), m)
 
 
 # ---------------------------------------------------------------------------

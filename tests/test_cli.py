@@ -14,6 +14,8 @@ from evospace.cli import _evolve_table, main
 from evospace.engine import MAX_STEPS
 from evospace.model import rng_for
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
 
@@ -379,12 +381,34 @@ class TestEvolve:
         assert code == 2
         assert "matrix is 2 x 2" in err and "dimension 1" in err
 
+    @pytest.mark.parametrize("command", [["evolve"], ["diagnose", "schedule"]])
+    def test_dim_wider_than_the_dataset_exits_2_with_one_line(
+            self, tmp_path, capsys, mean_csv, command):
+        cfg = mean_config(mean_csv)
+        cfg["model"]["dim"] = 5
+        code, err = cli_error(capsys, *command, "--config",
+                              write_cfg(tmp_path, cfg))
+        assert code == 2
+        [line] = err.splitlines()
+        assert "model.dim 5 exceeds the 2 dataset columns" in line
+
     def test_usage_errors_exit_64(self, tmp_path, capsys):
         assert run_cli(capsys, "no-such-command")[0] == 64
         assert run_cli(capsys, "evolve")[0] == 64          # --config required
         assert run_cli(capsys, "diagnose", "everything",
                        "--config", "x.json")[0] == 64
         assert run_cli(capsys)[0] == 64                    # no subcommand
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random loads with the first draw, not with the package
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    probe = ("import sys, evospace.cli\n"
+             "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, text=True,
+                         capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_readme_run_config_lists_the_read_keys():

@@ -1,5 +1,7 @@
 """Core model layer: generators, panels, samplers, organisms."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,15 +221,20 @@ class TestSampler:
         with pytest.raises(ModelError, match="non-finite"):
             ConditionSampler.from_callable(fn, seed=0).draw(0, 4)
 
-    def test_uniform_weights_shared_and_read_only(self):
+    def test_draws_carry_uniform_weights(self):
         data = rng_for(7).standard_normal((10, 2))
         for sampler in (ConditionSampler.empirical(data, seed=1),
                         ConditionSampler.from_callable(
                             lambda rng, m: rng.standard_normal((m, 2)), seed=1)):
-            a, b = sampler.draw(0, 30), sampler.draw(1, 30)
-            assert a.weights is b.weights and not a.weights.flags.writeable
-            assert np.array_equal(a.weights, np.full(30, 1.0 / 30))
+            assert np.array_equal(sampler.draw(0, 30).weights,
+                                  np.full(30, 1.0 / 30))
             assert sampler.draw(2, 20).weights.shape == (20,)
+
+    @pytest.mark.parametrize("seed", [1.5, None, b"seed", (1, 2.0)])
+    def test_a_seed_of_the_wrong_type_fails_at_construction(self, seed):
+        data = rng_for(7).standard_normal((10, 2))
+        with pytest.raises(ConfigError, match="seed components must be"):
+            ConditionSampler(data=data, seed=seed)
 
 
 class RngForSampler(ConditionSampler):
@@ -298,8 +305,10 @@ class TestSamplerStreams:
         sampler.draw(1, 3)
         want = rng_for(4, 0)
         want.standard_normal((3, 2))
-        assert np.array_equal(kept[0].standard_normal(5),
-                              want.standard_normal(5))
+        values = want.standard_normal(5)
+        # a pickled copy continues it too
+        for rng in (pickle.loads(pickle.dumps(kept[0])), kept[0]):
+            assert np.array_equal(rng.standard_normal(5), values)
 
     def test_draw_builds_no_block(self, monkeypatch):
         def no_block(self, index, m):
@@ -499,7 +508,10 @@ class TestWeightBlocks:
             assert type(const) is float
             assert const == want[2] == pairwise_sum(
                 [wk * (tk * (s * tk)) for wk, tk in zip(w, t)])
-            # the same sampler serves another function's block rows too
+        # the same sampler serves another function's block rows too, in a
+        # pass of its own: each switch of function rebuilds the block
+        for index in indices + indices[::-1]:
+            w = reference.draw(index, m).weights.tolist()
             (mean,) = model.sampler.reduce(index, m, sample_mean)
             assert mean.tolist() == [
                 pairwise_sum([wk * x[a] for wk, x in zip(w, data.tolist())])
@@ -510,13 +522,32 @@ class TestWeightBlocks:
         sampler = ConditionSampler.empirical(data, seed=3)
         reference = RngForSampler.empirical(data, seed=3)
         for m in (20, 500):   # index rows, then multinomial weights
-            sampler.draw(0, m)
-            block = sampler._steps[2]
+            sampler.reduce(0, m, sample_mean)
+            rows = sampler._steps[3]
             for index in (np.int64(5), np.uint32(7), np.int64(0)):
-                got, want = sampler.draw(index, m), reference.draw(int(index), m)
-                assert np.array_equal(got.points, want.points)
-                assert np.array_equal(got.weights, want.weights)
-                assert sampler._steps[2] is block
+                (got,) = sampler.reduce(index, m, sample_mean)
+                want = reference.draw(int(index), m)
+                assert got.tobytes() == sample_mean(want.points,
+                                                    want.weights)[0].tobytes()
+                assert got is rows[int(index)][0]
+                assert sampler._steps[3] is rows
+
+    def test_alternating_functions_each_equal_fn_of_the_draw(self):
+        # each switch of function rebuilds the block's rows for the other one
+        data = labels_data(30, 1)
+        sampler = ConditionSampler.empirical(data, seed=4)
+        stats = quadratic_stats_for(DataColumnPanel(1),
+                                    BregmanGenerator.squared_euclidean(),
+                                    lambda P: P[..., 1:])
+        for m in (20, 500):   # index rows, then multinomial weights
+            for index in (3, 3, 4, 0, 4):
+                sample = sampler.draw(index, m)
+                for fn in (sample_mean, stats):
+                    got = sampler.reduce(index, m, fn)
+                    want = fn(sample.points, sample.weights)
+                    assert [np.asarray(a).tobytes() for a in got] == \
+                        [np.asarray(a).tobytes() for a in want]
+                    assert sampler._steps[2] is fn
 
     def test_stats_are_reduced_once_per_block(self):
         # both panels' stats, on index rows (m <= 256) and on multinomial
@@ -636,7 +667,7 @@ class TestReduce:
                     assert g.tobytes() == w.tobytes()
                 blocked = (kinds[0] != "callable" and 0 <= index < 2**32
                            and (m <= 256 or m > 4 * n))
-                assert (sampler._step_block(index, m) is not None) == blocked
+                assert (sampler._steps[2] is fn) == blocked
                 if blocked:
                     assert not any(a.flags.writeable for a in got)
 
