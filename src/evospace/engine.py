@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -62,10 +63,11 @@ def _gain_scorer(d: int) -> tuple:
     Two functions on lists of Python floats, every sum in ``kernels.fold``'s
     order: ``premiums(quad_rows, step_rows)``, the list of
     ``quad_form(s, quad)`` over the steps s, and ``scorer(quad_rows,
-    step_rows, premiums, f, cross, const)``, which returns (perf of f, list
-    of gains), perf bit for bit ``QuadraticPerfModel._eval`` of f and gain k
-    ``2 dot(s_k, cross - matvec(quad, f)) - premium_k``.  The source grows
-    linearly in d.
+    step_rows, premiums, f, cross, const, tol)``, which returns (perf of f,
+    list of gains, beneficial, neutral), perf bit for bit
+    ``QuadraticPerfModel._eval`` of f, gain k ``2 dot(s_k, cross -
+    matvec(quad, f)) - premium_k``, and the two classes as ``_classify``
+    splits the gains.  The source grows linearly in d.
     """
     def dot_source(a, b):
         terms = [f"{a.format(i)} * {b.format(i)}" for i in range(d)]
@@ -82,16 +84,57 @@ def _gain_scorer(d: int) -> tuple:
         f"        out.append({dot_source('s[{}]', 'qs{}')})",
         "    return out",
         "",
-        "def scorer(quad_rows, step_rows, premiums, f, cross, const):",
+        "def scorer(quad_rows, step_rows, premiums, f, cross, const, tol):",
         f"    {names('f')}= f",
         f"    {names('c')}= cross",
         f"    {names('qf')}= [{dot_source('r[{}]', 'f{}')} for r in quad_rows]",
         f"    perf = -({dot_source('f{}', 'qf{}')} - 2.0 * {dot_source('f{}', 'c{}')} + const)",
         *(f"    g{i} = c{i} - qf{i}" for i in range(d)),
-        f"    return perf, [2.0 * {dot_source('s[{}]', 'g{}')} - p"
-        " for s, p in zip(step_rows, premiums)]", ""])
+        "    gains, bene, neut = [], [], []",
+        "    k = 0",
+        f"    for ({names('s')}), p in zip(step_rows, premiums):",
+        f"        v = 2.0 * {dot_source('s{}', 'g{}')} - p",
+        "        gains.append(v)",
+        "        if v >= tol:",
+        "            bene.append(k)",
+        "        elif v > -tol:",
+        "            neut.append(k)",
+        "        k += 1",
+        "    return perf, gains, bene, neut", ""])
     compiled = compile_floats("scorer", source)
     return compiled["premiums"], compiled["scorer"]
+
+
+def _selections(rng: np.random.Generator, words: int = 256) -> Callable:
+    """``select(k)``: the next ``rng.integers(0, k)`` for 1 <= k <= 2**32.
+
+    numpy draws such an index from the next 32-bit half of the generator's
+    output, low half first, and maps a half h to (h * k) >> 32 (Lemire),
+    drawing again while the low word of h * k is below (2**32 - k) % k; for
+    k = 1 it draws nothing.  ``select`` does the same on Python ints, reading
+    the raw outputs ``words`` at a time, so a run of calls returns what the
+    same run of ``integers`` calls would.  ``rng`` must not be drawn from
+    otherwise meanwhile.
+    """
+    raw = rng.bit_generator.random_raw
+
+    def halves():
+        while True:
+            yield from raw(words).astype("<u8", copy=False).view("<u4").tolist()
+
+    half = halves().__next__
+
+    def select(k: int) -> int:
+        if k == 1:
+            return 0
+        m = half() * k
+        if m & 0xFFFFFFFF < k:   # k bounds the threshold, so this is rare
+            threshold = ((1 << 32) - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = half() * k
+        return m >> 32
+
+    return select
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +145,13 @@ class QuadraticPerfModel:
     """The loop's model: empirical performance exact quadratic in the genome.
 
     Each step the loop calls ``draw(step, m, coords)`` for the step's
-    statistics, with the coordinates before the step, and then ``score(stats,
-    coords, steps)``.  ``true_perf(coords, step)`` is the oracle perf of the
-    organism after ``step`` steps; the loop calls it before the first step
-    and after the last.  Between them it keeps the coordinates after each
-    step and calls ``true_perf_rows(C)`` on a block of up to
-    ``ORACLE_BLOCK`` of them, C[k] the organism after the k-th step since
-    the last call.
+    statistics, with the coordinates before the step as a list of Python
+    floats, and then ``score(stats, coords, steps, tol)``.
+    ``true_perf(coords, step)`` is the oracle perf of the organism after
+    ``step`` steps; the loop calls it before the first step and after the
+    last.  Between them it forms the coordinates after each step and calls
+    ``true_perf_rows(C)`` on a block of up to ``ORACLE_BLOCK`` of them, C[k]
+    the organism after the k-th step since the last call.
 
     ``stats_fn(points, weights)`` maps a condition sample to a triple
     (quad, cross, const) with performance -(c^T quad c - 2 c . cross + const);
@@ -133,7 +176,7 @@ class QuadraticPerfModel:
         self.true_stats = true_stats
         self._premium_key = (None, None)
 
-    def draw(self, step: int, m: int, coords: np.ndarray):
+    def draw(self, step: int, m: int, coords):
         quad, cross, const = self.sampler.reduce(step, m, self.stats_fn)
         return quad, cross, float(const)
 
@@ -143,18 +186,27 @@ class QuadraticPerfModel:
         quad, cross, const = stats
         return -(quad_form(C, quad) - 2.0 * dot(C, cross) + const)
 
-    def score(self, stats, coords: np.ndarray, steps: np.ndarray) -> tuple:
-        """(perf of ``coords``, a list of the gain of each row of ``steps``)."""
+    def score(self, stats, coords, steps, tol: float) -> tuple:
+        """(perf of ``coords``, gains of the rows of ``steps``, beneficial, neutral).
+
+        The gains are a list, and the beneficial and neutral mutants two
+        lists of row positions, split as ``_classify(gains, tol)`` splits
+        them.  ``coords``, ``steps`` and the stats' ``cross`` may be numpy
+        arrays or lists of Python floats; lists are read as they are.
+        """
         quad, cross, const = stats
-        premiums, scorer = _gain_scorer(len(coords))
         if self._premium_key[0] is not quad or self._premium_key[1] is not steps:
-            # the key holds both arrays, so neither id can be reused meanwhile
+            # the key holds both objects, so neither id can be reused meanwhile
             self._premium_key = (quad, steps)
             quad_rows = np.asarray(quad, dtype=float).tolist()
-            step_rows = steps.tolist()
+            step_rows = steps if isinstance(steps, list) else steps.tolist()
+            premiums, self._scorer = _gain_scorer(len(quad_rows))
             self._rows = (quad_rows, step_rows, premiums(quad_rows, step_rows))
-        return scorer(*self._rows, coords.tolist(),
-                      np.asarray(cross, dtype=float).tolist(), const)
+        if not isinstance(coords, list):
+            coords = np.asarray(coords, dtype=float).tolist()
+        if not isinstance(cross, list):
+            cross = np.asarray(cross, dtype=float).tolist()
+        return self._scorer(*self._rows, coords, cross, const, tol)
 
     def true_perf(self, coords, step: int) -> float:
         return float(self._eval(self.true_stats, np.asarray(coords, float)))
@@ -314,27 +366,29 @@ class EvolutionResult:
     path: Optional[np.ndarray] = None
 
 
-def mutator_step(model: QuadraticPerfModel, organism: Organism, config: EvolutionConfig,
-                 step: int, selection_rng: np.random.Generator,
-                 steps_matrix: np.ndarray, trace: Trace) -> bool:
-    """One selection round, recorded as row ``step`` of ``trace``.
+def mutator_step(model: QuadraticPerfModel, f: list, config: EvolutionConfig,
+                 step: int, select: Callable, step_rows: list,
+                 trace: Trace) -> Optional[list]:
+    """One selection round from the coordinates ``f``, recorded as row ``step`` of ``trace``.
 
-    Mutates ``organism`` in place; returns True when a strict run halts.
+    ``step_rows`` are the signed steps as lists of Python floats and
+    ``select(k)`` draws a position in a pool of k mutants.  Returns the
+    coordinates after the step, ``f`` plus the chosen row, or None when a
+    strict run halts.
     """
-    stats = model.draw(step, config.m, organism.coords)
-    perf_f, gains = model.score(stats, organism.coords, steps_matrix)
-    bene, neut = _classify(gains, config.tol)
-    forced = not (bene or neut)
-    if forced and config.failure_policy == "strict":
-        trace.halt(step, perf_f)
-        return True
-    pool = bene or neut or range(len(gains))
-    j = pool[selection_rng.integers(0, len(pool))]
-
-    organism.apply(j // 2, 1 - 2 * (j % 2), steps_matrix[j])
+    stats = model.draw(step, config.m, f)
+    perf_f, gains, bene, neut = model.score(stats, f, step_rows, config.tol)
+    pool = bene or neut
+    forced = not pool
+    if forced:
+        if config.failure_policy == "strict":
+            trace.halt(step, perf_f)
+            return None
+        pool = range(len(gains))
+    j = pool[select(len(pool))]
     trace.record(step, perf_f, perf_f + gains[j], len(bene), len(neut), j,
                  forced)
-    return False
+    return list(map(add, f, step_rows[j]))
 
 
 def run_evolution(model: QuadraticPerfModel, config: EvolutionConfig) -> EvolutionResult:
@@ -344,46 +398,76 @@ def run_evolution(model: QuadraticPerfModel, config: EvolutionConfig) -> Evoluti
     run seed: mutant selection and basis renewal here, condition sampling
     inside the model's sampler (conventionally seeded with the same run seed
     by the caller).
+
+    A step runs on Python floats: the coordinates are a list, moved by one
+    rounded add per gene.  The numpy state is formed from the trace's chosen
+    indices a block at a time: the oracle rows and the path at every
+    ``ORACLE_BLOCK`` steps, at each renewal and at the end, and the
+    organism's counts and coordinates at each renewal (before ``rebase``)
+    and at the end.
     """
     if not isinstance(model, QuadraticPerfModel):
         raise ConfigError(f"the model must be a QuadraticPerfModel, got "
                           f"{type(model).__name__}")
-    selection_rng = rng_for((config.seed, "select"))
+    select = _selections(rng_for((config.seed, "select")))
     renewal_rng = rng_for((config.seed, "renew"))
+    period = config.renewal_period
 
     mutations = config.mutations
     f0 = np.zeros(mutations.dG) if config.f0 is None else np.asarray(config.f0, float)
     organism = Organism(basis=mutations, base=f0, alpha=config.alpha)
     steps_matrix = _signed_steps(mutations, config.alpha)
+    step_rows = steps_matrix.tolist()
+    f = organism.coords.tolist()
 
     initial_tp = model.true_perf(organism.coords, 0)
     trace = Trace(config.t_steps, config.epsilon)
-    rows = np.empty((min(ORACLE_BLOCK, config.t_steps), mutations.dG))
-    scored = 0   # rows[k] is the organism after step scored + k, unscored
     path = None
     if config.record_path:
         path = np.empty((config.t_steps + 1, mutations.dG))
         path[0] = organism.coords
+    # the steps before `scored` are formed and scored, and `start` is the
+    # organism after step scored - 1; the steps from `renewed` on moved it
+    # since its last rebase
+    scored = renewed = 0
+    start = organism.coords
+
+    def form(stop: int) -> None:
+        # np.add.accumulate adds the chosen step rows in order, each add
+        # rounded once, so its rows are bit for bit the loop's float sums
+        nonlocal scored, start
+        if stop > scored:
+            C = np.empty((stop - scored + 1, len(start)))
+            C[0] = start
+            C[1:] = steps_matrix[trace.j[scored:stop]]
+            np.add.accumulate(C, axis=0, out=C)
+            trace.perf_true[scored:stop] = model.true_perf_rows(C[1:])
+            if path is not None:
+                path[scored + 1:stop + 1] = C[1:]
+            scored, start = stop, C[-1]
+
+    def settle(stop: int) -> None:
+        form(stop)
+        tally = np.bincount(trace.j[renewed:stop], minlength=len(step_rows))
+        organism.counts = tally[0::2] - tally[1::2]
+        organism.coords = start
 
     for t in range(config.t_steps):
-        if config.renewal_period and t % config.renewal_period == 0:
+        if period and t % period == 0:
+            settle(t)
             new_basis = config.renewal_fn(renewal_rng, t)
             if not isinstance(new_basis, MutationSet):
                 raise ModelError("renewal callback must return a MutationSet")
             organism.rebase(new_basis)
             steps_matrix = _signed_steps(new_basis, config.alpha)
-        if mutator_step(model, organism, config, t, selection_rng, steps_matrix,
-                        trace):
+            step_rows = steps_matrix.tolist()
+            f, start, renewed = organism.coords.tolist(), organism.coords, t
+        f = mutator_step(model, f, config, t, select, step_rows, trace)
+        if f is None:
             break
-        rows[t - scored] = organism.coords
-        if t + 1 - scored == len(rows):
-            trace.perf_true[scored:t + 1] = model.true_perf_rows(rows)
-            scored = t + 1
-        if path is not None:
-            path[t + 1] = organism.coords
-    if trace.moves > scored:
-        trace.perf_true[scored:trace.moves] = model.true_perf_rows(
-            rows[:trace.moves - scored])
+        if t + 1 - scored == ORACLE_BLOCK:
+            form(t + 1)
+    settle(trace.moves)
 
     # a forced step has no beneficial mutant, and a halted row none
     forced = int(np.count_nonzero(trace.forced))

@@ -249,14 +249,15 @@ class MeanEstimationModel(QuadraticPerfModel):
         self.drift_steps = 0
         self._targets = []   # the target of each step not yet scored
 
-    def draw(self, step: int, m: int, coords: np.ndarray):
+    def draw(self, step: int, m: int, coords):
         # The target holds still for the first evaluation and moves between
         # steps, so a run of T steps sees T-1 perturbations.  Step 0 starts
-        # the target over, so an instance can be run again.
+        # the target over, so an instance can be run again.  The cross term
+        # is the list of the center's Python floats, which score reads as is.
         if step == 0:
             self._restart()
         elif self.nu != 0.0:
-            d = self.t_cur - coords
+            d = self.t_cur - np.asarray(coords, dtype=float)
             nrm = float(np.sqrt(dot(d, d)))
             d = self._eye[0] if nrm < 1e-15 else d / nrm
             self.t_cur = self.t_cur + self.nu * d
@@ -266,7 +267,7 @@ class MeanEstimationModel(QuadraticPerfModel):
         (mean,) = self.sampler.reduce(step, m, _sample_mean)
         center = mean + self._shift
         c = center.tolist()
-        return (self._eye, center, dot_floats(c, c))
+        return (self._eye, c, dot_floats(c, c))
 
     def true_perf(self, coords, step: int) -> float:
         # step 0 is scored before draw(0) restarts the target
@@ -507,12 +508,17 @@ def _agnostic(cfg, opts, trace_to) -> dict:
         schedule = compute_schedule(eps, DEFAULT_KNOBS, constants,
                                     f0=np.zeros(2), t_coords=t_in, c_t=_DESK_C_T)
 
-        true_stats = (np.eye(2), t_star,
+        eye = np.eye(2)
+        true_stats = (eye, t_star,
                       float(dot(t_star, t_star)) + 2.0 * _SIGMA * _SIGMA)
-        model = QuadraticPerfModel(
-            sampler,
-            lambda P, w: (np.eye(2), weighted_rows(w, P), dot(w, dot(P, P))),
-            true_stats=true_stats)
+
+        def moments(P, w):
+            # one weighted sum gives the mean and the mean of |p|^2; the
+            # shared eye keeps score's premiums from one step to the next
+            sums = weighted_rows(w, np.column_stack([P, dot(P, P)]))
+            return eye, sums[:2], sums[2]
+
+        model = QuadraticPerfModel(sampler, moments, true_stats=true_stats)
         trace = trace_to(pos, seed)
         result, config = run_seed(
             model, mutations, schedule, seed,

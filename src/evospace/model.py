@@ -667,10 +667,11 @@ class MutationSet:
 class Organism:
     """Current genome: integer mutation counts over a base point.
 
-    Gene coordinates are ``base + alpha * (B @ counts)``.  The float
-    coordinate cache is updated one rounded step at a time, so it may differ
-    from ``recompute_coords()`` by rounding; ``rebase`` restarts it from the
-    grid point, ``recompute_coords()``.
+    Gene coordinates are ``base + alpha * (B @ counts)``.  The mutator loop
+    moves the float coordinates one rounded step at a time and settles
+    ``counts`` and ``coords`` before each ``rebase`` and at the end of a run,
+    so ``coords`` may differ from ``recompute_coords()`` by rounding;
+    ``rebase`` restarts it from the grid point, ``recompute_coords()``.
     """
 
     basis: MutationSet
@@ -687,14 +688,6 @@ class Organism:
     def recompute_coords(self) -> np.ndarray:
         return self.base + self.alpha * matvec(self.basis.vectors,
                                                self.counts.astype(float))
-
-    def apply(self, index: int, polarity: int, step: np.ndarray) -> None:
-        """Commit one mutation step in place.
-
-        ``step`` is the signed step row ``(polarity * alpha) * column(index)``.
-        """
-        self.counts[index] += polarity
-        self.coords = self.coords + step
 
     def rebase(self, basis: MutationSet) -> None:
         """Adopt a new mutation set, zeroing counts at the current position."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from evospace import (BregmanGenerator, ConditionSampler, DataColumnPanel,
-                      EvolutionConfig, IdentityPanel, MutationSet,
+                      EvolutionConfig, IdentityPanel, MutationSet, Organism,
                       QuadraticPerfModel, quadratic_stats_for, rng_for,
                       run_evolution)
 from evospace import engine
@@ -42,9 +42,9 @@ class LinearModel(QuadraticPerfModel):
 class UncachedQuadratic(QuadraticPerfModel):
     """Recomputes the premiums on every call."""
 
-    def score(self, stats, coords, steps):
+    def score(self, stats, coords, steps, tol):
         self._premium_key = (None, None)
-        return super().score(stats, coords, steps)
+        return super().score(stats, coords, steps, tol)
 
 
 class TestNeighborhood:
@@ -61,7 +61,7 @@ class TestNeighborhood:
         stats = model.draw(0, 1, None)
         B = MutationSet(rng_for(45).standard_normal((3, 4)))
         c = np.array([0.1, -0.2, 0.3])
-        perf_f, gains = model.score(stats, c, _signed_steps(B, 0.05))
+        perf_f, gains, _, _ = model.score(stats, c, _signed_steps(B, 0.05), 0.01)
         for i in range(B.dF):
             for row, sign in ((2 * i, 1.0), (2 * i + 1, -1.0)):
                 mutant = c + sign * 0.05 * B.column(i)
@@ -126,7 +126,8 @@ class TestClassify:
                                    (np.eye(2), np.zeros(2), 2.0))
         c = np.array([0.2, -0.4])
         steps = _signed_steps(MutationSet.orthonormal(2), alpha=0.3)
-        perf_f, gains = model.score(model.stats_fn(pts, sample.weights), c, steps)
+        perf_f, gains, b2, n2 = model.score(model.stats_fn(pts, sample.weights),
+                                            c, steps, 0.01)
 
         def perf(coords):
             return empirical_performance(coords, sample.points, panel, sample, gen)
@@ -135,8 +136,24 @@ class TestClassify:
         assert perf_f == pytest.approx(perf(c), rel=1e-12)
         assert gains == pytest.approx(np.asarray(direct) - perf(c), abs=1e-12)
         bene, neut = _classify(np.asarray(direct) - perf(c), 0.01)
-        b2, n2 = _classify(gains, 0.01)
         assert np.array_equal(bene, b2) and np.array_equal(neut, n2)
+
+    @pytest.mark.parametrize("tol", [0.5, 1e-3, 3.0])
+    @pytest.mark.parametrize("case", ["at_tol", "zero", "nan"])
+    def test_scorer_classifies_ties_like_the_reference(self, tol, case):
+        # one gene, quad = 0: the steps +1 and -1 gain 2 (s * cross) - 0.0,
+        # which is exactly +-tol, +0.0 and -0.0, or NaN
+        cross = {"at_tol": tol / 2, "zero": 0.0, "nan": float("nan")}[case]
+        stats = (np.zeros((1, 1)), np.array([cross]), 0.0)
+        model = QuadraticPerfModel(None, None, stats)
+        _, gains, bene, neut = model.score(stats, [0.25], [[1.0], [-1.0]], tol)
+        want = {"at_tol": [tol, -tol], "zero": [0.0, -0.0],
+                "nan": [float("nan")] * 2}[case]
+        assert np.array_equal(gains, want, equal_nan=True)
+        assert [np.signbit(g) for g in gains] == [np.signbit(g) for g in want]
+        assert (bene, neut) == _classify(gains, tol)
+        assert (bene, neut) == {"at_tol": ([0], []), "zero": ([], [0, 1]),
+                                "nan": ([], [])}[case]
 
 
 class TestScore:
@@ -153,7 +170,8 @@ class TestScore:
         B = MutationSet(rng.uniform(-1.0, 1.0, (dG, dF)) + 0.1)
         steps = _signed_steps(B, alpha)
         model = QuadraticPerfModel(None, None, stats)
-        perf_f, gains = model.score(stats, f, steps)
+        perf_f, gains, bene, neut = model.score(stats, f, steps, tol)
+        assert (bene, neut) == _classify(gains, tol)
 
         def bound(expected):
             return np.maximum(1e-9 * np.abs(expected), 1e-12)
@@ -221,6 +239,35 @@ class TestSelection:
         res = run_evolution(LinearModel(dim), cfg)
         assert res.neut_steps == 50 and res.bene_steps == 0
         assert not res.failed
+
+
+class TestSelectionDraw:
+    """The raw-word reader against ``Generator.integers(0, k)`` call by call."""
+
+    # k = 2**31 + 1 rejects about half of its draws, and 2**32 reads the
+    # half as it is
+    NEAR_2_32 = (2**31 + 1, 2**31 + 3, 3 * 2**30 + 7, 2**32 - 1, 2**32)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ks=st.lists(st.one_of(st.integers(1, 9),
+                                 st.sampled_from(NEAR_2_32),
+                                 st.integers(2**31, 2**32)),
+                       min_size=1, max_size=60),
+           words=st.integers(1, 3))
+    def test_reader_equals_integers(self, seed, ks, words):
+        # one to three raw words a refill, so most sequences span several
+        want = rng_for((seed, "select"))
+        select = engine._selections(rng_for((seed, "select")), words)
+        assert [select(k) for k in ks] == [int(want.integers(0, k)) for k in ks]
+
+    def test_long_runs_across_refills(self):
+        # 3,000 draws of small pools span several refills of the default size
+        ks = [int(k) for k in rng_for(("pools", 0)).integers(1, 10, 3000)]
+        ks[::500] = [2**31 + 1] * 6
+        want = rng_for((7, "select"))
+        select = engine._selections(rng_for((7, "select")))
+        assert [select(k) for k in ks] == [int(want.integers(0, k)) for k in ks]
 
 
 class TestFailurePolicies:
@@ -369,6 +416,62 @@ class TestBlockOracle:
                             tol=0.1, m=1, t_steps=MAX_STEPS + 1, epsilon=0.1)
 
 
+class TestBlockFormedState:
+    """Coordinates, counts, path and oracle column, formed a block at a time,
+    against a step-by-step replay of the trace's chosen indices."""
+
+    PERIOD = 700   # does not divide ORACLE_BLOCK
+
+    @pytest.mark.parametrize("block", [1, engine.ORACLE_BLOCK])
+    @pytest.mark.parametrize("alpha, tol, steps", [(0.02, 1e-4, 5344),
+                                                   (0.01, 5e-5, 9000)],
+                             ids=["strict-halt", "full-run"])
+    def test_equals_a_step_by_step_replay(self, monkeypatch, block, alpha,
+                                          tol, steps):
+        monkeypatch.setattr(engine, "ORACLE_BLOCK", block)
+        data = rng_for(("golden-null", 0)).normal(0.0, 0.3, (40, 2)) + [0.3, -0.2]
+        mu = data.mean(axis=0)
+        bases = []
+
+        def renew(rng, step):
+            bases.append(MutationSet(rng.uniform(-1.0, 1.0, (2, 2)) + np.eye(2)))
+            return bases[-1]
+
+        model = QuadraticPerfModel(
+            ConditionSampler.empirical(data, seed=0),
+            quadratic_stats_for(IdentityPanel(2),
+                                BregmanGenerator.squared_euclidean(),
+                                lambda pts: pts),
+            true_stats=(np.eye(2), mu, float(mu @ mu)))
+        cfg = EvolutionConfig(
+            mutations=MutationSet.orthonormal(2), alpha=alpha, tol=tol, m=20,
+            t_steps=9000, seed=0, epsilon=0.02, f0=np.array([-60.0, 50.0]),
+            renewal_period=self.PERIOD, renewal_fn=renew, record_path=True)
+        res = run_evolution(model, cfg)
+        trace = res.trace
+        # the strict run halts inside an oracle block and a renewal period
+        assert len(trace) == steps and res.failed == (steps < 9000)
+        assert trace.moves % 4096 and trace.moves % self.PERIOD
+
+        org = Organism(basis=cfg.mutations, base=cfg.f0, alpha=alpha)
+        coords, path, perf_true = org.coords, [org.coords], []
+        for t, j in enumerate(trace.j[:trace.moves].tolist()):
+            if t % self.PERIOD == 0:
+                org.rebase(bases[t // self.PERIOD])
+                coords, steps_matrix = org.coords, _signed_steps(org.basis, alpha)
+            org.counts[j // 2] += 1 - 2 * (j % 2)
+            coords = coords + steps_matrix[j]
+            path.append(coords)
+            perf_true.append(model.true_perf_rows(coords[None])[0])
+        assert res.organism.basis is bases[-1]
+        assert np.array_equal(res.organism.coords, coords)
+        assert res.organism.counts.dtype == np.int64
+        assert np.array_equal(res.organism.counts, org.counts)
+        assert np.array_equal(res.path, np.array(path))
+        assert np.array_equal(trace.perf_true[:trace.moves], perf_true)
+        assert res.final_true_perf == model.true_perf(coords, len(trace))
+
+
 class TestQuadraticModel:
     def test_stats_reduction_matches_direct_scoring(self):
         gen = BregmanGenerator.squared_euclidean()
@@ -423,8 +526,8 @@ class TestQuadraticModel:
             def draw(self, step, m, coords):
                 return None
 
-            def score(self, stats, coords, steps):
-                return 0.0, [1.0] * len(steps)
+            def score(self, stats, coords, steps, tol):
+                return 0.0, [1.0] * len(steps), list(range(len(steps))), []
 
             def true_perf(self, coords, step):
                 return 0.0

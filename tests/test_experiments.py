@@ -283,6 +283,9 @@ class TestMeanEstimationModel:
         data = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, 0.1], [0.2, -0.1]])
         twin = ConditionSampler.empirical(data, seed=0)
         A, center, const = model.draw(1, 3, np.zeros(2))
+        # the center comes as a list of Python floats, which score reads as is
+        assert isinstance(center, list)
+        center = np.array(center)
         assert np.array_equal(A, np.eye(2))
         assert np.allclose(center, twin.draw(1, 3).points.mean(axis=0),
                            atol=1e-15)

@@ -142,7 +142,7 @@ class TestPlainFloatScore:
         quad, cross, const = A @ A.T, values(rng, d), float(values(rng, 1)[0])
         f, steps = values(rng, d), values(rng, rows, d)
         model = QuadraticPerfModel(None, None, (quad, cross, const))
-        perf_f, gains = model.score((quad, cross, const), f, steps)
+        perf_f, gains, _, _ = model.score((quad, cross, const), f, steps, 1.0)
         assert perf_f == -(quad_form(f, quad) - 2.0 * dot(f, cross) + const)
         want = 2.0 * dot(steps, cross - matvec(quad, f)) - quad_form(steps, quad)
         assert gains == want.tolist()

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evospace import (BregmanGenerator, ConditionSampler, DataColumnPanel,
-                      IdentityPanel, MutationSet, Organism, QuadraticPerfModel,
-                      Sample, empirical_performance, quadratic_stats_for,
-                      rng_for)
+                      EvolutionConfig, IdentityPanel, MutationSet, Organism,
+                      QuadraticPerfModel, Sample, empirical_performance,
+                      quadratic_stats_for, rng_for, run_evolution)
 from evospace.errors import ConfigError, ModelError
 from evospace.kernels import weighted_rows
 
@@ -688,66 +688,67 @@ class TestMutationSet:
         assert B.max_norm == pytest.approx(2.0)
 
 
-def apply(org, index, polarity):
-    """``Organism.apply`` with the signed step row the mutator loop passes."""
-    org.apply(index, polarity, (polarity * org.alpha) * org.basis.column(index))
+class FlatModel(QuadraticPerfModel):
+    """perf = 0 everywhere: every mutant is neutral, so a run walks at random."""
+
+    def __init__(self, dG):
+        self.stats = (np.zeros((dG, dG)), np.zeros(dG), 0.0)
+        super().__init__(None, None, self.stats)
+
+    def draw(self, step, m, coords):
+        return self.stats
+
+
+def walk(basis, base, alpha, steps, seed, **config):
+    """A run of ``steps`` uniform random moves over ``basis``'s signed steps."""
+    return run_evolution(FlatModel(basis.dG), EvolutionConfig(
+        mutations=basis, alpha=alpha, tol=1.0, m=1, t_steps=steps,
+        epsilon=1.0, seed=seed, f0=base, **config))
 
 
 class TestOrganism:
     def test_grid_invariance_many_steps(self):
         B = MutationSet(rng_for(21).standard_normal((3, 4)))
-        org = Organism(basis=B, base=np.array([0.5, -0.2, 1.0]), alpha=0.01)
-        rng = rng_for(22)
-        for _ in range(10_000):
-            apply(org, int(rng.integers(0, 4)), 1 if rng.uniform() < 0.5 else -1)
+        org = walk(B, np.array([0.5, -0.2, 1.0]), 0.01, 10_000, seed=22).organism
+        assert np.abs(org.counts).sum() > 0
         assert np.allclose(org.coords, org.recompute_coords(),
                            rtol=0, atol=1e-10)
 
     def test_rebase_keeps_position(self):
-        B = MutationSet.orthonormal(2)
-        org = Organism(basis=B, base=np.zeros(2), alpha=0.5)
-        apply(org, 0, 1)
-        apply(org, 1, -1)
+        org = walk(MutationSet.orthonormal(2), np.zeros(2), 0.5, 3, seed=1).organism
         pos = org.coords.copy()
+        assert np.abs(org.counts).sum() > 0
         org.rebase(MutationSet(np.array([[1.0, 1.0], [1.0, -1.0]])))
         assert np.allclose(org.coords, pos)
+        assert np.array_equal(org.coords, org.recompute_coords())
         assert np.all(org.counts == 0)
         assert np.allclose(org.base, pos)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dG=st.integers(1, 4),
            dF=st.integers(1, 5), alpha=st.floats(1e-4, 2.0),
-           steps=st.integers(1, 3000), rebase_at=st.integers(0, 3000))
+           steps=st.integers(1, 3000), period=st.integers(1, 3000))
     def test_coords_stay_within_ulps_of_the_grid(self, seed, dG, dF, alpha,
-                                                steps, rebase_at):
+                                                steps, period):
         rng = np.random.default_rng(seed)
 
         def basis():
             return MutationSet(rng.uniform(-1.0, 1.0, (dG, dF)) + 1e-3)
 
-        org = Organism(basis=basis(), base=rng.uniform(-1.0, 1.0, dG),
-                       alpha=alpha)
-
-        def check(since_rebase, peak):
-            # each incremental step and each term of the recomputation
-            # rounds once, at no more than the largest magnitude on the path
-            B = np.abs(org.basis.vectors)
-            grid = (np.abs(org.base).max()
-                    + alpha * (B @ np.abs(org.counts)).max())
-            mag = max(peak, grid) + alpha * B.max()
-            err = np.abs(org.coords - org.recompute_coords()).max()
-            assert err <= (since_rebase + dF + 2) * np.spacing(mag)
-
-        since, peak = 0, 0.0
-        for k in range(steps):
-            if k == rebase_at:
-                check(since, peak)
-                org.rebase(basis())
-                assert np.array_equal(org.coords, org.recompute_coords())
-                since = 0
-            apply(org, int(rng.integers(0, dF)), int(rng.choice((-1, 1))))
-            since, peak = since + 1, max(peak, np.abs(org.coords).max())
-        check(since, peak)
+        res = walk(basis(), rng.uniform(-1.0, 1.0, dG), alpha, steps, seed,
+                   renewal_period=period,
+                   renewal_fn=lambda renewal_rng, step: basis(),
+                   record_path=True)
+        org = res.organism
+        # each step since the last renewal and each term of the
+        # recomputation rounds once, at no more than the largest magnitude
+        # on the path
+        since = steps - (steps - 1) // period * period
+        B = np.abs(org.basis.vectors)
+        grid = np.abs(org.base).max() + alpha * (B @ np.abs(org.counts)).max()
+        mag = max(np.abs(res.path[1:]).max(), grid) + alpha * B.max()
+        err = np.abs(org.coords - org.recompute_coords()).max()
+        assert err <= (since + dF + 2) * np.spacing(mag)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ModelError):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evospace import (DEFAULT_KNOBS, BregmanGenerator, ConditionSampler,
                       IdentityPanel, KnobTriple, ModelConstants, MutationSet,
@@ -291,3 +292,21 @@ class TestDrift:
         plan = make_drift_plan(s)
         assert plan["nu"] == plan["bound"] == drift_bound(s)
         assert plan["paper_compliant"] is True
+
+
+class TestEpsilonScaling:
+    """The computed law: with the knobs, constants and horizon fixed, tol and
+    the margin scale as eps^2, t_exact as 1/eps^2 and the drift bound as
+    eps^4."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps=st.floats(1e-3, 1.0), other=st.floats(1e-3, 1.0),
+           horizon=st.integers(1, 50))
+    def test_powers_of_epsilon(self, eps, other, horizon):
+        a, b = (compute_schedule(e, DEFAULT_KNOBS, identity_constants(),
+                                 horizon=horizon) for e in (eps, other))
+        r = other / eps
+        assert b.tol / a.tol == pytest.approx(r ** 2, rel=1e-12)
+        assert b.margin / a.margin == pytest.approx(r ** 2, rel=1e-12)
+        assert b.t_exact / a.t_exact == pytest.approx(r ** -2, rel=1e-12)
+        assert drift_bound(b) / drift_bound(a) == pytest.approx(r ** 4, rel=1e-12)
