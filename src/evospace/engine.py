@@ -20,8 +20,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ConfigError, ModelError
-from .kernels import (compile_floats, dot, fold_source, quad_form,
-                      weighted_rows)
+from .kernels import compile_floats, dot, fold_source, quad_form
 from .model import (BregmanGenerator, ConditionSampler, GenePanel,
                     MutationSet, Organism, rng_for)
 
@@ -224,8 +223,9 @@ def quadratic_stats_for(panel: GenePanel, gen: BregmanGenerator,
     ``target_fn(points)`` supplies the (..., n, d) target outputs of a batch
     of conditions or of a stack of them.  The returned ``moments(points,
     weights)`` reduces a sample, or a stack of batches or of weight rows, to
-    the quadratic moments of the empirical performance, one stacked kernel
-    call per term; each batch's moments are bit for bit its moments alone.
+    the quadratic moments of the empirical performance in one stacked
+    kernel call (``GenePanel.moments``); each batch's moments are bit for
+    bit its moments alone.
     """
     M = gen.quadratic_matrix(panel.d)
 
@@ -236,9 +236,7 @@ def quadratic_stats_for(panel: GenePanel, gen: BregmanGenerator,
                 f"target_fn mapped points of shape {np.shape(points)} to "
                 f"shape {t.shape}: it must map (..., n, k) points to "
                 f"(..., n, d) targets, keeping the batch axes")
-        return (panel.second_moment(points, M=M, weights=weights),
-                panel.cross_moment(points, t, M=M, weights=weights),
-                weighted_rows(weights, quad_form(t, M)[..., None])[..., 0])
+        return panel.moments(points, t, M=M, weights=weights)
 
     return moments
 
@@ -285,8 +283,9 @@ class Trace:
 
     ``j`` is the chosen index in the signed neighborhood (2 i for +b_i,
     2 i + 1 for -b_i); the loop fills ``perf_true`` a block at a time.
-    ``rows`` derives the written FIELDS from these; a halted run ends on its
-    failed step, written with null choice and oracle fields.
+    ``columns`` derives the written FIELDS from these, a list per field,
+    which the writers format and ``rows`` zips into dicts; a halted run ends
+    on its failed step, written with null choice and oracle fields.
     """
 
     FIELDS = ("step", "perf_before", "perf_after", "bene_size", "neut_size",
@@ -336,21 +335,38 @@ class Trace:
         """Whether the oracle perf of each row is at least -epsilon."""
         return self.perf_true[rows] >= -self.epsilon
 
-    def rows(self, start: int = 0, stop: Optional[int] = None) -> List[dict]:
-        """Rows ``start``..``stop``-1 as written: dicts keyed by FIELDS."""
+    def columns(self, start: int = 0, stop: Optional[int] = None,
+                tokens: tuple = (False, True, None)) -> dict:
+        """The written FIELDS of rows ``start``..``stop``-1: a list per field, in order.
+
+        Numbers are Python ints and floats.  ``tokens`` are what a False, a
+        True and a missing value are written as: every flag is one of the
+        first two, and a halted last row holds the third in ``chosen_index``,
+        ``chosen_polarity``, ``perf_true`` and ``in_target_set``.
+        """
         steps = range(len(self))[start:stop]
         cut = slice(steps.start, steps.stop)
         j = self.j[cut]
-        out = [dict(zip(self.FIELDS, values)) for values in zip(
-            steps, self.perf_before[cut].tolist(), self.perf_after[cut].tolist(),
-            self.bene_size[cut].tolist(), self.neut_size[cut].tolist(),
-            (j // 2).tolist(), (1 - 2 * (j % 2)).tolist(),
-            self.forced[cut].tolist(), [False] * len(steps),
-            self.perf_true[cut].tolist(), self.in_target(cut).tolist())]
+        flag = tokens[:2].__getitem__
+        out = dict(
+            step=steps, perf_before=self.perf_before[cut].tolist(),
+            perf_after=self.perf_after[cut].tolist(),
+            bene_size=self.bene_size[cut].tolist(),
+            neut_size=self.neut_size[cut].tolist(),
+            chosen_index=(j // 2).tolist(), chosen_polarity=(1 - 2 * (j % 2)).tolist(),
+            forced=list(map(flag, self.forced[cut].tolist())),
+            failed=[tokens[0]] * len(steps), perf_true=self.perf_true[cut].tolist(),
+            in_target_set=list(map(flag, self.in_target(cut).tolist())))
         if self.failed and steps and steps[-1] == len(self) - 1:
-            out[-1].update(chosen_index=None, chosen_polarity=None, failed=True,
-                           perf_true=None, in_target_set=None)
+            for name in ("chosen_index", "chosen_polarity", "perf_true", "in_target_set"):
+                out[name][-1] = tokens[2]
+            out["failed"][-1] = tokens[1]
         return out
+
+    def rows(self, start: int = 0, stop: Optional[int] = None) -> List[dict]:
+        """Rows ``start``..``stop``-1 as written: dicts keyed by FIELDS."""
+        columns = self.columns(start, stop)
+        return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
 @dataclass

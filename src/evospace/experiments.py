@@ -337,11 +337,10 @@ def labels_problem(X: np.ndarray, y: np.ndarray, seed: int,
     ``w_star`` under gen's 1 x 1 matrix.  ``pairs = (det_min, norm_min)``
     adds the data-pair ``renew`` callback and its ``first_basis`` (k = 2).
     """
-    n, k = X.shape
+    k = X.shape[1]
     panel = DataColumnPanel(k)
-    A, c = panel.second_moment(X), panel.cross_moment(X, y)
-    w_star, baseline = projection_from_moments(
-        A, c, float(dot(np.full(n, 1.0 / n), y * y)))
+    A, c, mean_yy = panel.moments(X, y)
+    w_star, baseline = projection_from_moments(A, c, float(mean_yy))
     gen = gen or BregmanGenerator.squared_euclidean()
     scale = float(gen.quadratic_matrix(1).reshape(()))
     sampler = ConditionSampler.empirical(np.column_stack([X, y]), seed=seed)

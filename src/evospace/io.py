@@ -1,8 +1,10 @@
 """File formats: JSON-lines traces, CSV summaries, JSON configs and reports.
 
 Every writer replaces its file atomically, so an interrupted run leaves
-each output whole or absent.  The trace and path writers stream a run's
-``Trace`` or path into the new file a block of rows at a time.
+each output whole or absent.  The trace and path writers format a block of
+rows at a time straight from the ``Trace`` columns or the path, with one
+row template per format, byte for byte what ``json_text`` of each of
+``Trace.rows`` and the ``csv`` module would write.
 """
 
 from __future__ import annotations
@@ -64,30 +66,51 @@ def _nonfinite_key(obj, key=""):
     return next((k for k in found if k is not None), None)
 
 
+# json.dumps(row, sort_keys=True) and the csv module's rows as templates; "%s"
+# writes a float as float.__repr__, as both of them do
+_JSON_KEYS = sorted(Trace.FIELDS)
+_JSON_ROW = "{" + ", ".join(f'"{k}": %s' for k in _JSON_KEYS) + "}\n"
+_CSV_ROW = ",".join(["%s"] * len(Trace.FIELDS)) + "\r\n"
+
+
+def _finite_or_raise(trace: Trace, start: int, stop: int) -> None:
+    """json_text's ModelError for the first NaN or infinity in rows start..stop-1."""
+    floats = ("perf_after", "perf_before", "perf_true")   # in key order
+    bad = ~np.isfinite([getattr(trace, k)[start:stop] for k in floats])
+    bad[2, trace.moves - start:] = False   # a halted row's perf_true is written null
+    rows = np.flatnonzero(bad.any(axis=0))
+    if rows.size:
+        key = floats[int(np.argmax(bad[:, rows[0]]))]
+        raise ModelError(f"{key} is not finite, so it has no JSON form")
+
+
 def write_trace_jsonl(path: str, trace: Trace) -> None:
     with _replacing(path, "xb") as fh:
         for start in range(0, len(trace), _BLOCK_ROWS):
-            rows = trace.rows(start, start + _BLOCK_ROWS)
-            fh.write("".join(json_text(row) + "\n" for row in rows).encode())
+            _finite_or_raise(trace, start, start + _BLOCK_ROWS)
+            columns = trace.columns(start, start + _BLOCK_ROWS, ("false", "true", "null"))
+            rows = zip(*(columns[k] for k in _JSON_KEYS))
+            fh.write("".join(map(_JSON_ROW.__mod__, rows)).encode())
 
 
 def write_trace_csv(path: str, trace: Trace) -> None:
     with _replacing(path, "x", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=trace.FIELDS)
-        w.writeheader()
+        fh.write(",".join(trace.FIELDS) + "\r\n")
         for start in range(0, len(trace), _BLOCK_ROWS):
-            w.writerows(trace.rows(start, start + _BLOCK_ROWS))
+            columns = trace.columns(start, start + _BLOCK_ROWS, (False, True, ""))
+            fh.write("".join(map(_CSV_ROW.__mod__, zip(*columns.values()))))
 
 
 def write_path_csv(path: str, coords_path: np.ndarray) -> None:
     """Organism coordinate trajectory, one row per step."""
     arr = np.asarray(coords_path, dtype=float)
+    row = "%s" + ",%s" * arr.shape[1] + "\r\n"
     with _replacing(path, "x", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step"] + [f"c{i}" for i in range(arr.shape[1])])
+        fh.write(",".join(["step"] + [f"c{i}" for i in range(arr.shape[1])]) + "\r\n")
         for start in range(0, arr.shape[0], _BLOCK_ROWS):
-            block = arr[start:start + _BLOCK_ROWS].tolist()
-            w.writerows([i, *map(repr, row)] for i, row in enumerate(block, start))
+            block = arr[start:start + _BLOCK_ROWS]
+            rows = zip(range(start, start + len(block)), *block.T.tolist())
+            fh.write("".join(map(row.__mod__, rows)))
 
 
 def write_json_report(path: str, report: dict) -> None:

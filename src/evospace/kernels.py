@@ -26,8 +26,9 @@ from typing import Callable
 import numpy as np
 
 
-# weighted_rows forms the products of about this many values at a time
-_CHUNK_VALUES = 1 << 18
+# weighted_rows forms the products of about this many values (512 KB) at a
+# time, which bounds the memory a block's reduction takes
+_CHUNK_VALUES = 1 << 16
 
 
 def fold(p) -> np.ndarray:

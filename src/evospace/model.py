@@ -351,21 +351,45 @@ class GenePanel:
     """Gene panel mapping a condition x to the d x dG output matrix G_x.
 
     Subclasses define, in closed form over a stack X of n conditions,
-    ``express(X, coords)``, the (n, d) organism outputs, and two weighted
-    means: ``second_moment(X, M=None, weights=None)`` of G_x^T M G_x (M = I
-    if omitted) and ``cross_moment(X, targets, M=None, weights=None)`` of
-    G_x^T M t(x).  The moments also take a stack of K batches, as (K, n, k)
-    conditions with n weights or as (n, k) conditions with (K, n) weight
-    rows, and return the K moments stacked, each bit for bit the moment of
-    its batch alone (``kernels.weighted_rows``).
+    ``express(X, coords)``, the (n, d) organism outputs;
+    ``_columns(X, targets, M)``, the per-condition columns whose weighted
+    means are the moments, as the rows of a (..., c, n) array: the entries
+    of G_x^T M G_x, then, given target outputs t(x), those of G_x^T M t(x)
+    and t(x)^T M t(x) (M = I if None); and ``_split``, which cuts the
+    weighted means into the moments.
+
+    ``moments(X, targets=None, M=None, weights=None)`` reduces all the
+    columns in one ``kernels.weighted_rows`` call and returns (second,
+    cross, const), the last two None without targets; ``second_moment``
+    reads the first.  The moments also take a stack of K batches, as
+    (K, n, k) conditions with n weights or as (n, k) conditions with (K, n)
+    weight rows, and return the K moments stacked, each bit for bit the
+    moment of its batch alone: every column is summed by ``fold`` on its
+    own.
     """
 
     d: int
     dG: int
 
+    def moments(self, X, targets=None, M=None, weights=None) -> tuple:
+        X = np.asarray(X, dtype=float)
+        n = X.shape[-2]
+        w = np.full(n, 1.0 / n) if weights is None else weights
+        t = None if targets is None else np.asarray(targets, dtype=float)
+        # _columns gives the columns as the rows of a (..., c, n) array, so
+        # that weighted_rows reads each one contiguously
+        columns = np.swapaxes(self._columns(X, t, M), -1, -2)
+        return self._split(weighted_rows(w, columns), M, t is not None)
+
+    def second_moment(self, X, M=None, weights=None):
+        return self.moments(X, M=M, weights=weights)[0]
+
 
 class IdentityPanel(GenePanel):
-    """dG = d genes; G_x = I for every condition."""
+    """dG = d genes; G_x = I for every condition.
+
+    G_x^T M G_x is M itself, so the only columns are t(x) and t(x)^T M t(x).
+    """
 
     def __init__(self, d: int):
         if d < 1:
@@ -377,17 +401,22 @@ class IdentityPanel(GenePanel):
                               (np.asarray(X).shape[0], self.d))
         return np.array(out)
 
-    def second_moment(self, X, M=None, weights=None):
-        base = np.eye(self.d) if M is None else np.asarray(M, dtype=float)
-        # the same moment for each batch of a stack of conditions or weight rows
-        stack = np.shape(X)[:-2] + np.shape(weights)[:-1]
-        return np.broadcast_to(base, stack + base.shape)
+    def _columns(self, X, targets, M):
+        out = np.empty(X.shape[:-2] + (0 if targets is None else self.d + 1,
+                                       X.shape[-2]))
+        if targets is not None:
+            out[..., :-1, :] = np.swapaxes(targets, -1, -2)
+            out[..., -1, :] = quad_form(targets, np.eye(self.d) if M is None else M)
+        return out
 
-    def cross_moment(self, X, targets, M=None, weights=None):
-        n = np.shape(X)[-2]
-        w = np.full(n, 1.0 / n) if weights is None else weights
-        tbar = weighted_rows(w, targets)
-        return tbar if M is None else matvec(M, tbar)
+    def _split(self, sums, M, targeted):
+        base = np.eye(self.d) if M is None else np.asarray(M, dtype=float)
+        # the same second moment for each batch of a stack
+        second = np.broadcast_to(base, sums.shape[:-1] + base.shape)
+        if not targeted:
+            return second, None, None
+        tbar = sums[..., :self.d]
+        return (second, tbar if M is None else matvec(M, tbar), sums[..., self.d])
 
 
 class DataColumnPanel(GenePanel):
@@ -395,7 +424,9 @@ class DataColumnPanel(GenePanel):
 
     G_x is a 1 x dG row of condition entries, so an organism is a linear
     functional of the condition.  The genes read the first dG entries
-    (conditions may carry extra columns after them, e.g. labels).
+    (conditions may carry extra columns after them, e.g. labels).  The
+    columns of a condition x are vec(x x^T), x t(x) and t(x)^T M t(x); M is
+    1 x 1, and its scale multiplies the first two means.
     """
 
     def __init__(self, dG: int):
@@ -408,23 +439,25 @@ class DataColumnPanel(GenePanel):
         X = np.asarray(X, dtype=float)[..., :self.dG]
         return matvec(X, coords).reshape(-1, 1)
 
-    def second_moment(self, X, M=None, weights=None):
-        X = np.asarray(X, dtype=float)[..., :self.dG]
-        n = X.shape[-2]
-        w = np.full(n, 1.0 / n) if weights is None else weights
-        scale = 1.0 if M is None else float(np.asarray(M).reshape(()))
-        # the weighted sum of the rows' (dG * dG) outer products
-        outer = X[..., :, None] * X[..., None, :]
-        quad = weighted_rows(w, outer.reshape(X.shape[:-1] + (-1,)))
-        return (scale * quad).reshape(quad.shape[:-1] + (self.dG, self.dG))
+    def _columns(self, X, targets, M):
+        XT, q = np.swapaxes(X[..., :self.dG], -1, -2), self.dG * self.dG
+        stack, n = XT.shape[:-2], XT.shape[-1]
+        out = np.empty(stack + (q if targets is None else q + self.dG + 1, n))
+        out[..., :q, :] = (XT[..., :, None, :] * XT[..., None, :, :]).reshape(
+            stack + (q, n))
+        if targets is not None:
+            t = targets.reshape(stack + (n, 1))
+            np.multiply(XT, np.swapaxes(t, -1, -2), out=out[..., q:-1, :])
+            out[..., -1, :] = quad_form(t, np.eye(1) if M is None else M)
+        return out
 
-    def cross_moment(self, X, targets, M=None, weights=None):
-        X = np.asarray(X, dtype=float)[..., :self.dG]
-        t = np.asarray(targets, dtype=float).reshape(X.shape[:-1])
-        n = X.shape[-2]
-        w = np.full(n, 1.0 / n) if weights is None else weights
+    def _split(self, sums, M, targeted):
         scale = 1.0 if M is None else float(np.asarray(M).reshape(()))
-        return scale * weighted_rows(w, X * t[..., None])
+        q = self.dG * self.dG
+        second = (scale * sums[..., :q]).reshape(sums.shape[:-1] + (self.dG, self.dG))
+        if not targeted:
+            return second, None, None
+        return second, scale * sums[..., q:-1], sums[..., -1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,19 @@ import json
 import math
 import os
 import re
+import tempfile
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evospace import io
 from evospace.engine import Trace
 from evospace.errors import ConfigError, ModelError
-from evospace.io import (load_config, load_dataset_csv, read_config,
-                         write_json_report, write_path_csv, write_trace_csv,
-                         write_trace_jsonl)
+from evospace.io import (json_text, load_config, load_dataset_csv,
+                         read_config, write_json_report, write_path_csv,
+                         write_trace_csv, write_trace_jsonl)
 
 
 def steps_fixture():
@@ -33,12 +36,17 @@ class TestTraceFiles:
         write_trace_jsonl(str(path), steps)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
-        rec0 = json.loads(lines[0])
-        assert rec0["step"] == 0
-        assert rec0["perf_true"] == -0.95
-        rec1 = json.loads(lines[1])
-        assert rec1["failed"] is True
-        assert rec1["chosen_index"] is None
+        assert json.loads(lines[0]) == {
+            "step": 0, "perf_before": -1.0, "perf_after": -0.9, "bene_size": 2,
+            "neut_size": 1, "chosen_index": 0, "chosen_polarity": 1,
+            "forced": False, "failed": False, "perf_true": -0.95,
+            "in_target_set": False}
+        # the halted row: its perf, no choice and no oracle fields
+        assert json.loads(lines[1]) == {
+            "step": 1, "perf_before": -0.9, "perf_after": -0.9, "bene_size": 0,
+            "neut_size": 0, "chosen_index": None, "chosen_polarity": None,
+            "forced": False, "failed": True, "perf_true": None,
+            "in_target_set": None}
 
     def test_jsonl_bytes_deterministic(self, tmp_path):
         steps = steps_fixture()
@@ -80,6 +88,122 @@ class TestTraceFiles:
         assert float(rows[2][1]) == 0.1 + 0.2
 
 
+# floats whose text is easy to get wrong: signed zero, the smallest
+# subnormal, where repr turns to exponents, and inexact sums
+_EDGE_FLOATS = (-0.0, 5e-324, 1e16, 1e-5, 1 / 3, 0.1 + 0.2)
+
+
+@st.composite
+def _traces(draw, length, halted):
+    """A Trace of ``length`` rows, ``halted`` on its last one, and a path.
+
+    Every float is one of the edge floats or a drawn finite one; a row is
+    forced at random.  The path has 1 or 64 columns and may hold NaN and
+    infinities, which the path file writes as repr does.
+    """
+    pool = np.array(_EDGE_FLOATS + tuple(draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trace = Trace(length, epsilon=float(rng.choice(pool[pool > 0])))
+    for name in ("perf_before", "perf_after", "perf_true"):
+        getattr(trace, name)[:] = rng.choice(pool, length) * rng.choice([-1, 1], length)
+    trace.bene_size[:] = rng.integers(0, 9, length)
+    trace.neut_size[:] = rng.integers(0, 9, length)
+    trace.j[:] = rng.integers(0, 64, length)
+    trace.forced[:] = rng.random(length) < 0.3
+    if halted:
+        trace.halt(length - 1, float(rng.choice(pool)))
+    columns = draw(st.sampled_from([1, 64]))
+    path = rng.choice(np.concatenate([pool, [math.nan, math.inf, -math.inf]]),
+                      (trace.moves + 1, columns))
+    return trace, path
+
+
+def _reference_files(trace, path) -> dict:
+    """The three files as the per-row writers write them."""
+    jsonl = "".join(json_text(row) + "\n" for row in trace.rows()).encode()
+    trace_csv = StringIO(newline="")
+    writer = csv.DictWriter(trace_csv, fieldnames=Trace.FIELDS)
+    writer.writeheader()
+    writer.writerows(trace.rows())
+    path_csv = StringIO(newline="")
+    writer = csv.writer(path_csv)
+    writer.writerow(["step"] + [f"c{i}" for i in range(path.shape[1])])
+    writer.writerows([i, *map(repr, row)] for i, row in enumerate(path.tolist()))
+    return {"trace.jsonl": jsonl, "trace.csv": trace_csv.getvalue().encode(),
+            "path.csv": path_csv.getvalue().encode()}
+
+
+class TestBlockWriters:
+    """The block writers format the trace columns as the per-row writers did."""
+
+    # halted on row 0, on the last row of a block and on the first of the next
+    @pytest.mark.parametrize("length, halted", [
+        (0, False), (1, True), (5, False), (4096, True), (4097, True),
+        (4097, False)])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_files_equal_the_per_row_references(self, length, halted, data):
+        trace, path = data.draw(_traces(length, halted))
+        with tempfile.TemporaryDirectory() as out:
+            write_trace_jsonl(os.path.join(out, "trace.jsonl"), trace)
+            write_trace_csv(os.path.join(out, "trace.csv"), trace)
+            write_path_csv(os.path.join(out, "path.csv"), path)
+            got = {}
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    got[name] = fh.read()
+        assert got == _reference_files(trace, path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from([(1, True), (5, False), (4097, True)]).flatmap(
+        lambda shape: _traces(*shape)), bad=st.lists(st.tuples(
+        st.sampled_from(["perf_before", "perf_after", "perf_true"]),
+        st.floats(0, 1, exclude_max=True),
+        st.sampled_from([math.nan, math.inf, -math.inf])), min_size=1, max_size=3))
+    def test_a_nonfinite_value_fails_as_json_text_does(self, case, bad):
+        trace, _ = case
+        for name, where, value in bad:
+            getattr(trace, name)[int(where * len(trace))] = value
+        try:
+            for row in trace.rows():
+                json_text(row)
+            want = None
+        except ModelError as e:
+            want = str(e)
+        with tempfile.TemporaryDirectory() as out:
+            target = os.path.join(out, "trace.jsonl")
+            if want is None:   # only a halted row's perf_true, written null
+                write_trace_jsonl(target, trace)
+                assert os.listdir(out) == ["trace.jsonl"]
+            else:
+                with pytest.raises(ModelError) as got:
+                    write_trace_jsonl(target, trace)
+                assert str(got.value) == want
+                assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("name", ["perf_before", "perf_after", "perf_true"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_each_float_column_rejects_each_nonfinite_value(self, tmp_path,
+                                                           name, value):
+        # in the second block, after a whole first one
+        trace = Trace(4097, epsilon=0.1)
+        for column in (trace.perf_before, trace.perf_after, trace.perf_true):
+            column[:] = -0.5
+        trace.bene_size[:] = trace.neut_size[:] = trace.j[:] = 0
+        trace.forced[:] = False
+        getattr(trace, name)[4096] = value
+        with pytest.raises(ModelError, match=f"^{name} is not finite, so it "
+                                             f"has no JSON form$"):
+            write_trace_jsonl(str(tmp_path / "trace.jsonl"), trace)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_columns_follow_the_fields(self):
+        trace = steps_fixture()
+        assert tuple(trace.columns()) == Trace.FIELDS
+        assert tuple(trace.rows()[0]) == Trace.FIELDS
+
+
 class TestAtomicWrites:
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
         path = tmp_path / "report.json"
@@ -95,18 +219,21 @@ class TestAtomicWrites:
         path = tmp_path / "trace.csv"
         write_trace_csv(str(path), steps_fixture())
         old = path.read_bytes()
-        # one-row blocks, and the second block cannot be built
-        trace, rows = steps_fixture(), Trace.rows
+        # one-row blocks, and the second block's columns cannot be built
+        trace, columns = steps_fixture(), Trace.columns
+        built = []
 
-        def rows_or_fail(self, start, stop):
+        def columns_or_fail(self, start, stop, tokens):
+            built.append(start)
             if start:
                 raise RuntimeError("row source lost")
-            return rows(self, start, stop)
+            return columns(self, start, stop, tokens)
 
         monkeypatch.setattr(io, "_BLOCK_ROWS", 1)
-        monkeypatch.setattr(Trace, "rows", rows_or_fail)
+        monkeypatch.setattr(Trace, "columns", columns_or_fail)
         with pytest.raises(RuntimeError):
             write_trace_csv(str(path), trace)
+        assert built == [0, 1]   # the first block was written before the failure
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["trace.csv"]
 

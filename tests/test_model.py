@@ -10,8 +10,9 @@ from evospace import (BregmanGenerator, ConditionSampler, DataColumnPanel,
                       EvolutionConfig, IdentityPanel, MutationSet, Organism,
                       QuadraticPerfModel, Sample, empirical_performance,
                       quadratic_stats_for, rng_for, run_evolution)
+from evospace import kernels, model as model_module
 from evospace.errors import ConfigError, ModelError
-from evospace.kernels import weighted_rows
+from evospace.kernels import matvec, quad_form, weighted_rows
 
 
 def quartic_gen():
@@ -148,6 +149,94 @@ class TestPanels:
         got = panel.second_moment(X, weights=w)
         want = panel.second_moment(expanded)
         assert np.allclose(got, want)
+
+
+def separate_moments(panel, points, targets, M, weights):
+    """The three moments as three weighted_rows reductions of their own.
+
+    Every product and fold the fused reduction must reproduce bit for bit:
+    vec(x x^T), x t and t^T M t scaled after the sum for a data-column
+    panel, M and M times the mean target for an identity panel.
+    """
+    X, t = np.asarray(points, dtype=float), np.asarray(targets, dtype=float)
+    if isinstance(panel, IdentityPanel):
+        stack = X.shape[:-2] + np.shape(weights)[:-1]
+        quad = np.broadcast_to(np.eye(panel.d) if M is None else M,
+                               stack + (panel.d, panel.d))
+        tbar = weighted_rows(weights, t)
+        cross = tbar if M is None else matvec(M, tbar)
+    else:
+        X, scale = X[..., :panel.dG], 1.0 if M is None else float(M.reshape(()))
+        outer = (X[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (-1,))
+        sums = weighted_rows(weights, outer)
+        quad = (scale * sums).reshape(sums.shape[:-1] + (panel.dG, panel.dG))
+        cross = scale * weighted_rows(weights, X * t.reshape(X.shape[:-1])[..., None])
+    M = np.eye(panel.d) if M is None else M
+    const = weighted_rows(weights, quad_form(t, M)[..., None])[..., 0]
+    return quad, cross, const
+
+
+class TestFusedMoments:
+    """One weighted_rows call gives each moment of the separate reductions."""
+
+    @pytest.mark.parametrize("panel, scale", [
+        (DataColumnPanel(1), None), (DataColumnPanel(1), 0.7),
+        (DataColumnPanel(2), None), (DataColumnPanel(2), 3.0),
+        (DataColumnPanel(5), None), (DataColumnPanel(5), 0.5),
+        (IdentityPanel(1), 0.7), (IdentityPanel(3), None)])
+    # the kernels' slice, which cuts the 54 weight rows for dG = 2 and 5,
+    # and one that cuts them into slices of 1 to 15 rows for every panel
+    @pytest.mark.parametrize("chunk", [kernels._CHUNK_VALUES, 9_000])
+    def test_one_call_equals_the_separate_reductions(self, panel, scale, chunk,
+                                                     monkeypatch):
+        gen = (BregmanGenerator.squared_euclidean() if scale is None
+               else BregmanGenerator.mahalanobis([[scale]]))
+        M = gen.quadratic_matrix(panel.d)
+        n = 300
+        identity = isinstance(panel, IdentityPanel)
+        data = rng_for(("fused", panel.dG)).standard_normal(
+            (n, panel.dG + (0 if identity else 1)))
+        data[::7, 0] = -0.0
+        data[3::11, -1] = 5e-324
+        rng = rng_for(("fused-draws", panel.dG))
+        W = rng.multinomial(50_000, np.full(n, 1 / n), size=54) / 50_000
+        rows = rng.integers(0, n, size=(6, 20))
+        target = (lambda P: P) if identity else lambda P: P[..., panel.dG:]
+        stats_fn = quadratic_stats_for(panel, gen, target)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return weighted_rows(*args)
+
+        monkeypatch.setattr(kernels, "_CHUNK_VALUES", chunk)
+        monkeypatch.setattr(model_module, "weighted_rows", counted)
+        # (K, n) weight rows over the data, then a (K', m, k) stack of
+        # index batches with uniform weights
+        for points, weights in ((data, W), (data[rows], np.full(20, 1 / 20))):
+            del calls[:]
+            got = stats_fn(points, weights)
+            assert len(calls) == 1
+            want = separate_moments(panel, points, target(points), M, weights)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            stack = len(weights) if points is data else len(rows)
+            assert got[0].shape == (stack, panel.dG, panel.dG)
+
+    @pytest.mark.parametrize("panel", [DataColumnPanel(3), IdentityPanel(2)])
+    @pytest.mark.parametrize("M", [None, 1.5])
+    def test_moments_without_a_stack_and_the_second_alone(self, panel, M):
+        X = rng_for(("moments", panel.dG)).standard_normal((40, panel.dG))
+        y = rng_for(("targets", panel.dG)).standard_normal((40, panel.d))
+        y[:, 0] = -0.0   # a mean of -0.0, which M = I times it would make +0.0
+        w = rng_for(("weights", panel.dG)).random(40)
+        M = None if M is None else np.eye(panel.d) * M
+        second, cross, const = panel.moments(X, y, M=M, weights=w)
+        assert panel.second_moment(X, M=M, weights=w).tobytes() == second.tobytes()
+        want = separate_moments(panel, X, y, M, w)
+        for a, b in zip((second, cross, const), want):
+            assert a.tobytes() == b.tobytes()
+        assert panel.moments(X, weights=w)[1:] == (None, None)
 
 
 class TestSampler:
