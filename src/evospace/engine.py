@@ -430,6 +430,10 @@ def run_evolution(model: QuadraticPerfModel, config: EvolutionConfig) -> Evoluti
     period = config.renewal_period
 
     mutations = config.mutations
+    size = np.shape(model.true_stats[0])
+    if size != (mutations.dG, mutations.dG):
+        raise ConfigError(f"the model's quad is {' x '.join(map(str, size))} but "
+                          f"the mutation set has dG={mutations.dG}")
     f0 = np.zeros(mutations.dG) if config.f0 is None else np.asarray(config.f0, float)
     organism = Organism(basis=mutations, base=f0, alpha=config.alpha)
     steps_matrix = _signed_steps(mutations, config.alpha)

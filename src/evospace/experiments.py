@@ -13,6 +13,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add, sub
 from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence
 
@@ -229,7 +230,9 @@ class MeanEstimationModel(QuadraticPerfModel):
     against the current true target.  With ``nu = 0`` this is the plain
     stationary scenario.  Drift away from the organism makes the target
     depend on the path, so the model keeps each step's target until the
-    loop scores the step's oracle row (``true_perf_rows``).
+    loop scores the step's oracle row (``true_perf_rows``).  The target
+    ``t_cur`` is a list of Python floats, and the drift and the center are
+    formed on floats, with numpy's operations in numpy's order.
     """
 
     def __init__(self, sampler: ConditionSampler, mu0: np.ndarray, *,
@@ -239,13 +242,14 @@ class MeanEstimationModel(QuadraticPerfModel):
         self.mu0 = np.asarray(mu0, dtype=float).copy()
         self.nu = float(nu)
         self._eye = np.eye(self.mu0.shape[0])
+        self._mu0, self._unit = self.mu0.tolist(), self._eye[0].tolist()
         super().__init__(sampler, None,
                          (self._eye, self.mu0, dot(self.mu0, self.mu0)))
         self._restart()
 
     def _restart(self) -> None:
-        self.t_cur = self.mu0.copy()
-        self._shift = self.t_cur - self.mu0
+        self.t_cur = list(self._mu0)
+        self._shift = list(map(sub, self.t_cur, self._mu0))
         self.drift_steps = 0
         self._targets = []   # the target of each step not yet scored
 
@@ -253,25 +257,25 @@ class MeanEstimationModel(QuadraticPerfModel):
         # The target holds still for the first evaluation and moves between
         # steps, so a run of T steps sees T-1 perturbations.  Step 0 starts
         # the target over, so an instance can be run again.  The cross term
-        # is the list of the center's Python floats, which score reads as is.
+        # is the list of the center's Python floats, which score reads as is;
+        # the shift is added even when zero, which turns a -0.0 into +0.0.
         if step == 0:
             self._restart()
         elif self.nu != 0.0:
-            d = self.t_cur - np.asarray(coords, dtype=float)
-            nrm = float(np.sqrt(dot(d, d)))
-            d = self._eye[0] if nrm < 1e-15 else d / nrm
-            self.t_cur = self.t_cur + self.nu * d
-            self._shift = self.t_cur - self.mu0
+            d = list(map(sub, self.t_cur, coords))
+            nrm = math.sqrt(dot_floats(d, d))
+            d = self._unit if nrm < 1e-15 else [x / nrm for x in d]
+            self.t_cur = [t + self.nu * x for t, x in zip(self.t_cur, d)]
+            self._shift = list(map(sub, self.t_cur, self._mu0))
             self.drift_steps += 1
         self._targets.append(self.t_cur)
         (mean,) = self.sampler.reduce(step, m, _sample_mean)
-        center = mean + self._shift
-        c = center.tolist()
+        c = list(map(add, mean.tolist(), self._shift))
         return (self._eye, c, dot_floats(c, c))
 
     def true_perf(self, coords, step: int) -> float:
         # step 0 is scored before draw(0) restarts the target
-        t = self.mu0 if step == 0 else self.t_cur
+        t = self.mu0 if step == 0 else np.asarray(self.t_cur)
         return float(self._eval((self._eye, t, dot(t, t)),
                                 np.asarray(coords, float)))
 
@@ -788,7 +792,7 @@ def _drift(cfg, opts, trace_to) -> dict:
             result, _ = run_seed(model, MutationSet.orthonormal(2), schedule,
                                  seed, m_override=m, t_override=t_steps,
                                  f0=np.zeros(2), trace_to=trace)
-            shift = model.t_cur - model.mu0
+            shift = np.subtract(model.t_cur, model.mu0)
             return {
                 "seed": seed, "data_tries": tries,
                 "success": bool(result.final_true_perf >= -eps),

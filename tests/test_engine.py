@@ -537,6 +537,15 @@ class TestQuadraticModel:
         with pytest.raises(ConfigError, match="got DuckModel"):
             run_evolution(DuckModel(), cfg)
 
+    def test_loop_rejects_a_model_of_another_size(self):
+        data = rng_for(45).standard_normal((20, 3))
+        model = MeanEstimationModel(ConditionSampler.empirical(data, seed=0),
+                                    data.mean(axis=0), nu=0.01)
+        cfg = EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
+                              tol=0.05, m=1, t_steps=3, epsilon=0.1)
+        with pytest.raises(ConfigError, match=r"quad is 3 x 3 .* dG=2"):
+            run_evolution(model, cfg)
+
     def test_every_model_has_an_oracle(self):
         # a run without true_stats has no perf_true column to fill
         with pytest.raises(TypeError, match="true_stats"):

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from evospace import experiments
@@ -27,6 +27,7 @@ from evospace.experiments import (
     run_scenario,
     run_seed,
 )
+from evospace.kernels import dot, dot_floats
 from evospace.model import ConditionSampler, MutationSet, rng_for
 
 SEED_TABLE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -295,6 +296,87 @@ class TestMeanEstimationModel:
         _, center2, _ = drifted.draw(1, 3, np.zeros(2))
         offset = drifted.t_cur - drifted.mu0
         assert np.allclose(center2, center + offset, atol=1e-14)
+
+
+class FixedMean:
+    """A sampler stand-in whose every step has the sample mean ``mean``."""
+
+    def __init__(self, mean):
+        self.mean = np.asarray(mean, dtype=float)
+
+    def reduce(self, step, m, fn):
+        return (self.mean.copy(),)
+
+
+def numpy_draw(t_cur, mu0, nu, coords, mean):
+    """The target and (center, const) of a drift step, formed on numpy
+    2-vectors: the reference for MeanEstimationModel.draw's float form."""
+    if nu != 0.0:
+        d = t_cur - np.asarray(coords, dtype=float)
+        nrm = float(np.sqrt(dot(d, d)))
+        d = np.eye(len(mu0))[0] if nrm < 1e-15 else d / nrm
+        t_cur = t_cur + nu * d
+    center = (mean + (t_cur - mu0)).tolist()
+    return t_cur, center, dot_floats(center, center)
+
+
+def hexes(values) -> list:
+    return [float.hex(float(v)) for v in values]
+
+
+_BELOW, _ABOVE = math.nextafter(1e-15, 0.0), math.nextafter(1e-15, 1.0)
+_coord = st.floats(-1e3, 1e3)
+
+
+class TestFloatDrift:
+    """The float drift and center against the numpy reference, byte for byte
+    (float.hex tells -0.0 from +0.0)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu0=st.tuples(_coord, _coord),
+           mean=st.tuples(_coord | st.just(-0.0), _coord | st.just(-0.0)),
+           nu=st.just(0.0) | st.floats(1e-12, 10.0),
+           moves=st.lists(st.none() | st.tuples(_coord, _coord),
+                          min_size=1, max_size=6),
+           as_array=st.booleans())
+    # coords on the target: the unit fallback
+    @example(mu0=(0.3, -0.2), mean=(0.1, 0.1), nu=0.1, moves=[None, None],
+             as_array=False)
+    # the norm just below and just above 1e-15: the fallback moves along the
+    # first axis, the normal step along the second
+    @example(mu0=(0.0, 0.0), mean=(0.1, 0.1), nu=0.1, moves=[(0.0, -_BELOW)],
+             as_array=False)
+    @example(mu0=(0.0, 0.0), mean=(0.1, 0.1), nu=0.1, moves=[(0.0, -_ABOVE)],
+             as_array=True)
+    # a squared norm that overflows to inf, and a NaN coordinate
+    @example(mu0=(1e154, 1.5e154), mean=(0.1, 0.1), nu=0.1,
+             moves=[(-1e154, -1.5e154), (0.0, 1.0)], as_array=False)
+    @example(mu0=(0.3, -0.2), mean=(0.1, 0.1), nu=0.1,
+             moves=[(math.nan, 0.0)], as_array=True)
+    # a -0.0 mean component comes out +0.0, with and without drift
+    @example(mu0=(0.3, -0.2), mean=(-0.0, 0.1), nu=0.0, moves=[(0.0, 0.0)],
+             as_array=False)
+    @example(mu0=(0.3, -0.2), mean=(-0.0, -0.0), nu=0.1, moves=[(0.0, 0.0)],
+             as_array=True)
+    def test_draw_matches_numpy_reference(self, mu0, mean, nu, moves, as_array):
+        mu0, mean = np.array(mu0), np.array(mean)
+        with np.errstate(over="ignore"):   # mu0 . mu0 of the starting triple
+            model = MeanEstimationModel(FixedMean(mean), mu0, nu=nu)
+        t_ref = mu0
+        for step, move in enumerate([(0.0, 0.0), *moves]):
+            coords = t_ref.tolist() if move is None else list(move)
+            if as_array:
+                coords = np.array(coords)
+            _, center, const = model.draw(step, 5, coords)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # step 0 starts the target over and does not move it
+                t_ref, want, want_const = numpy_draw(
+                    mu0 if step == 0 else t_ref, mu0, nu if step else 0.0,
+                    coords, mean)
+            assert hexes(model.t_cur) == hexes(t_ref)
+            assert hexes(center) == hexes(want)
+            assert float.hex(float(const)) == float.hex(want_const)
+        assert model.drift_steps == (len(moves) if nu else 0)
 
 
 class PerStepSampler(ConditionSampler):
