@@ -10,11 +10,11 @@ between expressed and target outputs.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .kernels import dot, matvec, quad_form, weighted_rows
 # Sample sizes above this multiple of the dataset size are drawn as
 # multinomial counts instead of explicit index lists.  The empirical mean of
 # any per-condition statistic is identical in distribution either way; the
-# counts form just avoids materialising huge index arrays, and its weights
-# are drawn a block of steps at a time (``ConditionSampler._weight_rows``).
+# counts form just avoids materialising huge index arrays.
 _WEIGHTED_DRAW_FACTOR = 4
 
 
@@ -70,177 +69,25 @@ def rng_for(seed, index: int = 0) -> np.random.Generator:
 
     ``seed`` may be an int, a string label, or a nested sequence of them;
     the derived streams are independent across distinct (seed, index) pairs.
-    This is the definition of every random stream in the package:
-    ``ConditionSampler.draw`` reaches the same streams without calling it.
+    Every random stream in the package is one of these; a
+    ``ConditionSampler`` draws each block of steps on
+    ``rng_for((seed, "block", m), first)``.
     """
     words = _seed_words(seed) + _seed_words(index)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
-# uint32 words filled by hashmix and mix with these constants and a 16-bit
-# xorshift.  The constants follow a fixed sequence whatever the data, so the
-# hash of many entropy lists that differ in one word runs as array arithmetic.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# the multiplier of PCG64's 128-bit linear congruential step
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-# Step streams are seeded a block at a time: 4,096 x 4 uint64 = 128 KB.
-_SEED_BLOCK = 4096
-# Index rows of samples of at most 256 conditions are drawn a block of up to
-# 4,096 steps at a time.  Above 256, numpy's own bounded draw per step is the
-# faster: at m = 50,000 the block draw took 2.3 to 2.6 times as long on a
-# 2-core x86-64 VM.  A block holds at most about 2**16 indices (512 KB of
-# int64), computed 2**14 values at a time so the temporaries stay small.
-_BLOCK_MAX_M = 256
+# A block of steps draws on one generator.  Index rows and a callable's
+# samples come min(4,096, 2**16 // m) steps at a time, at most about 2**16
+# indices (512 KB of int64), and index rows are reduced 2**14 gathered values
+# at a time so the temporaries stay small.  Multinomial weights come
+# max(1, 2**14 // n) steps at a time, about 2**14 float64 weights (128 KB):
+# a block of 2**17 weights was no faster and raised the peak RSS of a
+# supervised sweep by about 4 MB.
+_BLOCK_STEPS = 4096
 _BLOCK_INDICES = 1 << 16
 _CHUNK_INDICES = 1 << 14
-# Multinomial weights are drawn a block of max(1, 2**14 // n) steps at a
-# time, about 2**14 float64 weights (128 KB).  A block of 2**17 weights was
-# no faster and raised the peak RSS of a supervised sweep by about 4 MB.
 _BLOCK_WEIGHTS = 1 << 14
-
-
-def _uint32_words(words) -> list:
-    # SeedSequence splits each entropy int into little-endian 32-bit words,
-    # with 0 -> [0].
-    out = []
-    for w in words:
-        out.append(w & _MASK32)
-        while w > _MASK32:
-            w >>= 32
-            out.append(w & _MASK32)
-    return out
-
-
-def _stream_seeds(prefix: list, first: int, count: int) -> np.ndarray:
-    """PCG64 seeds of the streams ``rng_for(seed, i)``, i in [first, first + count).
-
-    ``prefix`` is ``_uint32_words(_seed_words(seed))`` and every index must be
-    below 2**32.  Row ``i - first`` equals
-    ``SeedSequence(_seed_words(seed) + [i]).generate_state(4, np.uint64)``.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return out ^ (out >> np.uint32(16))
-
-    entropy = [np.full(count, w, np.uint32) for w in prefix]
-    entropy.append(np.arange(first, first + count, dtype=np.uint32))
-    entropy += [np.zeros(count, np.uint32)] * (4 - len(entropy))
-    pool = [hashmix(e) for e in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for e in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(e))
-
-    # generate_state(4, np.uint64) reads 8 words as little-endian word pairs
-    seeds = np.empty((count, 4), dtype="<u8")
-    halves = seeds.view("<u4")
-    hash_const = _INIT_B
-    for k in range(8):
-        value = pool[k % 4] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        halves[:, k] = value ^ (value >> np.uint32(16))
-    return seeds
-
-
-@functools.cache
-def _seed_row_type() -> type:
-    """``_SeedRow``, defined on first use: importing evospace loads no numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    @dataclass
-    class _SeedRow(ISeedSequence):
-        # a _stream_seeds row: the four uint64 words SeedSequence gives the stream
-        row: np.ndarray
-
-        def generate_state(self, n_words, dtype) -> np.ndarray:
-            return self.row
-
-        def __reduce__(self):   # a local class: pickle rebuilds it by _seed_row
-            return _seed_row, (self.row,)
-
-    return _SeedRow
-
-
-def _seed_row(row: np.ndarray):
-    return _seed_row_type()(row)
-
-
-def _seeded(row: np.ndarray) -> np.random.Generator:
-    """The generator ``rng_for`` builds for the stream of a seed row."""
-    return np.random.Generator(np.random.PCG64(_seed_row(row)))
-
-
-def _jump_limbs(outputs: int) -> np.ndarray:
-    """(8, outputs) jump-ahead constants for the first ``outputs`` PCG64 outputs.
-
-    A PCG64 seeded from ``initstate`` and ``inc`` steps to MULT*x + inc with
-    x = initstate + inc, and steps again before each output, so output j is
-    the XSL-RR of MULT**(j+2)*x + B_(j+2)*inc mod 2**128, where
-    B_k = MULT**(k-1) + ... + MULT + 1 (Brown's jump-ahead).  Rows 0-3 hold
-    MULT**(j+2) and rows 4-7 B_(j+2), each as its two low 32-bit limbs then
-    its low and high 64-bit words.
-    """
-    power, total = _PCG64_MULT, 1
-    cols = []
-    for _ in range(outputs):
-        total = (total + power) & _MASK128
-        power = (power * _PCG64_MULT) & _MASK128
-        cols.append([w for c in (power, total) for w in
-                     (c & _MASK32, (c >> 32) & _MASK32, c & _MASK64, c >> 64)])
-    return np.array(cols, dtype=np.uint64).T.copy()
-
-
-# the constants for every block's sample size, m <= _BLOCK_MAX_M
-_JUMP_LIMBS = _jump_limbs((_BLOCK_MAX_M + 1) // 2)
-
-
-def _pcg64_outputs(seeds: np.ndarray, outputs: int) -> np.ndarray:
-    """(lanes, outputs) first outputs of the PCG64s seeded from the seed rows.
-
-    Row (s0, s1, s2, s3) seeds initstate = s0:s1 and inc = 2*(s2:s3) + 1
-    (high:low 64-bit words), as ``PCG64(SeedSequence)`` does.  Of a 128-bit
-    product mod 2**128 the low words multiply in full, from 32-bit limbs,
-    and the cross words only mod 2**64.
-    """
-    s0, s1, s2, s3 = (seeds[:, k:k + 1] for k in range(4))
-    inc_lo = (s3 << 1) | 1
-    inc_hi = (s2 << 1) | (s3 >> 63)
-    x_lo = s1 + inc_lo
-    x_hi = s0 + inc_hi + (x_lo < s1)
-    jump = _JUMP_LIMBS[:, :outputs]
-    low = mid = hi = 0
-    for lane_lo, lane_hi, (c0, c1, c_lo, c_hi) in ((x_lo, x_hi, jump[:4]),
-                                                   (inc_lo, inc_hi, jump[4:])):
-        l0, l1 = lane_lo & _MASK32, lane_lo >> 32
-        p00, p01, p10 = c0 * l0, c0 * l1, c1 * l0
-        low = low + (p00 & _MASK32)
-        mid = mid + (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-        hi = (hi + c1 * l1 + (p01 >> 32) + (p10 >> 32)
-              + c_lo * lane_hi + c_hi * lane_lo)
-    mid = mid + (low >> 32)
-    lo = (low & _MASK32) | (mid << 32)
-    hi = hi + (mid >> 32)
-    # XSL-RR: rotate hi ^ lo right by the top 6 bits of the state
-    rot = hi >> 58
-    value = hi ^ lo
-    return (value >> rot) | (value << ((64 - rot) & 63))
 
 
 # ---------------------------------------------------------------------------
@@ -479,26 +326,28 @@ class Sample:
 
 
 class ConditionSampler:
-    """Draws per-step condition batches, deterministically in (seed, index).
+    """Draws per-step condition samples, deterministically in (seed, index, m).
 
     It draws from exactly one of ``data``, an (n, k) dataset, and ``fn``, a
-    callback ``rng, m -> (m, k)``.  ``draw(index, m)`` draws the one step
-    ``index`` on the stream ``rng_for(seed, index)``.  For indices in
-    [0, 2**32) the sampler gets there without ``SeedSequence``: it hashes
-    the seeds of a block of indices at once and builds each draw's generator
-    from its index's row (``_seeded``).
+    callback ``rng, m -> (m, k)``.  The steps in [0, 2**32) come in blocks,
+    cut at 2**32, and a block of K steps draws on one generator,
+    ``rng_for((seed, "block", m), first)`` for its first step:
+
+    * index rows (m <= 4n) as one ``integers(0, n, size=(K, m))`` call and a
+      callable's samples as K calls of ``fn`` in step order, with
+      K = min(4096, max(1, 2**16 // m));
+    * multinomial weights (m > 4n) as one ``multinomial(m, [1/n] * n,
+      size=K)`` call, divided by m, with K = max(1, 2**14 // n).
+
+    Any other index draws its one sample on ``rng_for(seed, index)``.
+    ``draw(index, m)`` draws the block's steps up to ``index`` on a fresh
+    generator, so a sample is the same whatever the order of the draws.  A
+    callback's ``rng`` is its block's generator: one that it keeps goes on
+    from the block's last sample, and drawing on it moves no sample.
 
     ``reduce(index, m, fn)`` gives a step the statistics ``fn`` computes
-    from its sample.  An empirical sampler computes and keeps them for one
-    block of steps at a time (``_step_block``), of one of two kinds:
-
-    * index rows (m <= 4n) of at most 256 conditions, drawn at once by
-      jumping each step's PCG64 ahead in numpy lanes (``_index_rows``);
-    * multinomial weights (m > 4n), each step's counts drawn on its own
-      seeded stream (``_weight_rows``).
-
-    Block rows equal ``draw``'s samples bit for bit.  A sampler must not be
-    shared between threads.
+    from its sample; the sampler keeps the step's block and the rows it has
+    reduced so far.  A sampler must not be shared between threads.
     """
 
     def __init__(self, *, data=None, fn=None, seed=0):
@@ -510,9 +359,8 @@ class ConditionSampler:
             raise ModelError("empirical sampler needs a nonempty dataset")
         self.fn = fn
         self.seed = seed
-        self._words = _uint32_words(_seed_words(seed))
-        self._seeds = (-1, None)
-        self._steps = (0, 0, None, [])
+        _seed_words(seed)   # a seed of the wrong type fails here
+        self._steps = (0, 0, None, [], ())
 
     @classmethod
     def empirical(cls, data, seed=0) -> "ConditionSampler":
@@ -522,114 +370,89 @@ class ConditionSampler:
     def from_callable(cls, fn, seed=0) -> "ConditionSampler":
         return cls(fn=fn, seed=seed)
 
-    def _stream(self, index) -> np.random.Generator:
-        # rng_for(self.seed, index), from the index's row of the block's seeds
-        if not (isinstance(index, (int, np.integer)) and 0 <= index < 1 << 32):
-            return rng_for(self.seed, index)
-        start = index - index % _SEED_BLOCK
-        if start != self._seeds[0]:
-            self._seeds = (start, _stream_seeds(self._words, start, _SEED_BLOCK))
-        return _seeded(self._seeds[1][index - start])
+    def _weighted(self, m: int) -> bool:
+        return (self.data is not None
+                and m > _WEIGHTED_DRAW_FACTOR * self.data.shape[0])
 
-    def _index_rows(self, first: int, count: int, m: int) -> np.ndarray:
-        """(count, m) matrix whose row k is ``rng_for(seed, first + k).integers(0, n, size=m)``.
+    def _block(self, index: int, m: int) -> tuple:
+        """(first, count, rng): the ``count`` steps from ``first`` on that
+        share step ``index``'s generator ``rng``."""
+        if m < 1:
+            raise ConfigError("sample size must be >= 1")
+        if not 0 <= index < 1 << 32:
+            return index, 1, rng_for(self.seed, index)
+        if self._weighted(m):
+            count = max(1, _BLOCK_WEIGHTS // self.data.shape[0])
+        else:
+            count = min(_BLOCK_STEPS, max(1, _BLOCK_INDICES // m))
+        first = index - index % count
+        return (first, min(count, (1 << 32) - first),
+                rng_for((self.seed, "block", m), first))
 
-        n is the dataset size, at most 2**32, and first + count <= 2**32.
-        ``integers`` splits each PCG64 output into two 32-bit halves, low
-        first, and maps a half h to (h * n) >> 32 (Lemire), rejecting it
-        when the low word of h * n is below (2**32 - n) % n.  A step whose
-        first m halves include a rejected one is drawn again by ``integers``
-        on its seeded stream, a share of at most about n * m / 2**32 of the
-        steps.
+    def _samples(self, rng: np.random.Generator, count: int, m: int):
+        """The next ``count`` steps' samples on ``rng``.
+
+        A list of a callable's (m, k) points, a (count, m) int64 array of
+        index rows, or a read-only (count, n) float array of multinomial
+        weights.
         """
+        if self.fn is not None:
+            return [self._call(rng, m) for _ in range(count)]
         n = self.data.shape[0]
-        seeds = _stream_seeds(self._words, first, count)
-        threshold = ((1 << 32) - n) % n
-        rows = np.empty((count, m), dtype=np.int64)
-        lanes = max(1, _CHUNK_INDICES // m)
-        for start in range(0, count, lanes):
-            words = _pcg64_outputs(seeds[start:start + lanes], (m + 1) // 2)
-            halves = words.astype("<u8", copy=False).view("<u4")[:, :m]
-            # widened first: NumPy 1 keeps uint32 * uint64(n) in uint32
-            scaled = halves.astype(np.uint64) * np.uint64(n)
-            rows[start:start + lanes] = scaled >> 32
-            if threshold:
-                redo = ((scaled & _MASK32) < threshold).any(axis=1)
-                for k in np.flatnonzero(redo) + start:
-                    rows[k] = _seeded(seeds[k]).integers(0, n, size=m)
-        return rows
-
-    def _weight_rows(self, indices, m: int) -> np.ndarray:
-        """Read-only (len(indices), n) matrix of the steps' multinomial weights.
-
-        Row k is ``rng_for(seed, indices[k]).multinomial(m, [1/n] * n) / m``,
-        each step on its own seeded stream.
-        """
-        n = self.data.shape[0]
-        pvals = np.full(n, 1.0 / n)
-        weights = np.empty((len(indices), n))
-        for k, index in enumerate(indices):
-            weights[k] = self._stream(index).multinomial(m, pvals)
-        weights /= m
+        if not self._weighted(m):
+            return rng.integers(0, n, size=(count, m))
+        weights = rng.multinomial(m, np.full(n, 1.0 / n), size=count) / m
         weights.flags.writeable = False
         return weights
 
-    def _step_block(self, index, m: int) -> Optional[tuple]:
-        """(first, block): a new block of steps holding step ``index``.
-
-        Row ``index - first`` of the block is the step's draw: for m > 4n a
-        ``_weight_rows`` block of max(1, 2**14 // n) steps, else an
-        ``_index_rows`` block of min(4096, 2**16 // m) steps.  None when the
-        step is not reduced from a block: a callable sampler, index rows of
-        more than 256 conditions, an index outside [0, 2**32), or m < 1
-        (for which ``reduce`` falls back to ``draw``, which rejects it).
-        """
-        integer = isinstance(index, (int, np.integer))
-        if self.data is None or m < 1 or not (integer and 0 <= index < 1 << 32):
-            return None
-        n = self.data.shape[0]
-        weighted = m > _WEIGHTED_DRAW_FACTOR * n
-        if not weighted and (m > _BLOCK_MAX_M or n > 1 << 32):
-            return None
-        count = (max(1, _BLOCK_WEIGHTS // n) if weighted
-                 else min(_SEED_BLOCK, _BLOCK_INDICES // m))
-        first = int(index) - int(index) % count
-        count = min(count, (1 << 32) - first)
-        return first, (self._weight_rows(range(first, first + count), m)
-                       if weighted else self._index_rows(first, count, m))
+    def _call(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        pts = np.asarray(self.fn(rng, m), dtype=float)
+        if pts.ndim != 2 or pts.shape[0] != m:
+            raise ModelError(f"sampler callback returned shape {pts.shape}, "
+                             f"expected ({m}, k)")
+        if not np.all(np.isfinite(pts)):
+            raise ModelError("sampler callback returned non-finite entries")
+        return pts
 
     def reduce(self, index, m: int, fn: Callable) -> tuple:
         """``fn(points, weights)`` of the sample ``draw(index, m)``: a tuple of arrays.
 
-        When the step comes from a block, ``fn`` runs once for the whole
-        block and the step reads its row of each array, read-only:
-        ``fn(data, W)`` on the (K, n) multinomial weight rows W, and
-        ``fn(data[rows], uniform)`` on the (K', m, k) points of K' index
-        rows at a time, in slices of about 2**14 gathered values.  So ``fn``
-        must reduce each weight row or stacked batch alone, as the gene
-        panels' moments and the ``kernels`` do, into arrays with one row per
-        step (a ``ModelError`` otherwise), and must depend on nothing else:
-        the sampler keeps the rows of one block, for one ``fn`` and m.
+        The sampler draws the step's whole block and keeps it, for one
+        ``fn`` and m, with the rows of the steps reduced so far; the step
+        reads its row of each array, read-only.  ``fn(data, W)`` runs once
+        on the block's (K, n) multinomial weight rows W.  Index rows are
+        reduced as the steps reach them, by ``fn(data[rows], uniform)`` on
+        the (K', m, k) points of K' index rows at a time, slices of about
+        2**14 gathered values: a run reduces no slice past its last step.
+        So ``fn`` must reduce each weight row or stacked batch alone, as the
+        gene panels' moments and the ``kernels`` do, into arrays with one
+        row per step (a ``ModelError`` otherwise).  A callable's samples
+        are reduced one at a time, as ``fn(points, uniform)``, all at the
+        block's first reduction.  ``fn`` must depend on nothing else.
         """
-        first, size, kept, rows = self._steps
-        if (kept is fn and size == m and isinstance(index, (int, np.integer))
-                and 0 <= index - first < len(rows)):
+        first, size, kept, rows, samples = self._steps
+        same = kept is fn and size == m and isinstance(index, (int, np.integer))
+        if same and 0 <= index - first < len(rows):
             return rows[index - first]
-        self._steps = (0, 0, None, [])   # free the old rows first
-        block = self._step_block(index, m)
-        if block is None:
-            sample = self.draw(index, m)
-            return fn(sample.points, sample.weights)
-        first, block = block
-        weighted = block.dtype != np.int64
-        step = len(block) if weighted else \
-            max(1, _CHUNK_INDICES // (m * max(self.data.shape[1], 1)))
+        if not (same and 0 <= index - first < len(samples)):
+            self._steps = (0, 0, None, [], ())   # free the old block first
+            index = operator.index(index)
+            first, count, rng = self._block(index, m)
+            samples, rows = self._samples(rng, count, m), []
+            self._steps = (first, m, fn, rows, samples)
+        weighted = self._weighted(m)
+        # a weight block needs no uniform weights: at m = 50,000 building
+        # them (400 KB) at each block made a supervised sweep 15% slower
+        uniform = None if weighted else np.full(m, 1.0 / m)
+        if self.fn is not None:
+            rows += [fn(points, uniform) for points in samples]
         # a tuple per step, so that a step reads its row by one list index
-        rows = []
-        for k in range(0, len(block), step):
-            steps = block[k:k + step]
+        while index - first >= len(rows):
+            step = len(samples) if weighted else \
+                max(1, _CHUNK_INDICES // (m * max(self.data.shape[1], 1)))
+            steps = samples[len(rows):len(rows) + step]
             part = (fn(self.data, steps) if weighted
-                    else fn(self.data[steps], np.full(m, 1.0 / m)))
+                    else fn(self.data[steps], uniform))
             for a in part:
                 if np.shape(a)[:1] != (len(steps),):
                     raise ModelError(
@@ -638,26 +461,17 @@ class ConditionSampler:
                         f"stacked batch or weight row alone")
                 a.flags.writeable = False
             rows += zip(*part)
-        self._steps = (first, m, fn, rows)
         return rows[index - first]
 
     def draw(self, index: int, m: int) -> Sample:
         """Sample m conditions i.i.d. (with replacement for empirical data)."""
-        if m < 1:
-            raise ConfigError("sample size must be >= 1")
-        if self.fn is not None:
-            pts = np.asarray(self.fn(self._stream(index), m), dtype=float)
-            if pts.ndim != 2 or pts.shape[0] != m:
-                raise ModelError(f"sampler callback returned shape {pts.shape}, "
-                                 f"expected ({m}, k)")
-            if not np.all(np.isfinite(pts)):
-                raise ModelError("sampler callback returned non-finite entries")
-            return Sample(pts, np.full(m, 1.0 / m), m)
-        n = self.data.shape[0]
-        if m > _WEIGHTED_DRAW_FACTOR * n:
-            return Sample(self.data, self._weight_rows([index], m)[0], m)
-        rows = self._stream(index).integers(0, n, size=m)
-        return Sample(self.data[rows], np.full(m, 1.0 / m), m)
+        index = operator.index(index)
+        first, _, rng = self._block(index, m)
+        sample = self._samples(rng, index - first + 1, m)[-1]
+        if self._weighted(m):
+            return Sample(self.data, sample, m)
+        points = sample if self.data is None else self.data[sample]
+        return Sample(points, np.full(m, 1.0 / m), m)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +518,7 @@ class Organism:
     moves the float coordinates one rounded step at a time and settles
     ``counts`` and ``coords`` before each ``rebase`` and at the end of a run,
     so ``coords`` may differ from ``recompute_coords()`` by rounding;
-    ``rebase`` restarts it from the grid point, ``recompute_coords()``.
+    ``rebase`` starts the new grid at ``coords``.
     """
 
     basis: MutationSet
@@ -726,7 +540,7 @@ class Organism:
         """Adopt a new mutation set, zeroing counts at the current position."""
         if basis.dG != self.basis.dG:
             raise ModelError("replacement basis has a different gene dimension")
-        self.base = self.recompute_coords()
+        self.base = np.array(self.coords, dtype=float)
         self.basis = basis
         self.counts = np.zeros(basis.dF, dtype=np.int64)
         self.coords = self.base.copy()

@@ -22,6 +22,7 @@ from evospace.experiments import (
     _mean_window,
     _mixture_for,
     _perceptron_separable,
+    _supervised_accept,
     gen_gaussian_mixture,
     run_frontier_scaling,
     run_scenario,
@@ -29,6 +30,7 @@ from evospace.experiments import (
 )
 from evospace.kernels import dot, dot_floats
 from evospace.model import ConditionSampler, MutationSet, rng_for
+from test_model import BlockReference
 
 SEED_TABLE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "perfbench", "seed_table.json")
@@ -201,6 +203,17 @@ class TestMixtureData:
         with open(SEED_TABLE) as fh:
             table = json.load(fh)["drift"]
         assert [_mixture_for(s, _mean_window)[2] for s in range(50)] == table[:50]
+
+    def test_supervised_data_tries_and_rows_match_seed_table(self):
+        # the benchmark picks its supervised seeds by these tries and row
+        # counts; dataset draws are on rng_for((seed, "data", k)) streams,
+        # apart from the condition samplers' streams
+        with open(SEED_TABLE) as fh:
+            table = json.load(fh)
+        drawn = [_mixture_for(s, _supervised_accept) for s in range(30)]
+        assert [tries for _, _, tries in drawn] == table["supervised_linear"][:30]
+        assert [len(pts) for pts, _, _ in drawn] == \
+            table["supervised_linear_rows"][:30]
 
     def test_mixture_for_respects_accept_window(self):
         pts, labels, tries = _mixture_for(11, _mean_window)
@@ -379,24 +392,14 @@ class TestFloatDrift:
         assert model.drift_steps == (len(moves) if nu else 0)
 
 
-class PerStepSampler(ConditionSampler):
-    """Reference sampler: each step's rows from its own rng_for(seed, step)."""
-
-    def _step_block(self, index, m):
-        return None
-
-    def _stream(self, index):
-        return rng_for(self.seed, index)
-
-
 class TestMeanBlocks:
-    """Block means against a model whose every step draws through rng_for."""
+    """Block means against a model whose every step reduces its reference sample."""
 
     def models(self, rows=30, dim=2, seed=6):
         data = rng_for(("block-means", rows)).standard_normal((rows, dim))
         mu0 = data.mean(axis=0)
         return (MeanEstimationModel(ConditionSampler.empirical(data, seed=seed), mu0),
-                MeanEstimationModel(PerStepSampler.empirical(data, seed=seed), mu0))
+                MeanEstimationModel(BlockReference.empirical(data, seed=seed), mu0))
 
     @staticmethod
     def run(model, m, t_steps):
@@ -417,9 +420,9 @@ class TestMeanBlocks:
             want = self.run(reference, m, 1700).trace.rows()
             assert self.run(model, m, 1700).trace.rows() == want
 
-    def test_large_samples_are_drawn_per_step(self):
-        # m = 256 is served from a block of 256 steps; m = 257 and 40,000
-        # (<= 4n) draw per step
+    def test_large_samples_are_drawn_from_blocks(self):
+        # m = 256, 257 and 40,000 (<= 4n) are served from blocks of 256, 255
+        # and one step
         model, reference = self.models(rows=10_000, dim=3)
         coords = np.zeros(3)
         for step, m in ((0, 256), (1, 257), (2, 40_000), (255, 256), (1, 40_000)):

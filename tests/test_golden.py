@@ -26,32 +26,32 @@ from evospace.model import rng_for
 CASES = {
     "unsupervised_mean": (
         [3, 0, 1], {"m_override": 40, "t_override": 300, "trace_limit": 2},
-        "939c4d699baff15754c034458f69b5217fc2189eff5d502bada25f5022d72c4e"),
+        "12190206e56a99ead43d29282ad7af62296529afb443958a42dc18444f595c04"),
     "supervised_linear": (
         [3, 1], {"t_override": 300},
-        "321742ac5fcea49c417a031f81662eb654a72248f7306d4b93799e8036f2a666"),
+        "b47d3d4b10000ccf1c6bd3ff73760a97be016a94b27eca1ff825142a745d144d"),
     "drift": (
         [1, 0], {"multipliers": (0.0, 1.0), "extended_multipliers": (1e5,),
                  "extended_seed_count": 1, "t_override": 300},
-        "3b56452372e3bd52cd61b6cdf71b5c3c5527ed8a580cca2f8396538a6155c5ae"),
+        "74d89bb0135803f3db3eb55ab6f81bdf291963d88fdc06c214f8674bc1aa2f0a"),
     "stability": (
         [1, 0], {"dwell": 5, "t_override": 300, "comparison_t_override": 200},
-        "a4f9fa805a332896deb5af73d87a3d085adc9231a2280a81c50db94a3acdc8c0"),
+        "ba78ac75070ccb085799b638cf86bc22014dcb62896711185ec9da3ca9ee255e"),
     "agnostic": (
         [5, 2], {"m_override": 200, "t_override": 300, "check_samples": 1000},
-        "d87ce7572ea6ff06c22a5c2f3f41ea602d51ea21188030fc3f23d352655fb3e5"),
+        "00b5ab6830ead9b29a8b872b8ac9df5e609309223cf020925f9d1b3ff31bf9f6"),
 }
 
 # files written by the unsupervised_mean case with out_dir set: the first
 # two seeds in list order (3, then 0) write traces
 UNSUP_FILES = {
-    "path-0.csv": "043e3df3c824f946e5740fdb302a9abfff5c104026ee71a1f2a08e5903b19dd4",
-    "path-3.csv": "c2810d81b9f93cabaf17108d71ccbf14b221cbecd0f49a7344f2103653409926",
-    "perf-0.csv": "21095bffb89551ca3e49505a7fdbafeee87131f4eb8fb36186908a4a34cba93b",
-    "perf-3.csv": "516f645552d191dba4b9c8f00c420bdc88366152971f64b1045276bb7e0b2bc5",
-    "report.json": "d3af92be2bbf30d8124cf1eac75323c5545101cd9b70eb60b76a02f061f54745",
-    "trace-0.jsonl": "8ddfc8aaf0330529919827ac8ee61ed7a878f8298aad40fa8b00fd6387c5b0c7",
-    "trace-3.jsonl": "61c9ad41e4e72352ead2be470e5788e96ffed85bc63ffd3574ea700d19326931",
+    "path-0.csv": "88ab984fc80bb0109f01ad4f16722ac6135e194dd98b17108123456c741565b8",
+    "path-3.csv": "d2db9483ce2bd7a4e219b1ad6ce4252d451df576c8d0ebbc8f67e509c7c98a98",
+    "perf-0.csv": "fc6b5dcbf85c5f1b072abd71441e053662f4e8ae041dc5d1ea11eb5da4c430ed",
+    "perf-3.csv": "b532ba892a06c4fe619d83dffe9bacf899957085968771766248122aa6442e39",
+    "report.json": "4658eacaee0024755014c48a006bf9aaf7b9b4746772d05667a4e76b905c303f",
+    "trace-0.jsonl": "7603921b4133f8b6a84d45218731236dd0f5d2605db911e0a0381464b81ba618",
+    "trace-3.jsonl": "08f573166c1d83714a9070f11b3488ec9940774cffaf047c8585eed6d32c3710",
 }
 
 # files written by the other cases with out_dir set; drift and stability
@@ -59,43 +59,43 @@ UNSUP_FILES = {
 CASE_FILES = {
     "supervised_linear": {
         "path-1.csv": "abe8eced1edd1f100637ae78cbbf1e01cf778f4326b5a7aaec87312d6eb41fb0",
-        "path-3.csv": "8c54bfe7a3e4209a37cfe99d711566a44aabaa1ef437621629e63766fbd07d36",
-        "perf-1.csv": "9eb66edcdf37577aa7a18cb7afbd651e165f801cda9ec2c2e1dbfbdb4885df50",
-        "perf-3.csv": "1f6bc5454f82f304178a920b0c2da71d6b4b498a39489ee97618a023af872f90",
-        "report.json": "4d535e578aedc56a4562ed60b9b942e38b618888e1a4a95c38cb58eb19ae7f43",
-        "trace-1.jsonl": "095c6ed52def82e7804324836f89f330c71181b54bce78a8e1a2e2de09666574",
-        "trace-3.jsonl": "21b98d2ef945eab3909d9db640649054288b3c9a4ac5cb1b0d28521347f6f132",
+        "path-3.csv": "f58072f2190979106ced73ebcb2455a52cc278df6cbdc99e5f78c10b9b9b76c0",
+        "perf-1.csv": "cca337a7ded83143d5314cdf0aefbf65fa9f3a2c1f949f508ba665578681ceb9",
+        "perf-3.csv": "ea7421411cc2d985a887437b8fd53cb2edef3cb22b4fec4c6f6615ed5216f48b",
+        "report.json": "4fec516f368012f99ae1768a6513fefe3cd2a84707cdc536e18f66824ed9ea1f",
+        "trace-1.jsonl": "42fce9bfa87d8a285e4137bc93776f4a4c5cbaffac54e5c1ba4bf96512e10a1d",
+        "trace-3.jsonl": "27c7d00db155c0089dc1af6670375dda62d6d3075a023778b25f787068b893ae",
     },
     "drift": {
-        "perf-x0-0.csv": "c0b6bad8107ba7f32a0a20e34c9c40ce675ef0d0057fd0cea8e95e24b751b510",
-        "perf-x0-1.csv": "d0d90b87fb60cd2c7fe38cba715694e3f827a1842d2e01379eafbdfa333ca017",
-        "perf-x1-0.csv": "bb8701c642314145f99da510b35b93a81baecd505fa9420d097fdc96b175b0ca",
-        "perf-x1-1.csv": "0568f457f51ff7f07ad15e7b2e16ac3df32af06eec7f0f80dc4b344149f50271",
-        "report.json": "9e71a980ac11b84c9902f11f7a66b935477dd187bad333defb11f697cb973d85",
-        "trace-x0-0.jsonl": "f08484dc2230c2a62a78e4b5739badda62dba319f6bd0ea2d3fc0cdbbb63033d",
-        "trace-x0-1.jsonl": "fba2b8671920e0b5ccae8cb13eb79f46d2b4660c6b89b7a6c33f36d480673acd",
-        "trace-x1-0.jsonl": "97667f37543900b53ed8ef3b39f30abbbc59154cbde461552a2f5aa3e1fdce79",
-        "trace-x1-1.jsonl": "8f9eec789791a6bccff9243cdcc8e306fe3c564348ef179db23e3020a3f4b761",
+        "perf-x0-0.csv": "cbcb7a943a411b0b3f02e89336ac50d882d8f27d4bf14478b9dd6afff86d62dc",
+        "perf-x0-1.csv": "6d94f9b5d844d1167771efccfe5d7e7d1c6b9289d82405051afc3a6e05346bbd",
+        "perf-x1-0.csv": "a0e5ab76080d079cdeb9fcf74f22ab18650d403e08f99541ebf4015feca29e21",
+        "perf-x1-1.csv": "e57ee1d1729496a09792a907ad8708aeda288b76fcb36a3e08496b98a09b4c36",
+        "report.json": "c36d1b5ae9dfe6427cbbaf23c6d5f8510d655298b44e203747cf06a67ddb0aae",
+        "trace-x0-0.jsonl": "b483627fe1381f8918bda31bcaef2aaca5fb047b1009f4107f96217a2fbd7755",
+        "trace-x0-1.jsonl": "96ec19a4456f199d5535961acdb5ea86f1f83c659e840aa5b825264cae07591b",
+        "trace-x1-0.jsonl": "27417550951e3a1ff760041d39103a57b03659ddb31b78b2c63475fe09209c38",
+        "trace-x1-1.jsonl": "4a94cef4c253ef932257696c82c09be4efea5f8e6768c58c06f988b10d484140",
     },
     "stability": {
-        "perf-default-0.csv": "d13ac6b15b924d5216eae67ab02ada424ec51bad3f84f1565a1499d7cb02c51a",
-        "perf-default-1.csv": "5876dbec20880fb515821c8d2d552864fd9fe3b4a8e1a7259c52ea424ec08092",
-        "perf-stable-0.csv": "f9cb28e75be6dea83c8a078418dd23450bb1ca568fef2281e51e099bc07462f6",
-        "perf-stable-1.csv": "6d251b4904c8c025a12233d927540d669499f7a74cc8c46e81bcb005dd57b6a4",
-        "report.json": "84cfedae4d1b8c9b9b99f5f4ebe4c5780c82ca42fa1e6b20c24ee2eabfacea17",
-        "trace-default-0.jsonl": "d8534cddb4feb6e2a50f7b05e8fda28b31f2d3aec4d1002c3dd16328841175c4",
-        "trace-default-1.jsonl": "ae4d9a1720b716c536b0544e31ea76234343330e0b5e06bf6edf7333e0788516",
-        "trace-stable-0.jsonl": "4b561e08e36996362c2389944ac435e10abeccb36846f64fb1465eca591b60cd",
-        "trace-stable-1.jsonl": "9d00fd8b4e9de9c807ddbbbc8f804d77547f5773a7621b96e8f22a0407e14fbc",
+        "perf-default-0.csv": "ad4626f0348edc4e3fbf63a83f67416540c1e985046b986c32df8c60f322dee6",
+        "perf-default-1.csv": "03eca309738ff2c682b22ee5d275ec67b1e76eae4b4d4bd314beb3228468c08d",
+        "perf-stable-0.csv": "70c8bf12992dc09cf49ef3035f17216c4804a946e70adb4a2e10ef1de5bc44a2",
+        "perf-stable-1.csv": "fba472dace03e40c4878d8a9b62bd272928cea1e9a3edbe51cf7835d94b55318",
+        "report.json": "c68346dc306fd8c151c1200bb6940e014f1bb0891149046e4290d82dfeddc7e0",
+        "trace-default-0.jsonl": "876cfea2ef8c187d8ca5361919e3950c1e74cac15ca93490cb710ba08150e5c6",
+        "trace-default-1.jsonl": "84a005e504185b1d020f31467bdb3d1a8d7e56e20f982f419f14bef565bc759a",
+        "trace-stable-0.jsonl": "fa4324a42562b8132f654f0801074d99705fff13eed3cdcdea24a540d41bfcd7",
+        "trace-stable-1.jsonl": "664352df36f9261c9b9178491d5365a0027f3c1be5b3576d6396ae8ca534cbb0",
     },
     "agnostic": {
-        "path-2.csv": "12ac7aea905e4b7fdee4d5b75cebb04452b761f535ec8e2f298127e06fbf099d",
-        "path-5.csv": "3eafa8a7e3c38634fc11e1d097ef7a4f153e96423d8c504beacd273f6014a282",
-        "perf-2.csv": "c70af60b7a162733d81f283dbc2d26441c6d2675ae7f9e32fad4c8d5424758c5",
-        "perf-5.csv": "3b8d1f8341cb0ca1e2db071ea32ece5f9a3a802447f766cc4ef7fc6c8a542cee",
-        "report.json": "e4b34ab0d75aa2630fbbd0f00afc5691b067b404900a82623b20ab2996fbb83b",
-        "trace-2.jsonl": "8f33d19e1cc6adcd15fd47ddaee627d58ea701ef6e3b948551cccda3dcdff3a2",
-        "trace-5.jsonl": "a3f0b3bdd7c559824f8a9957732a28d6d3c5ae2612bffe7d6b47245ddcfebf33",
+        "path-2.csv": "bae7fa00374d6396a0fd05bd93f78656479a74ea1c73b6e6767391a4723f83e3",
+        "path-5.csv": "8e669b5fbdf1894b13382973af2b9cd281f669d2dd8a8bea868a15083b581fea",
+        "perf-2.csv": "029ced87e437f54229c6f170cebc91acfb56001822ddad4a9333141b23ca14e3",
+        "perf-5.csv": "ad06b15ae4481bfaf90aed8206a37c4ab3386b179c93c3e42b1fed3a01bb784a",
+        "report.json": "2389082b79e040ffee108aafb33ea25a7a3ab54b23f88f0c6a6f373f2da67e7b",
+        "trace-2.jsonl": "9a810a4f4c472994e22360af38a6ae577d7bf511c93904bde77a90eb266ee6fe",
+        "trace-5.jsonl": "328655bef6a7cbd5d81eb3089c55171a79547f01415bc8e9998bad22486508dc",
     },
 }
 
@@ -114,9 +114,9 @@ EVOLVE_CASES = {
         ["--format", "csv"],
         {
             "organism.json": "8c9943ff814d708fa08ef8e2bea9b9bab07e9fb0140d971401d5dfd33c275354",
-            "path.csv": "ff4c123b03188110c4e9581c769e7fff57db9d04590563ee48e7b07da447bd90",
+            "path.csv": "17815fa040ed3ee11f3a8bac50e3e876bf14d9c696b081bcb32a18e4d6f1dcd4",
             "schedule.json": "afe19f4cf6199b92f728541cf6e834b58ccf3c94cff9667ebb77ad8ac0e07085",
-            "trace.csv": "9aa7b19c268c32b844284545431464dc1e0812c80fe4d652487bffc489c28e4b",
+            "trace.csv": "c5cab8312e9090808bcadf19e0195b3ede6a3441d09e0c6700eb32b9b68422e7",
         }),
     "mean_blocks": (
         {"model": {"target": "mean"},
@@ -125,10 +125,10 @@ EVOLVE_CASES = {
                  "failure_policy": "forced_uniform", "record_path": True}},
         [],
         {
-            "organism.json": "1f570076153ba1b0c3850eb3a6207ecd551daed187f09e3e5784874abe70fd78",
-            "path.csv": "48d1e35ca1f9612b7b52a0538a7c66d29f67358e467155baac0de639b82e8505",
+            "organism.json": "118baf0080b11697495080209d99ead82b725eb28fc334f321a67851c522f62a",
+            "path.csv": "8d1d730f869b46c5fb2cb3e86bc013273242134a14397b534c21c0abdfc00bef",
             "schedule.json": "22f5e1f96b59ab2f4ac1e1588335262e4213b9eb541dfac2ef153b9df358ae0a",
-            "trace.jsonl": "49d77270e0f069f1619dc77bf5e38d38cae1ce03c4ab1f0dfba558f986a82f7a",
+            "trace.jsonl": "f76fde2013ad0b308d5fbda98755bd07577a7d4ca64dbb443f295a3c78c16aaa",
         }),
     "mean_multinomial": (
         {"model": {"target": "mean"},
@@ -137,10 +137,10 @@ EVOLVE_CASES = {
                  "failure_policy": "forced_uniform", "record_path": True}},
         [],
         {
-            "organism.json": "459362a3eea97f7ed9115c32d2043b693294683ae5d7f814ee389a839ca035a2",
-            "path.csv": "5d5cb1fc8f36c984c4a141195920c91ccfda10501050492716920a8103c8d3a0",
+            "organism.json": "3a18ca299e3288e6dbc1ca0c104223d1c5f6150d75d9394457b9ffa44ffc87a3",
+            "path.csv": "f66505bee4de56e2c5eacc6ef45a7181b0b2566d30afe708a25169bb72849a64",
             "schedule.json": "327a1f3b0c0192ead960c16aad9aec28fcf00e2ab7208c917f26d7ceddb70f8a",
-            "trace.jsonl": "46b260a531ee8da80623d2c1c7e0609d0fb3c9be20ccec7a3c30a32ee0174e30",
+            "trace.jsonl": "0b2b78fc55de69b319079bd93edb3d606d7704b25bfde8f42ea08151f1b91295",
         }),
     "labels": (
         {"model": {"target": "labels"},
@@ -151,10 +151,10 @@ EVOLVE_CASES = {
                  "renewal_period": 50, "record_path": True}},
         [],
         {
-            "organism.json": "63459d23ecb33f4ae93d5fd52611bff8629cc248f1e7688fc664034145835f15",
-            "path.csv": "d8ad05b168e732c4f52196ee7a11492d3e3860e9fbe3cf05a9aa78f3f6e36aa2",
+            "organism.json": "73c92e56ff3fa6d5ed6664207b86359b71ef33614478ff00466f90d2e5ee8f77",
+            "path.csv": "ccbb05dc6c6de015afa6abb239ed108536481c7e241779e26c26b93100eeff9d",
             "schedule.json": "67b9e4fcabd679c6c7f98e5aa129f33f6e6d4e9a1bf9cb268f5decc40d57a5b2",
-            "trace.jsonl": "a33669c6a8ced384982635dd7b332b85a52764a67d338f7f3ddc96a5116b3a79",
+            "trace.jsonl": "6409d69a9aa7b9b4b406ce3b2e419d7d15a51c7eda3a5ebf01465733c792e982",
         }),
 }
 
@@ -231,8 +231,8 @@ NULL_FIELD_CASES = {
     "halted": (
         {"alpha": 0.1, "tol": 0.005, "seed": 2,
          "epsilon": 0.02, "failure_policy": "strict"},
-        {"trace.jsonl": "e1323415042edec580cd02865de4c3135da1818fbc3a3c9fbf6f125b3f7b1d80",
-         "trace.csv": "d425a4ae5e7722df94dd530ef1e93400ad936fa04644d13084eace22195349a8"}),
+        {"trace.jsonl": "81ce51b27e2fb2e95de68baf976b70f596023a63f1e8f6c9c393fb05f3675cf7",
+         "trace.csv": "0c7bdcd17a0e8305547af2f021afafe35c3eca7d1bc4b6e749153cefaa090f35"}),
 }
 
 

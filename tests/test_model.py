@@ -326,181 +326,278 @@ class TestSampler:
             ConditionSampler(data=data, seed=seed)
 
 
-class RngForSampler(ConditionSampler):
-    """The reference sampler: every draw on its own rng_for(seed, index)."""
+class BlockReference(ConditionSampler):
+    """The reference sampler: a step's sample read from its whole block.
 
-    def _step_block(self, index, m):
-        return None
+    The block is drawn as the stream contract states, with none of the
+    sampler's drawing code: a step in [0, 2**32) is row ``index - first``
+    of the draws of its block of K steps on ``rng_for((seed, "block", m),
+    first)``, the last block cut at 2**32, and any other step draws alone
+    on ``rng_for(seed, index)``.  It keeps the last block's draws.
+    """
 
-    def _stream(self, index):
-        return rng_for(self.seed, index)
+    _key = None
+
+    def block(self, index, m):
+        """(draws, row): the draws of step ``index``'s block and its row in them."""
+        n = None if self.data is None else self.data.shape[0]
+        weighted = n is not None and m > 4 * n
+        if 0 <= index < 2**32:
+            K = max(1, 2**14 // n) if weighted else min(4096, max(1, 2**16 // m))
+            first = index - index % K
+            count = min(K, 2**32 - first)
+        else:
+            first, count = index, 1
+        if self._key != (first, m):
+            self._key = (first, m)
+            rng = (rng_for((self.seed, "block", m), first) if 0 <= index < 2**32
+                   else rng_for(self.seed, index))
+            if self.fn is not None:
+                self._draws = [self.fn(rng, m) for _ in range(count)]
+            elif weighted:
+                self._draws = rng.multinomial(m, [1.0 / n] * n, size=count) / m
+            else:
+                self._draws = rng.integers(0, n, size=(count, m))
+        return self._draws, index - first
+
+    def draw(self, index, m):
+        draws, row = self.block(index, m)
+        uniform = np.full(m, 1.0 / m)
+        if self.fn is not None:
+            return Sample(np.asarray(draws[row], dtype=float), uniform, m)
+        if m > 4 * self.data.shape[0]:
+            return Sample(self.data, draws[row], m)
+        return Sample(self.data[draws[row]], uniform, m)
+
+    def reduce(self, index, m, fn):
+        sample = self.draw(index, m)
+        return fn(sample.points, sample.weights)
 
 
 _SEEDS = st.one_of(
     st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
     st.just(2**64 - 1), st.text(max_size=6),
     st.tuples(st.integers(0, 2**40), st.text(max_size=3), st.integers(0, 9)))
-_INDICES = st.one_of(
-    st.sampled_from([0, 4095, 4096, 8191, 8192, 2**32 - 4097, 2**32 - 1,
-                     -1, -2, -3, 2**32, 2**40]),
-    st.integers(0, 20_000), st.integers(-5, 2**34))
+# 4n = 280: index rows up to 280 conditions, multinomial weights above
+_STREAM_ROWS = 70
+
+
+@st.composite
+def _stream_steps(draw):
+    """(callable, m, indices): a sample size and steps around its block edges.
+
+    An empirical sampler's m lies on either side of 256 and of 4n = 280, a
+    callable's on either side of 256.  The indices sit at the edges of
+    m's blocks, at the 2**32 cut, below 20,000 and outside [0, 2**32).
+    """
+    callable_ = draw(st.booleans())
+    sizes = [st.integers(200, 320)]
+    if not callable_:
+        sizes += [st.integers(1, 40), st.sampled_from([256, 257, 280, 281]),
+                  st.integers(281, 2000)]
+    m = draw(st.one_of(*sizes))
+    K = (max(1, 2**14 // _STREAM_ROWS) if not callable_ and m > 4 * _STREAM_ROWS
+         else min(4096, 2**16 // m))
+    edge = draw(st.sampled_from([K, 2 * K, 2**32 - 2**32 % K]))
+    indices = draw(st.lists(st.one_of(
+        st.integers(edge - 2, edge + 1).filter(lambda i: i < 2**32),
+        st.integers(0, 20_000),
+        st.sampled_from([0, 2**32 - 1, -1, -2, -3, 2**32, 2**40])),
+        min_size=1, max_size=5))
+    return callable_, m, indices
+
+
+def stream_fn(rng, m):
+    # an odd count of 32-bit draws leaves a buffered half word behind
+    return np.column_stack([rng.standard_normal(m), rng.integers(0, 9, size=m)])
 
 
 class TestSamplerStreams:
-    @settings(max_examples=150, deadline=None)
-    @given(seed=_SEEDS, indices=st.lists(_INDICES, min_size=1, max_size=6))
-    def test_draw_equals_a_fresh_rng_for_draw(self, seed, indices):
-        data = rng_for(("stream-data", 0)).standard_normal((7, 2))
+    @settings(max_examples=120, deadline=None)
+    @given(seed=_SEEDS, steps=_stream_steps())
+    def test_draw_equals_a_fresh_rng_for_draw(self, seed, steps):
+        # a step in [0, 2**32) reads its row of its block's draws on a fresh
+        # rng_for((seed, "block", m), first), and any other step draws alone
+        # on a fresh rng_for(seed, index): draw in any order, reduce's rows
+        # and a callable's samples alike
+        callable_, m, indices = steps
+        data = rng_for(("stream-data", 0)).standard_normal((_STREAM_ROWS, 2))
+        n = _STREAM_ROWS
+        if callable_:
+            sampler = ConditionSampler.from_callable(stream_fn, seed=seed)
+            reference = BlockReference.from_callable(stream_fn, seed=seed)
+        else:
+            sampler = ConditionSampler.empirical(data, seed=seed)
+            reference = BlockReference.empirical(data, seed=seed)
+        for index in indices + indices[::-1]:
+            got, want = sampler.draw(index, m), reference.draw(index, m)
+            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.weights, want.weights)
+            assert got.size == want.size == m
+            (mean,) = sampler.reduce(index, m, sample_mean)
+            assert mean.tobytes() == sample_mean(want.points,
+                                                 want.weights)[0].tobytes()
+            if not 0 <= index < 2**32:
+                rng = rng_for(seed, index)
+                if callable_:
+                    assert np.array_equal(got.points, stream_fn(rng, m))
+                elif m > 4 * n:
+                    assert np.array_equal(
+                        got.weights, rng.multinomial(m, [1.0 / n] * n) / m)
+                else:
+                    assert np.array_equal(got.points,
+                                          data[rng.integers(0, n, size=m)])
 
-        def fn(rng, m):
-            # an odd count of 32-bit draws leaves a buffered half word behind
-            return np.column_stack([rng.standard_normal(m),
-                                    rng.integers(0, 9, size=m)])
-
-        pairs = [(ConditionSampler.empirical(data, seed=seed),
-                  RngForSampler.empirical(data, seed=seed)),
-                 (ConditionSampler.from_callable(fn, seed=seed),
-                  RngForSampler.from_callable(fn, seed=seed))]
-
-        def check(index, m):
-            for sampler, reference in pairs:
-                got, want = sampler.draw(index, m), reference.draw(index, m)
-                assert np.array_equal(got.points, want.points)
-                assert np.array_equal(got.weights, want.weights)
-                assert got.size == want.size == m
-
-        # out of order and repeated indices on one sampler: index rows
-        # (m <= 4n = 28), then multinomial counts
-        draws = indices + indices[::-1]
-        for m in (3, 28, 40):
-            for index in draws:
-                check(index, m)
-        # a short interleaved pass, m changing between draws of one index
-        for index in draws[:2]:
-            for m in (3, 28, 40, 3):
-                check(index, m)
-
-    def test_a_kept_callback_rng_continues_its_stream(self):
-        # each draw's rng is its own generator, so one that a callback keeps
-        # is not moved by later draws
+    def test_a_kept_callback_rng_is_the_block_generator(self):
+        # the steps of a block share one generator in step order, so a kept
+        # rng goes on from the block's last sample, and drawing on it moves
+        # no sample
         kept = []
 
         def fn(rng, m):
             kept.append(rng)
             return rng.standard_normal((m, 2))
 
+        m = 2**14   # blocks of 2**16 // m = 4 steps
         sampler = ConditionSampler.from_callable(fn, seed=4)
-        sampler.draw(0, 3)
-        sampler.draw(1, 3)
-        want = rng_for(4, 0)
-        want.standard_normal((3, 2))
+        sampler.reduce(0, m, sample_mean)
+        assert len(kept) == 4 and all(rng is kept[0] for rng in kept)
+        want = rng_for((4, "block", m), 0)
+        samples = [want.standard_normal((m, 2)) for _ in range(4)]
         values = want.standard_normal(5)
-        # a pickled copy continues it too
+        # a pickled copy goes on from the same place
         for rng in (pickle.loads(pickle.dumps(kept[0])), kept[0]):
             assert np.array_equal(rng.standard_normal(5), values)
+        for index in (3, 1):
+            assert np.array_equal(sampler.draw(index, m).points, samples[index])
+        # each draw replays its block on a generator of its own
+        assert len({id(rng) for rng in kept[4:]}) == 2
+        assert all(rng is not kept[0] for rng in kept[4:])
 
-    def test_draw_builds_no_block(self, monkeypatch):
-        def no_block(self, index, m):
-            raise AssertionError("draw built a block")
-
-        data = rng_for(("stream-data", 1)).standard_normal((7, 2))
+    def test_draw_builds_no_block(self):
+        # draw replays its block's prefix and leaves the rows that reduce
+        # keeps as they were
+        data = rng_for(("stream-data", 1)).standard_normal((_STREAM_ROWS, 2))
         sampler = ConditionSampler.empirical(data, seed=5)
-        reference = RngForSampler.empirical(data, seed=5)
-        monkeypatch.setattr(ConditionSampler, "_step_block", no_block)
-        # index rows of at most 256 conditions, then multinomial counts
-        for index, m in ((0, 20), (5000, 3), (9, 29), (2**32 - 1, 40)):
+        reference = BlockReference.empirical(data, seed=5)
+        sampler.reduce(0, 20, sample_mean)
+        kept = sampler._steps
+        # index rows of at most 256 conditions and of more, then
+        # multinomial counts
+        for index, m in ((0, 20), (5000, 3), (9, 270), (2**32 - 1, 300), (-1, 20)):
             got, want = sampler.draw(index, m), reference.draw(index, m)
             assert np.array_equal(got.points, want.points)
             assert np.array_equal(got.weights, want.weights)
+            assert sampler._steps is kept
+
+
+class RowIndex:
+    """A stand-in dataset of n one-column rows, row i holding i: it stores none."""
+
+    def __init__(self, n):
+        self.shape = (n, 1)
+
+    def __getitem__(self, rows):
+        return np.asarray(rows, dtype=float)[..., None]
 
 
 def index_sampler(seed, n):
-    """An empirical sampler of n rows that stores one: ``_index_rows`` reads only n."""
+    """An empirical sampler over ``RowIndex(n)``: its points are its index rows."""
     sampler = ConditionSampler.empirical(np.zeros((1, 1)), seed=seed)
-    sampler.data = np.broadcast_to(sampler.data, (n, 1))
+    sampler.data = RowIndex(n)
     return sampler
 
 
-def reference_rows(seed, n, first, count, m):
-    return [rng_for(seed, first + k).integers(0, n, size=m) for k in range(count)]
+def index_rows(points, weights):
+    return (points[..., 0],)
 
 
-# n = 1 draws nothing; n = 2**31 + 1 rejects about half of all 32-bit
-# halves, so every step is drawn again through rng_for; 641 and 6700417
-# divide 2**32 + 1, so their rejection threshold (2**32 - n) % n is n - 1,
-# the largest it can be (at n = 6700417 and m = 256 about one step in three
-# rejects a half)
+# n = 1 draws nothing; 641 and 6700417 divide 2**32 + 1, so numpy's
+# rejection threshold (2**32 - n) % n is n - 1, the largest it can be;
+# n = 2**31 + 1 rejects about half of all 32-bit halves; and n above 2**32
+# draws from 64-bit words
 _ROW_COUNTS = st.one_of(st.just(1), st.integers(2, 1000),
-                        st.sampled_from([641, 6700417, 2**31 + 1]))
-
-
-@st.composite
-def _blocks(draw):
-    """(first, count): a run of steps, often across a 4,096-step seed block edge."""
-    count = draw(st.integers(1, 6))
-    edge = draw(st.sampled_from([4096, 8192, 3 * 4096, 2**32]))
-    first = draw(st.one_of(st.integers(edge - count, edge - 1),
-                           st.integers(0, 2**32 - count)))
-    return first, min(count, 2**32 - first)
+                        st.sampled_from([641, 6700417, 2**31 + 1, 2**33 + 5]))
 
 
 class TestIndexRows:
-    @settings(max_examples=200, deadline=None)
-    @given(seed=_SEEDS, n=_ROW_COUNTS, block=_blocks(), m=st.integers(1, 256))
-    def test_rows_equal_fresh_rng_for_draws(self, seed, n, block, m):
-        first, count = block
-        rows = index_sampler(seed, n)._index_rows(first, count, m)
-        assert rows.shape == (count, m) and rows.dtype == np.int64
-        for got, want in zip(rows, reference_rows(seed, n, first, count, m)):
-            assert np.array_equal(got, want)
-
-    def test_steps_that_reject_a_half_are_redrawn(self):
-        # at n = 6700417 and m = 256 about a third of the steps reject a half
-        rows = index_sampler(11, 6700417)._index_rows(100, 30, 256)
-        want = reference_rows(11, 6700417, 100, 30, 256)
-        assert all(np.array_equal(a, b) for a, b in zip(rows, want))
-
-    def test_half_one_below_the_threshold_is_rejected(self):
-        # choose n so that a step's first half h has low word
-        # (h * n) % 2**32 == (2**32 - n) % n - 1, i.e. n * (h + 1) == -1
-        # mod 2**32 with n > 2**31: a threshold one too low accepts h
-        for index in range(100):
-            h = int(rng_for(4, index).bit_generator.random_raw()) & 0xFFFFFFFF
-            n = -pow(h + 1, -1, 2**32) % 2**32 if h % 2 == 0 else 0
-            if n > 2**31:
-                break
-        assert (h * n) % 2**32 == (2**32 - n) % n - 1
-        got = index_sampler(4, n)._index_rows(index, 1, 1)
-        want = rng_for(4, index).integers(0, n, size=1)
-        assert got[0, 0] == want[0] != (h * n) >> 32
+    @settings(max_examples=150, deadline=None)
+    @given(seed=_SEEDS, n=_ROW_COUNTS, m=st.integers(1, 600), data=st.data())
+    def test_rows_equal_fresh_rng_for_draws(self, seed, n, m, data):
+        # a run of steps, often across a block edge or at the 2**32 cut,
+        # drawn in reverse: each is its row of a fresh generator's
+        # integers(0, n, size=(K, m)), by draw and by reduce
+        m = min(m, 4 * n)
+        K = min(4096, 2**16 // m)
+        count = data.draw(st.integers(1, 6))
+        edge = data.draw(st.sampled_from([K, 3 * K, 2**32 - 2**32 % K, 2**32]))
+        first = data.draw(st.one_of(st.integers(edge - count, edge - 1),
+                                    st.integers(0, 2**32 - count)))
+        sampler = index_sampler(seed, n)
+        for index in reversed(range(max(first, 0), min(first + count, 2**32))):
+            start = index - index % K
+            want = rng_for((seed, "block", m), start).integers(
+                0, n, size=(min(K, 2**32 - start), m))[index - start]
+            assert sampler.draw(index, m).points[:, 0].tolist() == want.tolist()
+            (rows,) = sampler.reduce(index, m, index_rows)
+            assert rows.tolist() == want.tolist()
 
     def test_draw_past_the_cached_block_then_back(self):
         data = rng_for(("rows-data", 0)).standard_normal((40, 2))
         sampler = ConditionSampler.empirical(data, seed=5)
-        reference = RngForSampler.empirical(data, seed=5)
+        reference = BlockReference.empirical(data, seed=5)
         m = 20   # blocks of 65536 // 20 = 3,276 steps
         for index in (0, 3275, 3276, 10_000, 1, 3276, 0, 2**32 - 1, 5):
             got, want = sampler.draw(index, m), reference.draw(index, m)
             assert np.array_equal(got.points, want.points)
-            first, rows = sampler._step_block(index, m)
+            sampler.reduce(index, m, sample_mean)
+            first, _, _, rows, samples = sampler._steps
             assert first == index - index % 3276
             # the last block stops at 2**32
-            assert len(rows) == min(3276, 2**32 - first)
+            assert len(samples) == min(3276, 2**32 - first)
+            # reduced up to the slice of 2**14 // (20 * 2) = 409 steps that
+            # holds the step
+            assert index - first < len(rows) <= index - first + 409
 
-    def test_samples_above_256_conditions_are_drawn_per_step(self):
-        # blocks serve m <= 256 (256 steps of 256); larger samples, up to
-        # 4n, draw their rows per step
+    def test_samples_above_256_conditions_are_drawn_from_blocks(self):
+        # rows of up to 4n conditions come from blocks of
+        # min(4096, 2**16 // m) steps: 256 steps of 256 conditions, 255 of
+        # 257 and one of 40,000
         data = rng_for(("rows-data", 1)).standard_normal((10_000, 1))
         sampler = ConditionSampler.empirical(data, seed=2)
-        reference = RngForSampler.empirical(data, seed=2)
-        for index, m in ((300, 256), (1, 257), (7, 40_000), (300, 256)):
-            block = sampler._step_block(index, m)
-            if m == 256:
-                assert block[0] == 256 and block[1].shape == (256, 256)
-            else:
-                assert block is None
-            assert np.array_equal(sampler.draw(index, m).points,
-                                  reference.draw(index, m).points)
+        reference = BlockReference.empirical(data, seed=2)
+        for index, m, K in ((300, 256, 256), (1, 257, 255), (7, 40_000, 1),
+                            (300, 256, 256)):
+            (mean,) = sampler.reduce(index, m, sample_mean)
+            first, _, _, _, samples = sampler._steps
+            assert first == index - index % K and len(samples) == K
+            want = reference.draw(index, m)
+            assert np.array_equal(sampler.draw(index, m).points, want.points)
+            assert mean.tobytes() == sample_mean(want.points,
+                                                 want.weights)[0].tobytes()
+
+    def test_index_rows_are_reduced_as_the_steps_reach_them(self):
+        # m = 20 and k = 2: a block of 3,276 steps, reduced 409 steps at a
+        # time, so a run of 500 steps reduces two slices, not the block
+        calls = []
+
+        def counting_mean(points, weights):
+            calls.append(len(points))
+            return sample_mean(points, weights)
+
+        data = labels_data(30, 1)
+        sampler = ConditionSampler.empirical(data, seed=6)
+        reference = BlockReference.empirical(data, seed=6)
+        for index in range(500):
+            (got,) = sampler.reduce(index, 20, counting_mean)
+            want = reference.draw(index, 20)
+            assert got.tobytes() == sample_mean(want.points,
+                                                want.weights)[0].tobytes()
+        assert calls == [409, 409] and len(sampler._steps[3]) == 818
+        # a step past the reduced slices reduces the ones up to its own
+        sampler.reduce(3275, 20, counting_mean)
+        assert calls == [409] * 8 + [4] and len(sampler._steps[3]) == 3276
+        assert sampler._steps[0] == 0
 
 
 @st.composite
@@ -508,7 +605,7 @@ def _weight_steps(draw):
     """(n, m, indices): m > 4n, and steps at and around weight-block edges.
 
     A block holds K = 2**14 // n steps; the last block before 2**32 is cut
-    short, and negative or larger indices take the per-step path.
+    short, and a negative or larger index draws alone.
     """
     n = draw(st.integers(1, 80))
     m = 4 * n + draw(st.integers(1, 300))
@@ -539,7 +636,7 @@ def labels_data(n, dG):
 
 
 class TestWeightBlocks:
-    """Multinomial weights (m > 4n) from blocks against per-stream draws."""
+    """Multinomial weights (m > 4n) from blocks against the block generator's draws."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=_SEEDS, steps=_weight_steps())
@@ -547,21 +644,23 @@ class TestWeightBlocks:
         n, m, indices = steps
         sampler = ConditionSampler.empirical(labels_data(n, 1), seed=seed)
         K = max(1, 2**14 // n)
+        pvals = [1.0 / n] * n
         for index in indices + indices[::-1]:
-            want = rng_for(seed, index).multinomial(m, [1.0 / n] * n) / m
+            if 0 <= index < 2**32:
+                first = index - index % K
+                count = min(K, 2**32 - first)
+                want = rng_for((seed, "block", m), first).multinomial(
+                    m, pvals, size=count)[index - first] / m
+            else:
+                first, count = index, 1
+                want = rng_for(seed, index).multinomial(m, pvals) / m
             got = sampler.draw(index, m)
             assert np.array_equal(got.weights, want) and got.size == m
             assert got.points is sampler.data
             assert not got.weights.flags.writeable
-            block = sampler._step_block(index, m)
-            if 0 <= index < 2**32:
-                first, weights = block
-                assert first == index - index % K
-                assert weights.shape == (min(K, 2**32 - first), n)
-                assert not weights.flags.writeable
-                assert np.array_equal(weights[index - first], want)
-            else:
-                assert block is None
+            (mean,) = sampler.reduce(index, m, sample_mean)
+            assert not mean.flags.writeable
+            assert sampler._steps[0] == first and len(sampler._steps[3]) == count
 
     @settings(max_examples=60, deadline=None)
     @given(seed=_SEEDS, steps=_weight_steps(), dG=st.integers(1, 3),
@@ -576,7 +675,7 @@ class TestWeightBlocks:
                                        lambda P: P[:, dG:])
         model = QuadraticPerfModel(ConditionSampler.empirical(data, seed=seed),
                                    stats_fn, stats_fn(data, np.full(n, 1 / n)))
-        reference = RngForSampler.empirical(data, seed=seed)
+        reference = BlockReference.empirical(data, seed=seed)
         # the one-sample reduction written out on Python floats, each sum
         # over the rows in the kernels' pairwise order
         X, t = data[:, :dG].tolist(), data[:, dG].tolist()
@@ -609,7 +708,7 @@ class TestWeightBlocks:
     def test_numpy_integer_steps_read_the_cached_block(self):
         data = labels_data(30, 1)
         sampler = ConditionSampler.empirical(data, seed=3)
-        reference = RngForSampler.empirical(data, seed=3)
+        reference = BlockReference.empirical(data, seed=3)
         for m in (20, 500):   # index rows, then multinomial weights
             sampler.reduce(0, m, sample_mean)
             rows = sampler._steps[3]
@@ -639,9 +738,9 @@ class TestWeightBlocks:
                     assert sampler._steps[2] is fn
 
     def test_stats_are_reduced_once_per_block(self):
-        # both panels' stats, on index rows (m <= 256) and on multinomial
-        # weights (m > 4n), reduce a whole block at once; rows of more than
-        # 256 conditions reduce each step's sample
+        # both panels' stats, on index rows of at most 256 conditions and of
+        # more (m <= 4n) and on multinomial weights (m > 4n), reduce steps
+        # 0 to 9 in one call
         gen = BregmanGenerator.squared_euclidean()
         data = labels_data(70, 1)
         for panel, target in ((IdentityPanel(2), lambda P: P),
@@ -655,12 +754,12 @@ class TestWeightBlocks:
                 return moments(points, weights)
 
             sampler = ConditionSampler.empirical(data, seed=2)
-            for m, blocked in ((20, True), (281, True), (257, False)):
+            for m in (20, 281, 257):
                 sampler.reduce(0, m, stats_fn)
                 before = len(calls)
                 for index in range(1, 10):
                     sampler.reduce(index, m, stats_fn)
-                assert len(calls) - before == (0 if blocked else 9)
+                assert len(calls) == before
 
     @pytest.mark.parametrize("m", [20, 121])   # index rows, then weights
     def test_a_reduction_without_a_row_per_step_is_rejected(self, m):
@@ -676,19 +775,19 @@ def sample_mean(points, weights):
     return (weighted_rows(weights, points),)
 
 
-_REDUCE_KINDS = ("rows", "per_step", "weights", "callable")
+_REDUCE_KINDS = ("rows", "wide_rows", "weights", "callable")
 
 
 @st.composite
 def _reduce_runs(draw):
     """(kinds, n, k, steps): (index, m) steps of two sample sizes, interleaved.
 
-    The first size draws index rows from a block (m <= 256), rows per step
-    (256 < m <= 4n), multinomial weights from a block (m > 4n) or a
-    callable sampler's points (then the second does too); the second size
-    is any kind on the same sampler.  Indices sit around the first size's
-    block edges, below 20,000, near 2**32 or outside [0, 2**32), out of
-    order, and the second size comes in between.
+    The first size draws index rows of at most 256 conditions or of more
+    (256 < m <= 4n), multinomial weights (m > 4n) or a callable sampler's
+    points (then the second does too); the second size is any kind on the
+    same sampler.  Every kind comes from blocks.  Indices sit around the
+    first size's block edges, below 20,000, near 2**32 or outside
+    [0, 2**32), out of order, and the second size comes in between.
     """
     n, k = draw(st.integers(65, 80)), draw(st.integers(2, 3))
     first = draw(st.sampled_from(_REDUCE_KINDS))
@@ -697,12 +796,12 @@ def _reduce_runs(draw):
 
     def size(kind):
         return draw({"rows": st.integers(1, 256),
-                     "per_step": st.integers(257, 4 * n),
+                     "wide_rows": st.integers(257, 4 * n),
                      "weights": st.integers(4 * n + 1, 4 * n + 300),
-                     "callable": st.integers(1, 300)}[kind])
+                     "callable": st.integers(1000, 3000)}[kind])
 
     m1, m2 = size(first), size(second)
-    K = {"rows": min(4096, 2**16 // m1), "weights": 2**14 // n}.get(first, 4096)
+    K = 2**14 // n if first == "weights" else min(4096, 2**16 // m1)
     edge = draw(st.sampled_from([K, 2 * K, 2**32 - 2**32 % K]))
     indices = draw(st.lists(st.one_of(
         st.integers(edge - 2, edge + 1).filter(lambda i: i < 2**32),
@@ -754,10 +853,9 @@ class TestReduce:
                     g, w = np.asarray(g), np.asarray(w)
                     assert g.shape == w.shape and g.dtype == w.dtype
                     assert g.tobytes() == w.tobytes()
-                blocked = (kinds[0] != "callable" and 0 <= index < 2**32
-                           and (m <= 256 or m > 4 * n))
-                assert (sampler._steps[2] is fn) == blocked
-                if blocked:
+                # a callable's rows are fn's own results, one per sample
+                assert sampler._steps[2] is fn
+                if kinds[0] != "callable":
                     assert not any(a.flags.writeable for a in got)
 
 
@@ -838,6 +936,30 @@ class TestOrganism:
         mag = max(np.abs(res.path[1:]).max(), grid) + alpha * B.max()
         err = np.abs(org.coords - org.recompute_coords()).max()
         assert err <= (since + dF + 2) * np.spacing(mag)
+
+    def test_a_renewal_rebases_at_the_recorded_path_row(self, monkeypatch):
+        # the loop settles the coordinates before each renewal, and the new
+        # grid starts at them bit for bit, not at the old grid point
+        bases = []
+        rebase = Organism.rebase
+
+        def recording(organism, basis):
+            rebase(organism, basis)
+            bases.append(organism.base.copy())
+
+        monkeypatch.setattr(Organism, "rebase", recording)
+        rng = np.random.default_rng(8)
+
+        def basis():
+            return MutationSet(rng.uniform(-1.0, 1.0, (3, 4)) + 1e-3)
+
+        res = walk(basis(), rng.uniform(-1.0, 1.0, 3), 0.037, 2500, seed=9,
+                   renewal_period=700,
+                   renewal_fn=lambda renewal_rng, step: basis(),
+                   record_path=True)
+        assert len(bases) == 4   # at steps 0, 700, 1,400 and 2,100
+        for k, base in enumerate(bases):
+            assert base.tobytes() == res.path[700 * k].tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ModelError):
