@@ -20,7 +20,7 @@ from .errors import ConfigError, ModelError
 from .experiments import (SCENARIOS, MeanEstimationModel, ScenarioConfig,
                           labels_problem, run_frontier_scaling, run_scenario,
                           run_seed)
-from .frontier import FrontierProblem, efficient_frontier, kkt_oracle
+from .frontier import FrontierProblem, efficient_frontier
 from .io import (ensure_dir, json_text, load_config, load_dataset_csv,
                  read_config, write_json_report, write_path_csv,
                  write_trace_csv, write_trace_jsonl)
@@ -292,10 +292,9 @@ def _cmd_frontier(args) -> int:
            "min_premium": problem.min_premium,
            "degenerate": problem.is_degenerate}
     for tag, point in (("high", hi), ("low", lo)):
-        kkt = kkt_oracle(problem, point.r)
-        out[tag] = {"r": point.r, "premium": kkt.premium,
-                    "lambda_r": kkt.lambda_r, "lambda_n": kkt.lambda_n,
-                    "budget": [float(v) for v in kkt.b]}
+        out[tag] = {"r": point.r, "premium": point.premium,
+                    "lambda_r": point.lambda_r, "lambda_n": point.lambda_n,
+                    "budget": [float(v) for v in point.b]}
     _emit(out)
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ConfigError, ModelError
-from .kernels import compile_floats, dot, fold_source, quad_form
+from .kernels import compile_floats, dot, fold_source, matvec, quad_form
 from .model import (BregmanGenerator, ConditionSampler, GenePanel,
                     MutationSet, Organism, rng_for)
 
@@ -257,10 +257,14 @@ class EvolutionConfig:
     failure_policy: str = "strict"
     renewal_period: Optional[int] = None  # draw a new mutation set every k steps
     renewal_fn: Optional[Callable] = None  # (rng, step) -> MutationSet
-    f0: Optional[np.ndarray] = None
+    f0: Optional[np.ndarray] = None       # the zero vector when None
     record_path: bool = False
 
     def __post_init__(self):
+        dG = self.mutations.dG
+        self.f0 = np.zeros(dG) if self.f0 is None else np.array(self.f0, float)
+        if self.f0.shape != (dG,) or not np.isfinite(self.f0).all():
+            raise ConfigError(f"f0 must hold {dG} finite coordinates, got {self.f0.tolist()}")
         if self.failure_policy not in FAILURE_POLICIES:
             raise ConfigError(f"failure policy must be one of {FAILURE_POLICIES}")
         for name, value in (("alpha", self.alpha), ("tol", self.tol),
@@ -418,9 +422,9 @@ def run_evolution(model: QuadraticPerfModel, config: EvolutionConfig) -> Evoluti
     A step runs on Python floats: the coordinates are a list, moved by one
     rounded add per gene.  The numpy state is formed from the trace's chosen
     indices a block at a time: the oracle rows and the path at every
-    ``ORACLE_BLOCK`` steps, at each renewal and at the end, and the
-    organism's counts and coordinates at each renewal (before ``rebase``)
-    and at the end.
+    ``ORACLE_BLOCK`` steps, at each renewal and at the end.  The
+    ``Organism`` record is built once, at the end, its counts tallied from
+    the chosen indices since the last renewal.
     """
     if not isinstance(model, QuadraticPerfModel):
         raise ConfigError(f"the model must be a QuadraticPerfModel, got "
@@ -434,23 +438,23 @@ def run_evolution(model: QuadraticPerfModel, config: EvolutionConfig) -> Evoluti
     if size != (mutations.dG, mutations.dG):
         raise ConfigError(f"the model's quad is {' x '.join(map(str, size))} but "
                           f"the mutation set has dG={mutations.dG}")
-    f0 = np.zeros(mutations.dG) if config.f0 is None else np.asarray(config.f0, float)
-    organism = Organism(basis=mutations, base=f0, alpha=config.alpha)
     steps_matrix = _signed_steps(mutations, config.alpha)
     step_rows = steps_matrix.tolist()
-    f = organism.coords.tolist()
+    base = config.f0
+    # the grid point of zero counts: f0 up to the sign of a zero
+    start = base + config.alpha * matvec(mutations.vectors, np.zeros(mutations.dF))
+    f = start.tolist()
 
-    initial_tp = model.true_perf(organism.coords, 0)
+    initial_tp = model.true_perf(start, 0)
     trace = Trace(config.t_steps, config.epsilon)
     path = None
     if config.record_path:
         path = np.empty((config.t_steps + 1, mutations.dG))
-        path[0] = organism.coords
+        path[0] = start
     # the steps before `scored` are formed and scored, and `start` is the
-    # organism after step scored - 1; the steps from `renewed` on moved it
-    # since its last rebase
+    # organism after step scored - 1; `base` is where it stood at step
+    # `renewed`, when it adopted `mutations`
     scored = renewed = 0
-    start = organism.coords
 
     def form(stop: int) -> None:
         # np.add.accumulate adds the chosen step rows in order, each add
@@ -466,28 +470,26 @@ def run_evolution(model: QuadraticPerfModel, config: EvolutionConfig) -> Evoluti
                 path[scored + 1:stop + 1] = C[1:]
             scored, start = stop, C[-1]
 
-    def settle(stop: int) -> None:
-        form(stop)
-        tally = np.bincount(trace.j[renewed:stop], minlength=len(step_rows))
-        organism.counts = tally[0::2] - tally[1::2]
-        organism.coords = start
-
     for t in range(config.t_steps):
         if period and t % period == 0:
-            settle(t)
-            new_basis = config.renewal_fn(renewal_rng, t)
-            if not isinstance(new_basis, MutationSet):
+            form(t)
+            mutations = config.renewal_fn(renewal_rng, t)
+            if not isinstance(mutations, MutationSet):
                 raise ModelError("renewal callback must return a MutationSet")
-            organism.rebase(new_basis)
-            steps_matrix = _signed_steps(new_basis, config.alpha)
+            if mutations.dG != len(start):
+                raise ModelError("replacement basis has a different gene dimension")
+            steps_matrix = _signed_steps(mutations, config.alpha)
             step_rows = steps_matrix.tolist()
-            f, start, renewed = organism.coords.tolist(), organism.coords, t
+            f, base, renewed = start.tolist(), start, t
         f = mutator_step(model, f, config, t, select, step_rows, trace)
         if f is None:
             break
         if t + 1 - scored == ORACLE_BLOCK:
             form(t + 1)
-    settle(trace.moves)
+    form(trace.moves)
+    tally = np.bincount(trace.j[renewed:trace.moves], minlength=len(step_rows))
+    organism = Organism(basis=mutations, base=base, alpha=config.alpha,
+                        counts=tally[0::2] - tally[1::2], coords=start)
 
     # a forced step has no beneficial mutant, and a halted row none
     forced = int(np.count_nonzero(trace.forced))
@@ -497,5 +499,5 @@ def run_evolution(model: QuadraticPerfModel, config: EvolutionConfig) -> Evoluti
         forced_steps=forced, bene_steps=bene,
         neut_steps=trace.moves - forced - bene,
         initial_true_perf=initial_tp,
-        final_true_perf=model.true_perf(organism.coords, len(trace)),
+        final_true_perf=model.true_perf(start, len(trace)),
         path=None if path is None else path[:trace.moves + 1])

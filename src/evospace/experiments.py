@@ -92,7 +92,7 @@ def _hull(points: np.ndarray) -> np.ndarray:
     """Convex hull vertices of 2-D points, counter-clockwise (Andrew's monotone chain).
 
     Duplicate and collinear boundary points are dropped, so a collinear set
-    yields at most two vertices.
+    yields at most two vertices, and one distinct point itself.
     """
     pts = sorted(set(map(tuple, points.tolist())))
 
@@ -106,7 +106,7 @@ def _hull(points: np.ndarray) -> np.ndarray:
             out.append((px, py))
         return out
 
-    return np.array(chain(pts)[:-1] + chain(reversed(pts))[:-1])
+    return np.array(chain(pts)[:-1] + chain(reversed(pts))[:-1] or pts)
 
 
 def _hulls_overlap(X: np.ndarray, y: np.ndarray) -> bool:
@@ -434,7 +434,7 @@ def _unsupervised_mean(cfg, opts, trace_to) -> dict:
         model = MeanEstimationModel(ConditionSampler.empirical(pts, seed=seed), mu)
         trace = trace_to(pos, seed)
         result, _ = run_seed(model, MutationSet.orthonormal(2), schedule, seed,
-                             m_override=m, t_override=t_steps, f0=np.zeros(2),
+                             m_override=m, t_override=t_steps,
                              record_path=trace is not None, trace_to=trace)
 
         before, after = _oracle_steps(result)
@@ -526,7 +526,7 @@ def _agnostic(cfg, opts, trace_to) -> dict:
         result, config = run_seed(
             model, mutations, schedule, seed,
             m_override=opts["m_override"], t_override=opts["t_override"],
-            f0=np.zeros(2), record_path=trace is not None, trace_to=trace)
+            record_path=trace is not None, trace_to=trace)
 
         f_final = result.organism.coords
         gap = f_final - t_in
@@ -606,7 +606,7 @@ def _supervised_linear(cfg, opts, trace_to) -> dict:
         result, config = run_seed(
             prob.model, prob.first_basis, schedule, seed,
             m_override=opts["m_override"], t_override=opts["t_override"],
-            f0=np.zeros(2), failure_policy="forced_uniform",
+            failure_policy="forced_uniform",
             renewal=(1000, prob.renew),   # a fresh data pair every 1,000 steps
             record_path=trace is not None, trace_to=trace)
 
@@ -791,7 +791,7 @@ def _drift(cfg, opts, trace_to) -> dict:
                 if multiplier in (0.0, 1.0) else None
             result, _ = run_seed(model, MutationSet.orthonormal(2), schedule,
                                  seed, m_override=m, t_override=t_steps,
-                                 f0=np.zeros(2), trace_to=trace)
+                                 trace_to=trace)
             shift = np.subtract(model.t_cur, model.mu0)
             return {
                 "seed": seed, "data_tries": tries,

@@ -247,7 +247,7 @@ def load_dataset_csv(path: str, dim_x: Optional[int] = None) -> tuple:
     positionally.  Returns (X, Y) with Y possibly None.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [(reader.line_num, row) for row in reader]
     except FileNotFoundError:

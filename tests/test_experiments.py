@@ -17,6 +17,7 @@ from evospace.experiments import (
     MeanEstimationModel,
     ScenarioConfig,
     _dwell_stats,
+    _hull,
     _hulls_overlap,
     _mean_problem,
     _mean_window,
@@ -234,6 +235,51 @@ class TestMixtureData:
         monkeypatch.setattr(experiments, "_MIXTURE_TRIES", 3)
         with pytest.raises(ModelError, match="admissible dataset for seed 0 in 3 draws"):
             _mixture_for(0, lambda pts, labels: False)
+
+
+def cross(o, a, b) -> float:
+    """z of (a - o) x (b - o): positive when o, a, b turn counter-clockwise."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+# integer coordinates keep every cross product exact, and a coarse grid
+# makes duplicates and collinear runs common
+GRID = st.integers(-30, 30).map(float)
+
+
+class TestHull:
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.tuples(GRID, GRID), min_size=1, max_size=40))
+    def test_vertices_are_input_points_enclosing_every_point(self, points):
+        hull = [tuple(v) for v in _hull(np.array(points)).tolist()]
+        assert set(hull) <= set(points) and len(set(hull)) == len(hull)
+        n = len(hull)
+        assert n >= 1
+        if n >= 3:
+            for i in range(n):
+                # a strict left turn at every vertex: counter-clockwise, and
+                # no three consecutive vertices collinear
+                assert cross(hull[i], hull[(i + 1) % n], hull[(i + 2) % n]) > 0
+            for p in points:
+                assert all(cross(hull[i], hull[(i + 1) % n], p) >= 0
+                           for i in range(n))
+        else:
+            # a segment or a point: every input point lies on it
+            lo, hi = np.min(hull, axis=0), np.max(hull, axis=0)
+            for p in points:
+                assert cross(hull[0], hull[-1], p) == 0
+                assert np.all(lo <= p) and np.all(p <= hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(origin=st.tuples(GRID, GRID),
+           step=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+           ks=st.lists(st.integers(-8, 8), min_size=1, max_size=20))
+    def test_a_collinear_set_gives_at_most_two_vertices(self, origin, step, ks):
+        points = np.array([[origin[0] + k * step[0], origin[1] + k * step[1]]
+                           for k in ks])
+        hull = _hull(points)
+        ends = {tuple(points[ks.index(min(ks))]), tuple(points[ks.index(max(ks))])}
+        assert len(hull) <= 2 and set(map(tuple, hull.tolist())) == ends
 
 
 class TestMeanEstimationModel:
@@ -605,7 +651,6 @@ class TestDriftScenario:
             cap = 199 * arm["nu"]
             assert 0.5 * cap < row["target_displacement"] <= cap * (1 + 1e-12)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_far_but_finite_drift_still_runs(self):
         # 1e150 times the bound moves the target about 1e143 in 20 steps,
         # whose square is still a float; 1e308 is rejected (tests/test_cli.py)

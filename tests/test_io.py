@@ -311,6 +311,19 @@ class TestDatasetCsv:
         X, Y = load_dataset_csv(path)
         assert X.shape == (1, 2) and Y is None
 
+    def test_a_byte_order_mark_keeps_the_first_column(self, tmp_path):
+        # spreadsheet exports often start with a UTF-8 BOM, which must not
+        # rename the first header to "\ufeffx0" and so drop that column
+        text = "x0,x1,y\n0.3,0.4,1\n0.1,0.2,-1\n"
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(text.encode())
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        X, Y = load_dataset_csv(str(plain))
+        X_bom, Y_bom = load_dataset_csv(str(bom))
+        assert X.shape == (2, 2)
+        assert np.array_equal(X_bom, X) and np.array_equal(Y_bom, Y)
+
     def test_positional_split(self, tmp_path):
         path = self.write(tmp_path, "a,b,c\n1,2,3\n")
         X, Y = load_dataset_csv(path, dim_x=2)

@@ -1,5 +1,6 @@
 """Core model layer: generators, panels, samplers, organisms."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -893,23 +894,17 @@ def walk(basis, base, alpha, steps, seed, **config):
         epsilon=1.0, seed=seed, f0=base, **config))
 
 
+def grid_point(org):
+    """``base + alpha * (B @ counts)``, the organism's point on its grid."""
+    return org.base + org.alpha * matvec(org.basis.vectors, org.counts.astype(float))
+
+
 class TestOrganism:
     def test_grid_invariance_many_steps(self):
         B = MutationSet(rng_for(21).standard_normal((3, 4)))
         org = walk(B, np.array([0.5, -0.2, 1.0]), 0.01, 10_000, seed=22).organism
         assert np.abs(org.counts).sum() > 0
-        assert np.allclose(org.coords, org.recompute_coords(),
-                           rtol=0, atol=1e-10)
-
-    def test_rebase_keeps_position(self):
-        org = walk(MutationSet.orthonormal(2), np.zeros(2), 0.5, 3, seed=1).organism
-        pos = org.coords.copy()
-        assert np.abs(org.counts).sum() > 0
-        org.rebase(MutationSet(np.array([[1.0, 1.0], [1.0, -1.0]])))
-        assert np.allclose(org.coords, pos)
-        assert np.array_equal(org.coords, org.recompute_coords())
-        assert np.all(org.counts == 0)
-        assert np.allclose(org.base, pos)
+        assert np.allclose(org.coords, grid_point(org), rtol=0, atol=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dG=st.integers(1, 4),
@@ -927,27 +922,18 @@ class TestOrganism:
                    renewal_fn=lambda renewal_rng, step: basis(),
                    record_path=True)
         org = res.organism
-        # each step since the last renewal and each term of the
-        # recomputation rounds once, at no more than the largest magnitude
-        # on the path
+        # each step since the last renewal and each term of the grid point
+        # rounds once, at no more than the largest magnitude on the path
         since = steps - (steps - 1) // period * period
         B = np.abs(org.basis.vectors)
         grid = np.abs(org.base).max() + alpha * (B @ np.abs(org.counts)).max()
         mag = max(np.abs(res.path[1:]).max(), grid) + alpha * B.max()
-        err = np.abs(org.coords - org.recompute_coords()).max()
+        err = np.abs(org.coords - grid_point(org)).max()
         assert err <= (since + dF + 2) * np.spacing(mag)
 
-    def test_a_renewal_rebases_at_the_recorded_path_row(self, monkeypatch):
-        # the loop settles the coordinates before each renewal, and the new
-        # grid starts at them bit for bit, not at the old grid point
-        bases = []
-        rebase = Organism.rebase
-
-        def recording(organism, basis):
-            rebase(organism, basis)
-            bases.append(organism.base.copy())
-
-        monkeypatch.setattr(Organism, "rebase", recording)
+    def test_a_renewal_rebases_at_the_recorded_path_row(self):
+        # the new grid starts at the coordinates the loop reached, bit for
+        # bit, not at the old grid point
         rng = np.random.default_rng(8)
 
         def basis():
@@ -957,14 +943,52 @@ class TestOrganism:
                    renewal_period=700,
                    renewal_fn=lambda renewal_rng, step: basis(),
                    record_path=True)
-        assert len(bases) == 4   # at steps 0, 700, 1,400 and 2,100
-        for k, base in enumerate(bases):
-            assert base.tobytes() == res.path[700 * k].tobytes()
+        # renewals at steps 0, 700, 1,400 and 2,100
+        assert res.organism.base.tobytes() == res.path[2100].tobytes()
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ModelError):
-            Organism(basis=MutationSet.orthonormal(2),
-                     base=np.zeros(3), alpha=0.1)
+    def test_the_start_is_the_grid_point_of_zero_counts(self):
+        # f0 + alpha * (B @ 0) turns a -0.0 in f0 into +0.0
+        f0 = np.array([-0.0, 0.25])
+        res = walk(MutationSet.orthonormal(2), f0, 0.5, 1, seed=3,
+                   record_path=True)
+        assert res.path[0].tobytes() == np.array([0.0, 0.25]).tobytes()
+
+    @pytest.mark.parametrize("f0", [np.zeros(3), np.zeros(1), np.zeros((1, 2)),
+                                    0.0, [0.0, np.nan], [np.inf, 0.0]],
+                             ids=["long", "short", "matrix", "scalar", "nan", "inf"])
+    def test_f0_must_hold_dG_finite_coordinates(self, f0):
+        with pytest.raises(ConfigError, match="f0 must hold 2 finite coordinates"):
+            EvolutionConfig(mutations=MutationSet.orthonormal(2), alpha=0.1,
+                            tol=0.1, m=1, t_steps=1, epsilon=0.1, f0=f0)
+
+    def test_the_config_owns_its_f0(self):
+        def config(**f0):
+            return EvolutionConfig(mutations=MutationSet.orthonormal(3),
+                                   alpha=0.1, tol=0.1, m=1, t_steps=1,
+                                   epsilon=0.1, **f0)
+
+        assert np.array_equal(config().f0, np.zeros(3))
+        f0 = np.array([0.5, -0.2, 1.0])
+        cfg = config(f0=f0)
+        f0[0] = 7.0   # the caller's array is not the run's start
+        assert cfg.f0.tolist() == [0.5, -0.2, 1.0]
+        assert config(f0=[1, 2, 3]).f0.dtype == float
+
+    @pytest.mark.parametrize("renewal, message", [
+        (MutationSet.orthonormal(3), "replacement basis has a different gene dimension"),
+        (np.eye(2), "renewal callback must return a MutationSet")])
+    def test_a_renewal_must_return_a_mutation_set_of_the_same_dG(self, renewal,
+                                                                 message):
+        first = MutationSet.orthonormal(2)
+        with pytest.raises(ModelError, match=message):
+            walk(first, np.zeros(2), 0.1, 20, seed=4, renewal_period=5,
+                 renewal_fn=lambda rng, step: first if step == 0 else renewal)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Organism)])
+    def test_the_record_is_frozen(self, name):
+        org = walk(MutationSet.orthonormal(2), np.zeros(2), 0.5, 3, seed=1).organism
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(org, name, getattr(org, name))
 
 
 class TestPerformance:
